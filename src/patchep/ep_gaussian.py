@@ -8,10 +8,15 @@ aligned to the patch partition otherwise.  Each iteration alternates
 * prior-side update: per-block tilted GMM moments against the likelihood
   factor as cavity, then a structure-constrained KL precision update and the
   matching mean update;
-* likelihood-side update: tilted mean by matrix-free conjugate gradients,
-  marginal covariance blocks either exactly (diagonal H) or by
-  Rao-Blackwellized Monte Carlo, then the same KL machinery with roles
-  swapped.  When H^T H is diagonal the likelihood factor is set directly.
+* likelihood-side update: the tilted precision Q = P0 + H^T W H is
+  assembled once per update as a sparse CSR matrix; the tilted mean and the
+  perturbation samples of Rao-Blackwellized Monte Carlo (RBMC) are solved by
+  conjugate gradients preconditioned with the inverses of the diagonal blocks
+  Q_jj (block Jacobi), which the RBMC estimate needs anyway.  Marginal
+  covariance blocks are exact for diagonal H and RBMC estimates otherwise;
+  then the same KL machinery runs with roles swapped.  When H^T H is
+  diagonal the likelihood factor is set directly.  CG solves that stop at
+  the iteration cap are counted as warnings.
 
 Factor updates are damped in natural parameters (precision and
 precision-mean).  The loop stops when the squared change of the joint mean
@@ -25,11 +30,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy import sparse
+from scipy.sparse.linalg import cg
 
 from .gaussians import BlockDiagonalCov, DiagonalCov, StructuredGaussian
 from .gmm import AdaptedGMM, _tilted_moments_stack
-from .kl_updates import PRECISION_FLOOR, BlockKLProblem, diag_kl_update, update_block_precision
+from .kl_updates import PRECISION_FLOOR, BlockKLProblem, update_block_precision
 from .operators import DegradationOperator
 from .partitions import Partition
 
@@ -99,23 +105,6 @@ class GaussianFactor:
         cov = np.linalg.inv(self.prec_blocks[j])
         cov = 0.5 * (cov + cov.T)
         return cov @ self.eta[idx], cov
-
-    def apply_precision(self, x: np.ndarray) -> np.ndarray:
-        if self.structure == "diagonal":
-            return self.prec_diag * x
-        out = np.empty_like(x)
-        for j, idx in enumerate(self.partition.blocks):
-            out[idx] = self.prec_blocks[j] @ x[idx]
-        return out
-
-    def precision_chol_apply(self, z: np.ndarray) -> np.ndarray:
-        """L z with precision = L L^T (per block); used to sample N(0, precision)."""
-        if self.structure == "diagonal":
-            return np.sqrt(self.prec_diag) * z
-        out = np.empty_like(z)
-        for j, idx in enumerate(self.partition.blocks):
-            out[idx] = np.linalg.cholesky(self.prec_blocks[j]) @ z[idx]
-        return out
 
     def copy(self) -> "GaussianFactor":
         return GaussianFactor(
@@ -272,18 +261,32 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     return weights, warnings
 
 
-def solve_cg(apply_q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig):
-    """Matrix-free conjugate gradients; returns (solution, iterations, residual)."""
-    n = rhs.size
-    op = LinearOperator((n, n), matvec=apply_q)
+def _block_diag(partition: Partition, blocks) -> sparse.csr_matrix:
+    """Sparse N x N matrix with blocks[j] at (partition.blocks[j], partition.blocks[j])."""
+    n = partition.n_pixels
+    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in partition.blocks])
+    cols = np.concatenate([np.tile(idx, len(idx)) for idx in partition.blocks])
+    vals = np.concatenate([np.ravel(b) for b in blocks])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig,
+             preconditioner=None):
+    """Conjugate gradients for q x = rhs, with q (and the preconditioner, an
+    approximation of q^{-1}) a sparse matrix or linear operator.
+
+    Returns (solution, iterations, residual norm, info) with scipy's info
+    flag: nonzero when cg_max_iters ran out before the relative residual
+    fell below cg_tol.
+    """
     counter = {"n": 0}
 
     def count(_):
         counter["n"] += 1
 
-    x, info = cg(op, rhs, x0=x0, rtol=config.cg_tol, atol=0.0,
-                 maxiter=config.cg_max_iters, callback=count)
-    residual = float(np.linalg.norm(rhs - apply_q(x)))
+    x, info = cg(q, rhs, x0=x0, rtol=config.cg_tol, atol=0.0,
+                 maxiter=config.cg_max_iters, M=preconditioner, callback=count)
+    residual = float(np.linalg.norm(rhs - q @ x))
     return x, counter["n"], residual, info
 
 
@@ -297,60 +300,63 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     the tilted mean solves Q z = eta0 + obs_eta (obs_eta = H^T W m_obs).
     Marginal covariance blocks are exact for diagonal H; otherwise they are
     RBMC estimates Q_jj^{-1} + Q_jj^{-1} SampleCov((Q x)_j - Q_jj x_j) Q_jj^{-1}
-    from exact samples x ~ N(0, Q^{-1}).
+    from exact samples x ~ N(0, Q^{-1}).  Q is assembled as one sparse
+    matrix and every solve is preconditioned by blockdiag(Q_jj^{-1}).
+
+    Returns (mean, covariance blocks, CG iterations, number of CG solves
+    that did not converge).
     """
     part = q0.partition
-
-    def apply_q(x):
-        return q0.apply_precision(x) + operator.apply_adjoint(obs_weights * operator.apply(x))
-
     rhs = q0.eta + obs_eta
-    cg_iters = 0
     if operator.is_diagonal and q0.structure == "diagonal":
         prec = q0.prec_diag + obs_weights * operator.diag_gram()
         mean = rhs / prec
         blocks = [np.diag(1.0 / prec[idx]) for idx in part.blocks]
-        return mean, blocks, cg_iters, 0.0
+        return mean, blocks, 0, 0
 
-    mean, cg_iters, residual, _ = solve_cg(apply_q, rhs, warm_start, config)
+    p0_blocks = [q0.block_precision(j) for j in range(part.n_blocks)]
+    q_blocks = [operator.gram_block(idx, obs_weights) + p0_blocks[j]
+                for j, idx in enumerate(part.blocks)]
+    block_inv = [0.5 * (inv + inv.T) for inv in map(np.linalg.inv, q_blocks)]
+    h = operator.matrix
+    q = (_block_diag(part, p0_blocks) + h.T @ sparse.diags(obs_weights) @ h).tocsr()
+    jacobi = _block_diag(part, block_inv)
 
-    gram_weights = obs_weights
-    q_blocks = [
-        operator.gram_block(idx, gram_weights) + q0.block_precision(j)
-        for j, idx in enumerate(part.blocks)
-    ]
+    mean, cg_iters, _, info = solve_cg(q, rhs, warm_start, config, jacobi)
+    not_converged = int(info != 0)
     if operator.is_diagonal:
-        blocks = []
-        for qb in q_blocks:
-            cov = np.linalg.inv(qb)
-            blocks.append(0.5 * (cov + cov.T))
-        return mean, blocks, cg_iters, residual
+        return mean, block_inv, cg_iters, not_converged
 
-    # RBMC correction from exact zero-mean samples of N(0, Q^{-1})
+    # RBMC correction from exact zero-mean samples of N(0, Q^{-1}):
+    # Q x = H^T W^{1/2} eps1 + L0 eps2 with P0 = L0 L0^T
     n = part.n_pixels
     s = config.rbmc_samples
-    block_inv = [np.linalg.inv(qb) for qb in q_blocks]
-    v_samples = [np.zeros((s, len(idx))) for idx in part.blocks]
+    chol0 = _block_diag(part, [np.linalg.cholesky(p) for p in p0_blocks])
     sqrt_w = np.sqrt(obs_weights)
+    x_samples = np.empty((n, s))
     for t in range(s):
         eps1 = rng.standard_normal(n)
         eps2 = rng.standard_normal(n)
-        w_vec = operator.apply_adjoint(sqrt_w * eps1) + q0.precision_chol_apply(eps2)
-        x_s, it, _, _ = solve_cg(apply_q, w_vec, None, config)
+        w_vec = operator.apply_adjoint(sqrt_w * eps1) + chol0 @ eps2
+        x_samples[:, t], it, _, info = solve_cg(q, w_vec, None, config, jacobi)
         cg_iters += it
-        qx = apply_q(x_s)
-        for j, idx in enumerate(part.blocks):
-            v_samples[j][t] = qx[idx] - q_blocks[j] @ x_s[idx]
+        not_converged += int(info != 0)
+    # (Q x)_j - Q_jj x_j for all blocks and samples: one product with the
+    # off-block-diagonal part of Q
+    coo = q.tocoo()
+    off = part.block_of[coo.row] != part.block_of[coo.col]
+    q_off = sparse.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=q.shape)
+    v_samples = q_off @ x_samples
     blocks = []
-    for j in range(part.n_blocks):
-        v = v_samples[j]
-        sample_cov = v.T @ v / s
+    for j, idx in enumerate(part.blocks):
+        v = v_samples[idx]
+        sample_cov = v @ v.T / s
         cov = block_inv[j] + block_inv[j] @ sample_cov @ block_inv[j]
         cov = 0.5 * (cov + cov.T)
         evals, evecs = np.linalg.eigh(cov)
         cov = (evecs * np.maximum(evals, 1e-10)) @ evecs.T
         blocks.append(0.5 * (cov + cov.T))
-    return mean, blocks, cg_iters, residual
+    return mean, blocks, cg_iters, not_converged
 
 
 def update_q_x1(state: EPState, operator: DegradationOperator,
@@ -359,6 +365,8 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
                 warm_start: np.ndarray | None = None):
     """Likelihood-side EP update; returns (cg iterations, warning count).
 
+    The warning count adds the CG solves that hit cg_max_iters and the
+    blocks whose KL update failed (those keep their old precision).
     For diagonal H^T H the factor is set directly to the exact Gaussian
     likelihood term (precision W * diag(H^T H), floored where a pixel is
     unobserved); no damping is applied to that exact assignment.
@@ -373,10 +381,9 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
         state.q1.eta = obs_eta.copy()
         return 0, 0
 
-    t_mean, t_blocks, cg_iters, _ = tilted_p1_moments(
+    t_mean, t_blocks, cg_iters, warnings = tilted_p1_moments(
         state.q0, operator, obs_weights, obs_eta, config, rng, warm_start)
     target = state.q1.copy()
-    warnings = 0
     for j, idx in enumerate(part.blocks):
         try:
             cav_prec = state.q0.block_precision(j)

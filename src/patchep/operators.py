@@ -1,10 +1,11 @@
-"""Matrix-free degradation operators and noise simulators.
+"""Degradation operators and noise simulators.
 
 The linear degradation ``H`` is one of: identity (denoising), a 0/1 pixel
-mask (inpainting), or circular 2D convolution (deconvolution).  Operators
-expose forward/adjoint application plus sparse row access, so that the
-quadratic forms ``h_n S h_n^T`` touch only the kernel's nonzeros and the
-covariance blocks they intersect.
+mask (inpainting), or circular 2D convolution (deconvolution).  Every
+operator holds ``H`` as a CSR ``matrix`` built once at construction and
+exposes forward/adjoint application plus sparse row and column access, so
+that the quadratic forms ``h_n S h_n^T`` touch only the kernel's nonzeros
+and the covariance blocks they intersect.
 
 Noise simulation uses a counter-based (Philox) generator so runs are
 reproducible regardless of scheduling.
@@ -13,8 +14,10 @@ reproducible regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .gaussians import BlockDiagonalCov, Covariance, DiagonalCov, IsotropicCov, marginal_variances
 
@@ -32,11 +35,13 @@ __all__ = [
 
 
 class DegradationOperator:
-    """Common interface: ``apply``, ``apply_adjoint``, sparse ``row``, and
-    a dense ``gram_block`` of ``H^T W H`` restricted to a pixel subset."""
+    """Common interface: ``apply``, ``apply_adjoint``, H as a CSR ``matrix``
+    (set by each operator), sparse ``row``/``column``, and a dense
+    ``gram_block`` of ``H^T W H`` restricted to a pixel subset."""
 
     width: int
     height: int
+    matrix: sparse.csr_matrix
 
     @property
     def n_pixels(self) -> int:
@@ -52,17 +57,32 @@ class DegradationOperator:
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    @cached_property
+    def _columns(self) -> sparse.csc_matrix:
+        return self.matrix.tocsc()
+
+    @staticmethod
+    def _slice(m, k: int, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+        if not 0 <= k < n:
+            raise IndexError(f"{what} index out of range")
+        sl = slice(m.indptr[k], m.indptr[k + 1])
+        return m.indices[sl].copy(), m.data[sl].copy()
+
     def row(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero (indices, weights) of row n of H."""
-        raise NotImplementedError
+        return self._slice(self.matrix, n, self.n_pixels, "row")
 
     def column(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero (indices, weights) of column m of H."""
-        raise NotImplementedError
+        return self._slice(self._columns, m, self.n_pixels, "column")
+
+    @cached_property
+    def _diag_gram(self) -> np.ndarray:
+        return np.asarray(self.matrix.multiply(self.matrix).sum(axis=0)).ravel()
 
     def diag_gram(self) -> np.ndarray:
         """Diagonal of H^T H."""
-        raise NotImplementedError
+        return self._diag_gram.copy()
 
     def _check_len(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -73,14 +93,11 @@ class DegradationOperator:
     def gram_block(self, indices: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Dense (H^T W H)[indices, indices] with diagonal W (default identity)."""
         indices = np.asarray(indices)
-        cols = [self.column(int(m)) for m in indices]
-        rows_union = np.unique(np.concatenate([c[0] for c in cols]))
-        lookup = {int(n): i for i, n in enumerate(rows_union)}
-        a = np.zeros((rows_union.size, indices.size))
-        for jcol, (ns, ws) in enumerate(cols):
-            for n, w in zip(ns, ws):
-                a[lookup[int(n)], jcol] += w
-        w_diag = np.ones(rows_union.size) if weights is None else np.asarray(weights, dtype=float)[rows_union]
+        cols = self._columns[:, indices]
+        rows, local = np.unique(cols.indices, return_inverse=True)
+        a = np.zeros((rows.size, indices.size))
+        a[local, np.repeat(np.arange(indices.size), np.diff(cols.indptr))] = cols.data
+        w_diag = np.ones(rows.size) if weights is None else np.asarray(weights, dtype=float)[rows]
         return a.T @ (w_diag[:, None] * a)
 
 
@@ -88,6 +105,9 @@ class DegradationOperator:
 class Identity(DegradationOperator):
     width: int
     height: int
+
+    def __post_init__(self):
+        self.matrix = sparse.identity(self.n_pixels, format="csr")
 
     @property
     def is_diagonal(self) -> bool:
@@ -98,16 +118,6 @@ class Identity(DegradationOperator):
 
     def apply_adjoint(self, v):
         return self._check_len(v).copy()
-
-    def row(self, n):
-        if not 0 <= n < self.n_pixels:
-            raise IndexError("row index out of range")
-        return np.array([n]), np.array([1.0])
-
-    column = row
-
-    def diag_gram(self):
-        return np.ones(self.n_pixels)
 
 
 @dataclass
@@ -123,6 +133,8 @@ class Mask(DegradationOperator):
         if kept.shape != (self.n_pixels,):
             raise ValueError("kept must have one entry per pixel")
         self.kept = kept.astype(bool)
+        self.matrix = sparse.diags(self.kept.astype(float), format="csr")
+        self.matrix.eliminate_zeros()
 
     @property
     def is_diagonal(self) -> bool:
@@ -133,25 +145,16 @@ class Mask(DegradationOperator):
 
     apply_adjoint = apply
 
-    def row(self, n):
-        if not 0 <= n < self.n_pixels:
-            raise IndexError("row index out of range")
-        if self.kept[n]:
-            return np.array([n]), np.array([1.0])
-        return np.array([], dtype=int), np.array([])
-
-    column = row
-
-    def diag_gram(self):
-        return self.kept.astype(float)
-
 
 @dataclass
 class Conv2D(DegradationOperator):
     """Circular 2D convolution with a centered k x k kernel.
 
     (Hx)[i, j] = sum_{a,b} kernel[a, b] * x[(i - a + c) % height, (j - b + c) % width]
-    with c = k // 2.  Circular boundaries keep H diagonalizable by the DFT.
+    with c = k // 2.  H is assembled once, vectorized, as a CSR ``matrix``
+    with at most k^2 nonzeros per row, and ``apply`` and ``apply_adjoint`` are
+    one sparse matrix-vector product each: O(k^2 N) work, which for small
+    kernels costs less than an FFT of the image.
     """
 
     width: int
@@ -168,50 +171,28 @@ class Conv2D(DegradationOperator):
         if k > min(self.width, self.height):
             raise ValueError("kernel larger than the image")
         self.kernel = kernel
-        self._center = k // 2
         # offsets (da, db) = (a - c, b - c) paired with kernel weights
         aa, bb = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        self._offsets = np.stack([aa.ravel() - self._center, bb.ravel() - self._center], axis=1)
+        self._offsets = np.stack([aa.ravel() - k // 2, bb.ravel() - k // 2], axis=1)
         self._weights = kernel.ravel()
+        n = self.n_pixels
+        ii, jj = np.divmod(np.arange(n), self.width)
+        cols = (((ii - self._offsets[:, :1]) % self.height) * self.width
+                + (jj - self._offsets[:, 1:]) % self.width)
+        rows = np.broadcast_to(np.arange(n), cols.shape)
+        vals = np.broadcast_to(self._weights[:, None], cols.shape)
+        self.matrix = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+        self.matrix.eliminate_zeros()
 
     @property
     def is_diagonal(self) -> bool:
         return False
 
     def apply(self, x):
-        x2 = self._check_len(x).reshape(self.height, self.width)
-        out = np.zeros_like(x2)
-        for (da, db), w in zip(self._offsets, self._weights):
-            if w != 0.0:
-                out += w * np.roll(x2, (da, db), axis=(0, 1))
-        return out.ravel()
+        return self.matrix @ self._check_len(x)
 
     def apply_adjoint(self, v):
-        v2 = self._check_len(v).reshape(self.height, self.width)
-        out = np.zeros_like(v2)
-        for (da, db), w in zip(self._offsets, self._weights):
-            if w != 0.0:
-                out += w * np.roll(v2, (-da, -db), axis=(0, 1))
-        return out.ravel()
-
-    def _shifted_indices(self, n: int, sign: int) -> np.ndarray:
-        i, j = divmod(n, self.width)
-        rows = (i + sign * self._offsets[:, 0]) % self.height
-        cols = (j + sign * self._offsets[:, 1]) % self.width
-        return rows * self.width + cols
-
-    def row(self, n):
-        if not 0 <= n < self.n_pixels:
-            raise IndexError("row index out of range")
-        return self._shifted_indices(n, -1), self._weights.copy()
-
-    def column(self, m):
-        if not 0 <= m < self.n_pixels:
-            raise IndexError("column index out of range")
-        return self._shifted_indices(m, +1), self._weights.copy()
-
-    def diag_gram(self):
-        return np.full(self.n_pixels, float(np.sum(self.kernel ** 2)))
+        return self.matrix.T @ self._check_len(v)
 
 
 @dataclass(frozen=True)

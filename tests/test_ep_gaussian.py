@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from patchep.ep_gaussian import (
     EPConfig,
     EPState,
     GaussianFactor,
     run_ep_gaussian,
+    solve_cg,
     tilted_p1_moments,
     update_q_x0,
     update_q_x1,
@@ -197,8 +199,58 @@ class TestTiltedP1:
         assert err200 <= 0.04
         assert err200 < err20
 
+    def test_block_jacobi_cg_matches_plain_cg(self, rng):
+        # the 16x16 RBMC system: preconditioning by blockdiag(Q_jj^{-1})
+        # changes the iteration count, not the solution
+        part = build_shifted_partitions(16, 16, 4)[0]
+        op = Conv2D(16, 16, np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0)
+        h = dense_operator(op)
+        q = h.T @ h / 0.05
+        for idx in part.blocks:
+            q[np.ix_(idx, idx)] += random_spd(rng, len(idx), 1.0 / len(idx))
+        jacobi = np.zeros_like(q)
+        for idx in part.blocks:
+            jacobi[np.ix_(idx, idx)] = np.linalg.inv(q[np.ix_(idx, idx)])
+        rhs = rng.standard_normal(256)
+        cfg = EPConfig()
+        q = sparse.csr_matrix(q)
+        x, iters, _, info = solve_cg(q, rhs, None, cfg)
+        x_pc, iters_pc, _, info_pc = solve_cg(q, rhs, None, cfg, sparse.csr_matrix(jacobi))
+        assert info == 0 and info_pc == 0
+        assert np.linalg.norm(x_pc - x) <= cfg.cg_tol * np.linalg.norm(x)
+        assert iters_pc < iters
+
 
 class TestUpdateQx1:
+    def test_cg_cap_counts_as_warnings(self, rng):
+        # 6x6 deconvolution: with cg_max_iters=1 the mean solve and all RBMC
+        # solves stop unconverged, and each one is reported
+        part = build_shifted_partitions(6, 6, 3)[0]
+        op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
+        sigma2 = 0.25
+        y = rng.standard_normal(36)
+        blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
+        eta = rng.standard_normal(36)
+        w = np.full(36, 1.0 / sigma2)
+
+        def warnings_with(cfg):
+            state = EPState(
+                q0=GaussianFactor("block", part, prec_blocks=blocks, eta=eta),
+                q1=GaussianFactor.from_moments("block", part, y, np.full(36, sigma2)),
+                partition=part,
+            )
+            state.sync()
+            _, warnings = update_q_x1(state, op, w, op.apply_adjoint(y) / sigma2, cfg,
+                                      np.random.default_rng(1))
+            return warnings
+
+        assert warnings_with(EPConfig()) == 0
+        capped = EPConfig(cg_max_iters=1)
+        assert warnings_with(capped) == 1 + capped.rbmc_samples
+        res = run_ep_gaussian(y, op, sigma2, k1_adapted(rng, 9), part,
+                              EPConfig(cg_max_iters=1, max_iterations=1))
+        assert res.warnings >= 1 + capped.rbmc_samples
+
     def test_denoising_shortcut_sets_noise_variance(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]
         op = Identity(4, 4)

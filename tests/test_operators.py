@@ -18,6 +18,19 @@ from patchep.partitions import build_shifted_partitions
 from conftest import random_spd
 
 
+def conv_dense_from_formula(width, height, kernel):
+    """H of Conv2D entry by entry from its docstring formula (oracle helper)."""
+    k = kernel.shape[0]
+    c = k // 2
+    h = np.zeros((width * height, width * height))
+    for i in range(height):
+        for j in range(width):
+            for a in range(k):
+                for b in range(k):
+                    h[i * width + j, ((i - a + c) % height) * width + (j - b + c) % width] += kernel[a, b]
+    return h
+
+
 def dense_matrix(op):
     """Column-by-column materialization through apply (oracle helper)."""
     n = op.n_pixels
@@ -76,6 +89,26 @@ class TestApplyAdjoint:
             dense_col = np.zeros(36)
             np.add.at(dense_col, ns, ws)
             np.testing.assert_allclose(dense_col, h[:, n], atol=1e-14)
+
+    def test_sparse_conv_matches_docstring_formula(self):
+        # non-symmetric kernel on a non-square image, so a transposed or
+        # flipped kernel and swapped width/height would all show
+        rng = np.random.default_rng(12)
+        kernel = rng.standard_normal((3, 3))
+        op = Conv2D(7, 5, kernel)
+        h = conv_dense_from_formula(7, 5, kernel)
+        np.testing.assert_allclose(op.matrix.toarray(), h, rtol=0, atol=1e-15)
+        w = rng.uniform(0.5, 2.0, 35)
+        idx = np.array([0, 6, 7, 13, 34])
+        np.testing.assert_allclose(op.gram_block(idx, w), (h.T @ np.diag(w) @ h)[np.ix_(idx, idx)],
+                                   atol=1e-12)
+        np.testing.assert_allclose(op.diag_gram(), np.diag(h.T @ h), rtol=1e-12)
+        for _ in range(5):
+            x = rng.standard_normal(35)
+            v = rng.standard_normal(35)
+            np.testing.assert_allclose(op.apply(x), h @ x, atol=1e-12)
+            np.testing.assert_allclose(op.apply_adjoint(v), h.T @ v, atol=1e-12)
+            assert abs(op.apply(x) @ v - x @ op.apply_adjoint(v)) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
