@@ -6,13 +6,7 @@ mixture patch priors, structured-covariance EP, and product-of-experts
 fusion over shifted patch partitions.
 """
 
-from .gaussians import (
-    BlockDiagonalCov,
-    DiagonalCov,
-    IsotropicCov,
-    StructuredGaussian,
-    marginal_variances,
-)
+from .gaussians import BlockDiagonalCov, marginal_variances
 from .gmm import (
     Adaptation,
     AdaptedGMM,
@@ -26,33 +20,28 @@ from .gmm import (
 )
 from .imageio import Image, read_float_raster, read_pgm, write_float_raster, write_pgm
 from .operators import Conv2D, GaussianNoise, Identity, Mask, PoissonNoise, simulate
-from .partitions import Partition, build_shifted_partitions, gather, scatter
+from .partitions import Partition, build_shifted_partitions
 
 __all__ = [
     "Adaptation",
     "AdaptedGMM",
     "BlockDiagonalCov",
     "Conv2D",
-    "DiagonalCov",
     "GaussianNoise",
     "Identity",
     "Image",
-    "IsotropicCov",
     "Mask",
     "Partition",
     "PatchGMM",
     "PoissonNoise",
-    "StructuredGaussian",
     "adapt",
     "build_shifted_partitions",
-    "gather",
     "load_gmm",
     "marginal_variances",
     "marginalize",
     "read_float_raster",
     "read_pgm",
     "save_gmm",
-    "scatter",
     "simulate",
     "tilted_gmm_moments",
     "train_em",

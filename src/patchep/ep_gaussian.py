@@ -1,22 +1,28 @@
-"""Expectation propagation for the Gaussian observation model.
+"""Expectation propagation for the Gaussian observation model, and the EP
+outer loop shared with the Poisson model.
 
 The posterior  N(y; Hx, sigma^2 I) * prod_j GMM(x_j)  is approximated by the
-product of two Gaussian factors (prior side and likelihood side) whose
-covariances share one structure: diagonal for diagonal H, block-diagonal
-aligned to the patch partition otherwise.  Each iteration alternates
+product of two Gaussian factors (prior side and likelihood side) with
+block-diagonal precisions aligned to the patch partition.  Each factor keeps
+its precision as one ``(J_g, b, b)`` stack per group of
+``partition.groups`` and its precision-mean as one N-vector; every block
+operation is batched over a group's stack.  The structure is diagonal (zero
+off-diagonal entries) for diagonal H and a full block otherwise; it matters
+only in the KL step, which is closed-form per pixel for the diagonal
+structure and one precision solve per block for full blocks.  Each
+iteration alternates
 
-* prior-side update: per-block tilted GMM moments against the likelihood
-  factor as cavity, then a structure-constrained KL precision update and the
-  matching mean update;
+* prior-side update: tilted GMM moments of each group against the
+  likelihood factor as cavity, then the KL precision update and the
+  matching precision-mean update;
 * likelihood-side update: the tilted precision Q = P0 + H^T W H is
   assembled once per update as a sparse CSR matrix; the tilted mean and the
   perturbation samples of Rao-Blackwellized Monte Carlo (RBMC) are solved by
   conjugate gradients preconditioned with the inverses of the diagonal blocks
-  Q_jj (block Jacobi), which the RBMC estimate needs anyway.  Marginal
-  covariance blocks are exact for diagonal H and RBMC estimates otherwise;
-  then the same KL machinery runs with roles swapped.  When H^T H is
-  diagonal the likelihood factor is set directly.  CG solves that stop at
-  the iteration cap are counted as warnings.
+  Q_jj (block Jacobi), which the RBMC estimate of the covariance blocks
+  needs anyway; then the same KL step runs with roles swapped.  When H^T H
+  is diagonal the likelihood factor is set directly.  CG solves that stop
+  at the iteration cap are counted as warnings.
 
 Factor updates are damped in natural parameters (precision and
 precision-mean).  The loop stops when the squared change of the joint mean
@@ -33,13 +39,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .gaussians import BlockDiagonalCov, DiagonalCov, StructuredGaussian
+from .gaussians import BlockDiagonalCov, block_diag, diag_stack, diag_stacks, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
-from .kl_updates import PRECISION_FLOOR, BlockKLProblem, update_block_precision
+from .kl_updates import PRECISION_FLOOR, diag_kl_update, update_block_precision
 from .operators import DegradationOperator
 from .partitions import Partition
 
-__all__ = ["EPConfig", "EPResult", "run_ep_gaussian"]
+__all__ = ["EPConfig", "EPResult", "run_ep", "run_ep_gaussian"]
 
 
 @dataclass
@@ -69,15 +75,22 @@ class EPConfig:
         return "diagonal" if operator.is_diagonal else "block"
 
 
-class GaussianFactor:
-    """One EP factor in natural parameters (precision, precision * mean)."""
+def _stack_moments(prec: np.ndarray, eta: np.ndarray):
+    """Means (J, b) and covariances (J, b, b) of a stack of blocks given in
+    natural parameters: precisions (J, b, b) and precision-means (J, b)."""
+    cov = sym(np.linalg.inv(prec))
+    return (cov @ eta[..., None])[..., 0], cov
 
-    def __init__(self, structure: str, partition: Partition, prec_diag=None,
-                 prec_blocks=None, eta=None):
+
+class GaussianFactor:
+    """One EP factor in natural parameters: ``prec``, a list of (J_g, b, b)
+    precision stacks aligned with ``partition.groups``, and ``eta``, the
+    precision-mean in pixel order."""
+
+    def __init__(self, structure: str, partition: Partition, prec: list, eta: np.ndarray):
         self.structure = structure
         self.partition = partition
-        self.prec_diag = prec_diag
-        self.prec_blocks = prec_blocks
+        self.prec = prec
         self.eta = eta
 
     @classmethod
@@ -85,71 +98,31 @@ class GaussianFactor:
                      mean: np.ndarray, variance: np.ndarray) -> "GaussianFactor":
         """Diagonal-moment initialization (variance per pixel)."""
         prec = 1.0 / variance
-        eta = prec * mean
-        if structure == "diagonal":
-            return cls(structure, partition, prec_diag=prec, eta=eta)
-        blocks = [np.diag(prec[idx]) for idx in partition.blocks]
-        return cls(structure, partition, prec_blocks=blocks, eta=eta)
-
-    def block_precision(self, j: int) -> np.ndarray:
-        if self.structure == "diagonal":
-            return np.diag(self.prec_diag[self.partition.blocks[j]])
-        return self.prec_blocks[j]
-
-    def block_moments(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of block j of this factor."""
-        idx = self.partition.blocks[j]
-        if self.structure == "diagonal":
-            var = 1.0 / self.prec_diag[idx]
-            return self.eta[idx] * var, np.diag(var)
-        cov = np.linalg.inv(self.prec_blocks[j])
-        cov = 0.5 * (cov + cov.T)
-        return cov @ self.eta[idx], cov
+        return cls(structure, partition, diag_stacks(partition, prec), prec * mean)
 
     def copy(self) -> "GaussianFactor":
-        return GaussianFactor(
-            self.structure, self.partition,
-            prec_diag=None if self.prec_diag is None else self.prec_diag.copy(),
-            prec_blocks=None if self.prec_blocks is None else [b.copy() for b in self.prec_blocks],
-            eta=self.eta.copy(),
-        )
+        return GaussianFactor(self.structure, self.partition,
+                              [p.copy() for p in self.prec], self.eta.copy())
 
     def damp_from(self, target: "GaussianFactor", damping: float) -> None:
         """Convex combination in natural-parameter space, in place."""
         eps = damping
         self.eta = eps * target.eta + (1 - eps) * self.eta
-        if self.structure == "diagonal":
-            self.prec_diag = eps * target.prec_diag + (1 - eps) * self.prec_diag
-        else:
-            self.prec_blocks = [
-                eps * tb + (1 - eps) * sb
-                for tb, sb in zip(target.prec_blocks, self.prec_blocks)
-            ]
-
-    def to_structured(self) -> StructuredGaussian:
-        n = self.partition.n_pixels
-        if self.structure == "diagonal":
-            var = 1.0 / self.prec_diag
-            return StructuredGaussian(self.eta * var, DiagonalCov(var))
-        mean = np.empty(n)
-        covs = []
-        for j, idx in enumerate(self.partition.blocks):
-            m, c = self.block_moments(j)
-            mean[idx] = m
-            covs.append(c)
-        return StructuredGaussian(mean, BlockDiagonalCov(self.partition, covs))
+        self.prec = [eps * t + (1 - eps) * p for t, p in zip(target.prec, self.prec)]
 
 
 @dataclass
 class EPState:
-    """Live factor pair plus the synchronized joint moments."""
+    """Live factor pair plus the synchronized joint moments; ``joint_covs``
+    holds the joint covariance blocks as stacks aligned with
+    ``partition.groups``."""
 
     q0: GaussianFactor
     q1: GaussianFactor
     partition: Partition
     mean: np.ndarray = None
     marginal_var: np.ndarray = None
-    joint_blocks: list = None
+    joint_covs: list = None
     iteration: int = 0
 
     def sync(self) -> None:
@@ -157,45 +130,25 @@ class EPState:
         mean solves (P0 + P1) m = eta0 + eta1 per block."""
         part = self.partition
         eta = self.q0.eta + self.q1.eta
-        if self.q0.structure == "diagonal":
-            prec = self.q0.prec_diag + self.q1.prec_diag
-            self.marginal_var = 1.0 / prec
-            self.mean = eta * self.marginal_var
-            self.joint_blocks = None
-            return
-        mean = np.empty(part.n_pixels)
-        var = np.empty(part.n_pixels)
-        blocks = []
-        for j, idx in enumerate(part.blocks):
-            prec = self.q0.block_precision(j) + self.q1.block_precision(j)
-            cov = np.linalg.inv(prec)
-            cov = 0.5 * (cov + cov.T)
-            blocks.append(cov)
-            mean[idx] = cov @ eta[idx]
-            var[idx] = np.diag(cov)
-        self.mean = mean
-        self.marginal_var = var
-        self.joint_blocks = blocks
+        self.mean = np.empty(part.n_pixels)
+        self.marginal_var = np.empty(part.n_pixels)
+        self.joint_covs = []
+        for group, p0, p1 in zip(part.groups, self.q0.prec, self.q1.prec):
+            mean, cov = _stack_moments(p0 + p1, eta[group.pixels])
+            self.mean[group.pixels] = mean
+            self.marginal_var[group.pixels] = np.diagonal(cov, axis1=1, axis2=2)
+            self.joint_covs.append(cov)
 
-    def joint_block_cov(self, j: int) -> np.ndarray:
-        if self.joint_blocks is not None:
-            return self.joint_blocks[j]
-        idx = self.partition.blocks[j]
-        return np.diag(self.marginal_var[idx])
-
-    def joint_cov(self):
-        if self.q0.structure == "diagonal":
-            return DiagonalCov(self.marginal_var)
-        return BlockDiagonalCov(self.partition,
-                                [self.joint_block_cov(j) for j in range(self.partition.n_blocks)])
+    def joint_cov(self) -> BlockDiagonalCov:
+        return BlockDiagonalCov(self.partition, self.joint_covs)
 
 
 @dataclass
 class EPResult:
     mean: np.ndarray
     marginal_var: np.ndarray
-    cov: object
-    weights: list                      # per-block tilted GMM weights
+    cov: BlockDiagonalCov
+    weights: list                      # tilted GMM weights per group, (J_g, K) or None
     iterations: int
     converged: bool
     status: str
@@ -205,69 +158,63 @@ class EPResult:
     warnings: int = 0
 
 
-def _group_blocks(partition: Partition) -> dict:
-    """Group block indices by their local-index pattern; all blocks in one
-    group share one (possibly marginalized) patch prior and one size."""
-    groups: dict[tuple, list[int]] = {}
-    for j, loc in enumerate(partition.local_indices):
-        groups.setdefault(tuple(loc.tolist()), []).append(j)
-    return groups
-
-
-def _prior_for_group(adapted: AdaptedGMM, partition: Partition, key: tuple) -> AdaptedGMM:
-    if len(key) == adapted.dim and key == tuple(range(adapted.dim)):
+def _prior_for_group(adapted: AdaptedGMM, local: np.ndarray) -> AdaptedGMM:
+    if local.size == adapted.dim and np.array_equal(local, np.arange(adapted.dim)):
         return adapted
-    return adapted.marginal(key)
+    return adapted.marginal(local)
+
+
+def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.ndarray,
+             cav_prec: np.ndarray, cav_eta: np.ndarray, config: EPConfig) -> int:
+    """Set group g of ``target`` so that its product with the cavity
+    (precisions cav_prec, precision-means cav_eta) matches the tilted
+    moments.  Returns the number of blocks whose update failed; those keep
+    their old parameters."""
+    pixels = target.partition.groups[g].pixels
+    stack = target.prec[g]
+    if target.structure == "diagonal":
+        d = np.diagonal(t_covs, axis1=1, axis2=2)
+        p_cav = np.diagonal(cav_prec, axis1=1, axis2=2)
+        ok = np.all(d > 0, axis=1)
+        p_new = diag_kl_update(d[ok], p_cav[ok])
+        stack[ok] = diag_stack(p_new)
+        target.eta[pixels[ok]] = (p_new + p_cav[ok]) * t_means[ok] - cav_eta[ok]
+        return int(np.sum(~ok))
+    failed = 0
+    for i in range(len(stack)):
+        try:
+            p_new = update_block_precision(t_covs[i], cav_prec[i], stack[i],
+                                           config.kl_max_iters, config.kl_tol)
+        except np.linalg.LinAlgError:
+            failed += 1
+            continue
+        stack[i] = p_new
+        target.eta[pixels[i]] = (p_new + cav_prec[i]) @ t_means[i] - cav_eta[i]
+    return failed
 
 
 def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
-    """Prior-side EP update; returns (per-block weights, warning count)."""
+    """Prior-side EP update; returns (tilted weights per group, warning
+    count).  A group whose tilted moments fail gets weights None and keeps
+    its old blocks."""
     part = state.partition
-    weights: list = [None] * part.n_blocks
+    weights = []
     warnings = 0
     target = state.q0.copy()
-
-    for key, block_ids in _group_blocks(part).items():
-        prior = _prior_for_group(adapted, part, key)
-        cav_means = np.stack([state.q1.block_moments(j)[0] for j in block_ids])
-        cav_covs = np.stack([state.q1.block_moments(j)[1] for j in block_ids])
+    for g, (group, cav_prec) in enumerate(zip(part.groups, state.q1.prec)):
+        cav_eta = state.q1.eta[group.pixels]
+        cav_means, cav_covs = _stack_moments(cav_prec, cav_eta)
         try:
-            w, _, _, t_means, t_covs = _tilted_moments_stack(prior, cav_means, cav_covs)
+            w, _, _, t_means, t_covs = _tilted_moments_stack(
+                _prior_for_group(adapted, group.local), cav_means, cav_covs)
         except np.linalg.LinAlgError:
-            warnings += len(block_ids)
+            weights.append(None)
+            warnings += len(group.ids)
             continue
-        for pos, j in enumerate(block_ids):
-            idx = part.blocks[j]
-            weights[j] = w[pos]
-            try:
-                if state.q0.structure == "diagonal":
-                    d = np.diag(t_covs[pos])
-                    if np.any(d <= 0):
-                        raise np.linalg.LinAlgError("nonpositive tilted variance")
-                    p_cav = state.q1.prec_diag[idx]
-                    p_new = np.maximum(1.0 / d - p_cav, PRECISION_FLOOR)
-                    target.prec_diag[idx] = p_new
-                    target.eta[idx] = (p_new + p_cav) * t_means[pos] - state.q1.eta[idx]
-                else:
-                    cav_prec = state.q1.block_precision(j)
-                    problem = BlockKLProblem(t_covs[pos], cav_prec,
-                                             state.q0.prec_blocks[j], structure="full")
-                    p_new = update_block_precision(problem, config.kl_max_iters, config.kl_tol)
-                    target.prec_blocks[j] = p_new
-                    target.eta[idx] = (p_new + cav_prec) @ t_means[pos] - state.q1.eta[idx]
-            except np.linalg.LinAlgError:
-                warnings += 1  # keep the old block
+        weights.append(w)
+        warnings += _kl_step(target, g, t_means, t_covs, cav_prec, cav_eta, config)
     state.q0.damp_from(target, config.damping)
     return weights, warnings
-
-
-def _block_diag(partition: Partition, blocks) -> sparse.csr_matrix:
-    """Sparse N x N matrix with blocks[j] at (partition.blocks[j], partition.blocks[j])."""
-    n = partition.n_pixels
-    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in partition.blocks])
-    cols = np.concatenate([np.tile(idx, len(idx)) for idx in partition.blocks])
-    vals = np.concatenate([np.ravel(b) for b in blocks])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig,
@@ -298,40 +245,33 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
 
     The tilted precision is Q = P0 + H^T W H with W = diag(obs_weights) and
     the tilted mean solves Q z = eta0 + obs_eta (obs_eta = H^T W m_obs).
-    Marginal covariance blocks are exact for diagonal H; otherwise they are
-    RBMC estimates Q_jj^{-1} + Q_jj^{-1} SampleCov((Q x)_j - Q_jj x_j) Q_jj^{-1}
-    from exact samples x ~ N(0, Q^{-1}).  Q is assembled as one sparse
-    matrix and every solve is preconditioned by blockdiag(Q_jj^{-1}).
+    The marginal covariance blocks are RBMC estimates
+    Q_jj^{-1} + Q_jj^{-1} SampleCov((Q x)_j - Q_jj x_j) Q_jj^{-1}
+    from exact samples x ~ N(0, Q^{-1}); they are exact when Q is
+    block-diagonal.  Q is assembled as one sparse matrix and every solve is
+    preconditioned by blockdiag(Q_jj^{-1}).
 
-    Returns (mean, covariance blocks, CG iterations, number of CG solves
-    that did not converge).
+    Returns (mean, covariance stacks aligned with partition.groups, CG
+    iterations, number of CG solves that did not converge).
     """
     part = q0.partition
     rhs = q0.eta + obs_eta
-    if operator.is_diagonal and q0.structure == "diagonal":
-        prec = q0.prec_diag + obs_weights * operator.diag_gram()
-        mean = rhs / prec
-        blocks = [np.diag(1.0 / prec[idx]) for idx in part.blocks]
-        return mean, blocks, 0, 0
-
-    p0_blocks = [q0.block_precision(j) for j in range(part.n_blocks)]
-    q_blocks = [operator.gram_block(idx, obs_weights) + p0_blocks[j]
-                for j, idx in enumerate(part.blocks)]
-    block_inv = [0.5 * (inv + inv.T) for inv in map(np.linalg.inv, q_blocks)]
+    block_inv = []                      # Q_jj^{-1}, one stack per group
+    for group, p0 in zip(part.groups, q0.prec):
+        q_jj = np.stack([operator.gram_block(idx, obs_weights) for idx in group.pixels]) + p0
+        block_inv.append(sym(np.linalg.inv(q_jj)))
     h = operator.matrix
-    q = (_block_diag(part, p0_blocks) + h.T @ sparse.diags(obs_weights) @ h).tocsr()
-    jacobi = _block_diag(part, block_inv)
+    q = (block_diag(part, q0.prec) + h.T @ sparse.diags(obs_weights) @ h).tocsr()
+    jacobi = block_diag(part, block_inv)
 
     mean, cg_iters, _, info = solve_cg(q, rhs, warm_start, config, jacobi)
     not_converged = int(info != 0)
-    if operator.is_diagonal:
-        return mean, block_inv, cg_iters, not_converged
 
     # RBMC correction from exact zero-mean samples of N(0, Q^{-1}):
     # Q x = H^T W^{1/2} eps1 + L0 eps2 with P0 = L0 L0^T
     n = part.n_pixels
     s = config.rbmc_samples
-    chol0 = _block_diag(part, [np.linalg.cholesky(p) for p in p0_blocks])
+    chol0 = block_diag(part, [np.linalg.cholesky(p) for p in q0.prec])
     sqrt_w = np.sqrt(obs_weights)
     x_samples = np.empty((n, s))
     for t in range(s):
@@ -347,16 +287,13 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     off = part.block_of[coo.row] != part.block_of[coo.col]
     q_off = sparse.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=q.shape)
     v_samples = q_off @ x_samples
-    blocks = []
-    for j, idx in enumerate(part.blocks):
-        v = v_samples[idx]
-        sample_cov = v @ v.T / s
-        cov = block_inv[j] + block_inv[j] @ sample_cov @ block_inv[j]
-        cov = 0.5 * (cov + cov.T)
+    covs = []
+    for group, inv in zip(part.groups, block_inv):
+        v = v_samples[group.pixels]                                   # (J, b, s)
+        cov = sym(inv + inv @ (v @ np.swapaxes(v, 1, 2) / s) @ inv)
         evals, evecs = np.linalg.eigh(cov)
-        cov = (evecs * np.maximum(evals, 1e-10)) @ evecs.T
-        blocks.append(0.5 * (cov + cov.T))
-    return mean, blocks, cg_iters, not_converged
+        covs.append(sym((evecs * np.maximum(evals, 1e-10)[:, None, :]) @ np.swapaxes(evecs, 1, 2)))
+    return mean, covs, cg_iters, not_converged
 
 
 def update_q_x1(state: EPState, operator: DegradationOperator,
@@ -374,33 +311,16 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
     part = state.partition
     if operator.is_diagonal:
         prec = np.maximum(obs_weights * operator.diag_gram(), PRECISION_FLOOR)
-        if state.q1.structure == "diagonal":
-            state.q1.prec_diag = prec
-        else:
-            state.q1.prec_blocks = [np.diag(prec[idx]) for idx in part.blocks]
+        state.q1.prec = diag_stacks(part, prec)
         state.q1.eta = obs_eta.copy()
         return 0, 0
 
-    t_mean, t_blocks, cg_iters, warnings = tilted_p1_moments(
+    t_mean, t_covs, cg_iters, warnings = tilted_p1_moments(
         state.q0, operator, obs_weights, obs_eta, config, rng, warm_start)
     target = state.q1.copy()
-    for j, idx in enumerate(part.blocks):
-        try:
-            cav_prec = state.q0.block_precision(j)
-            if state.q1.structure == "diagonal":
-                d = np.diag(t_blocks[j])
-                p_cav = state.q0.prec_diag[idx]
-                p_new = np.maximum(1.0 / d - p_cav, PRECISION_FLOOR)
-                target.prec_diag[idx] = p_new
-                target.eta[idx] = (p_new + p_cav) * t_mean[idx] - state.q0.eta[idx]
-            else:
-                problem = BlockKLProblem(t_blocks[j], cav_prec,
-                                         state.q1.prec_blocks[j], structure="full")
-                p_new = update_block_precision(problem, config.kl_max_iters, config.kl_tol)
-                target.prec_blocks[j] = p_new
-                target.eta[idx] = (p_new + cav_prec) @ t_mean[idx] - state.q0.eta[idx]
-        except np.linalg.LinAlgError:
-            warnings += 1
+    for g, group in enumerate(part.groups):
+        warnings += _kl_step(target, g, t_mean[group.pixels], t_covs[g],
+                             state.q0.prec[g], state.q0.eta[group.pixels], config)
     state.q1.damp_from(target, config.damping)
     return cg_iters, warnings
 
@@ -414,60 +334,44 @@ def _write_trace(trace, record: dict) -> None:
         trace.write(json.dumps(record) + "\n")
 
 
-def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
-                    adapted: AdaptedGMM, partition: Partition,
-                    config: EPConfig | None = None, trace=None) -> EPResult:
-    """EP for  y = Hx + Gaussian noise  with a GMM patch prior.
+def run_ep(step, operator: DegradationOperator, partition: Partition,
+           init_mean: np.ndarray, init_var: np.ndarray, config: EPConfig,
+           trace=None) -> EPResult:
+    """The EP outer loop shared by the Gaussian and the Poisson model.
 
-    Both factors start at mean y and covariance sigma2 * I.  Iterations stop
-    when the squared changes of the joint mean and joint marginal variances
-    both drop below stop_tol * N, or at max_iterations.
+    Both x-side factors start at (init_mean, init_var).  Each iteration calls
+    ``step(state, rng)``, which updates the factors, leaves the state synced
+    and returns (per-group tilted weights, warning count, trace fields).
+    Iterations stop when the squared changes of the joint mean and joint
+    marginal variances both drop below stop_tol * N, or at max_iterations.
+    One trace record per iteration goes to ``trace`` (a list, or a text
+    stream that receives JSON lines).
     """
-    config = config or EPConfig()
-    y = np.asarray(y, dtype=float)
     n = partition.n_pixels
-    if y.shape != (n,):
-        raise ValueError("observation length does not match the partition")
-    if sigma2 <= 0:
-        raise ValueError("noise variance must be positive")
-
     structure = config.resolve_structure(operator)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    init_var = np.full(n, float(sigma2))
     state = EPState(
-        q0=GaussianFactor.from_moments(structure, partition, y, init_var),
-        q1=GaussianFactor.from_moments(structure, partition, y, init_var),
+        q0=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
+        q1=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
         partition=partition,
     )
     state.sync()
-
-    obs_weights = np.full(n, 1.0 / sigma2)
-    obs_eta = operator.apply_adjoint(y) / sigma2
 
     weights = None
     warnings = 0
     converged = False
     prev_mean = state.mean.copy()
     prev_var = state.marginal_var.copy()
-    warm = None
     for iteration in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
-        weights, w0 = update_q_x0(state, adapted, config)
-        state.sync()
-        cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta,
-                                   config, rng, warm_start=warm)
-        state.sync()
-        warm = state.mean.copy()
-        warnings += w0 + w1
+        weights, step_warnings, fields = step(state, rng)
+        warnings += step_warnings
         state.iteration = iteration
 
         dm2 = float(np.sum((state.mean - prev_mean) ** 2))
         dv2 = float(np.sum((state.marginal_var - prev_var) ** 2))
-        _write_trace(trace, {
-            "iteration": iteration, "dm2": dm2, "dvar2": dv2,
-            "cg_iterations": cg_iters,
-            "wall_time_s": time.perf_counter() - t0,
-        })
+        _write_trace(trace, {"iteration": iteration, "dm2": dm2, "dvar2": dv2, **fields,
+                             "wall_time_s": time.perf_counter() - t0})
         prev_mean = state.mean.copy()
         prev_var = state.marginal_var.copy()
         if dm2 < config.stop_tol * n and dv2 < config.stop_tol * n:
@@ -485,3 +389,36 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
         state=state,
         warnings=warnings,
     )
+
+
+def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
+                    adapted: AdaptedGMM, partition: Partition,
+                    config: EPConfig | None = None, trace=None) -> EPResult:
+    """EP for  y = Hx + Gaussian noise  with a GMM patch prior.
+
+    Both factors start at mean y and covariance sigma2 * I; one iteration
+    updates q_x0, then q_x1 (see :func:`run_ep` for the stopping rule).
+    """
+    config = config or EPConfig()
+    y = np.asarray(y, dtype=float)
+    n = partition.n_pixels
+    if y.shape != (n,):
+        raise ValueError("observation length does not match the partition")
+    if sigma2 <= 0:
+        raise ValueError("noise variance must be positive")
+
+    obs_weights = np.full(n, 1.0 / sigma2)
+    obs_eta = operator.apply_adjoint(y) / sigma2
+    warm = None
+
+    def step(state, rng):
+        nonlocal warm
+        weights, w0 = update_q_x0(state, adapted, config)
+        state.sync()
+        cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta,
+                                   config, rng, warm_start=warm)
+        state.sync()
+        warm = state.mean.copy()
+        return weights, w0 + w1, {"cg_iterations": cg_iters}
+
+    return run_ep(step, operator, partition, y, np.full(n, float(sigma2)), config, trace)

@@ -13,20 +13,19 @@ posterior is approximated with four Gaussian factors:
 * q_u1 (isotropic) for the coupling, fitted by the Newton isotropic KL
   update from quadratic forms of the x-side joint covariance.
 
-One iteration runs q_u0, q_x1, q_u1, q_x0 in that order; convergence is
-monitored on the x-side joint moments.
+One iteration runs q_u0, q_x1, q_u1, q_x0 in that order inside the EP loop
+of :func:`patchep.ep_gaussian.run_ep`; convergence is monitored on the
+x-side joint moments.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, logsumexp
 
-from .ep_gaussian import EPConfig, EPResult, EPState, GaussianFactor, update_q_x0, update_q_x1
+from .ep_gaussian import EPConfig, EPResult, EPState, run_ep, update_q_x0, update_q_x1
 from .gmm import AdaptedGMM
 from .kl_updates import PRECISION_FLOOR, iso_kl_update
 from .operators import DegradationOperator, all_row_quadratic_forms
@@ -237,15 +236,6 @@ def update_q_u1(factors: PoissonFactors, state: EPState,
     factors.eta_u1 = eps * eta_new + (1 - eps) * factors.eta_u1
 
 
-def _write_trace(trace, record: dict) -> None:
-    if trace is None:
-        return
-    if isinstance(trace, list):
-        trace.append(record)
-    else:
-        trace.write(json.dumps(record) + "\n")
-
-
 def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
                    adapted: AdaptedGMM, partition: Partition,
                    config: EPConfig | None = None, trace=None) -> EPResult:
@@ -265,32 +255,18 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     if isinstance(getattr(operator, "kernel", None), np.ndarray) and np.any(operator.kernel < 0):
         raise ValueError("Poisson models require nonnegative kernel entries")
 
-    structure = config.resolve_structure(operator)
-    rng = np.random.Generator(np.random.Philox(config.seed))
     init_mean = y + 1.0
     init_var = y + 1.0
-
-    state = EPState(
-        q0=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
-        q1=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
-        partition=partition,
-    )
-    state.sync()
     factors = PoissonFactors(
         prec_u0=1.0 / init_var,
         eta_u0=init_mean / init_var,
         prec_u1=1.0 / float(np.mean(init_var)),
         eta_u1=init_mean / float(np.mean(init_var)),
     )
-
-    weights = None
-    warnings = 0
-    converged = False
-    prev_mean = state.mean.copy()
-    prev_var = state.marginal_var.copy()
     warm = None
-    for iteration in range(1, config.max_iterations + 1):
-        t0 = time.perf_counter()
+
+    def step(state, rng):
+        nonlocal warm
         escapes = update_q_u0(factors, y, config)
 
         mu0, _ = factors.u0_moments()
@@ -303,38 +279,11 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
 
         update_q_u1(factors, state, operator, config)
 
-        weights_new, w0 = update_q_x0(state, adapted, config)
-        if weights_new is not None:
-            weights = weights_new
+        weights, w0 = update_q_x0(state, adapted, config)
         state.sync()
-        warnings += w0 + w1
-        state.iteration = iteration
+        return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": 1.0 / factors.prec_u1,
+                                  "negative_precision_escapes": escapes}
 
-        dm2 = float(np.sum((state.mean - prev_mean) ** 2))
-        dv2 = float(np.sum((state.marginal_var - prev_var) ** 2))
-        _write_trace(trace, {
-            "iteration": iteration, "dm2": dm2, "dvar2": dv2,
-            "cg_iterations": cg_iters, "c1": 1.0 / factors.prec_u1,
-            "negative_precision_escapes": escapes,
-            "wall_time_s": time.perf_counter() - t0,
-        })
-        prev_mean = state.mean.copy()
-        prev_var = state.marginal_var.copy()
-        if dm2 < config.stop_tol * n and dv2 < config.stop_tol * n:
-            converged = True
-            break
-
-    u_mean, u_var = factors.joint_u_moments()
-    return EPResult(
-        mean=state.mean.copy(),
-        marginal_var=state.marginal_var.copy(),
-        cov=state.joint_cov(),
-        weights=weights,
-        iterations=state.iteration,
-        converged=converged,
-        status="converged" if converged else "max_iterations",
-        state=state,
-        u_mean=u_mean,
-        u_var=u_var,
-        warnings=warnings,
-    )
+    result = run_ep(step, operator, partition, init_mean, init_var, config, trace)
+    result.u_mean, result.u_var = factors.joint_u_moments()
+    return result

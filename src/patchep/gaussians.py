@@ -1,10 +1,15 @@
-"""Gaussian vectors with structured covariance matrices.
+"""Block-diagonal matrices aligned to a patch partition, stored as stacks.
 
-The covariance of every approximating factor is one of three structures:
-diagonal, block-diagonal (aligned to a :class:`~patchep.partitions.Partition`),
-or isotropic.  Validity (positive variances, positive-definite blocks) is
-checked at construction time; positive definiteness is established by
-attempting a Cholesky factorization.
+Every structured Gaussian in patchep has a block-diagonal precision and
+covariance with one block per patch of a
+:class:`~patchep.partitions.Partition`.  Blocks of one
+:attr:`~patchep.partitions.Partition.groups` entry share their size, so a
+block-diagonal matrix is stored as a list of ``(J_g, b, b)`` arrays, one per
+group and in the order of ``partition.groups``; all block arithmetic is
+batched numpy over these stacks.  A diagonal matrix is the same stacks with
+zero off-diagonal entries.  :func:`block_diag` assembles the sparse N x N
+matrix.  :class:`BlockDiagonalCov` checks that every block is symmetric
+positive definite, by one batched Cholesky factorization per group.
 """
 
 from __future__ import annotations
@@ -12,116 +17,76 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .partitions import Partition
 
-__all__ = [
-    "DiagonalCov",
-    "BlockDiagonalCov",
-    "IsotropicCov",
-    "StructuredGaussian",
-    "marginal_variances",
-]
+__all__ = ["BlockDiagonalCov", "block_diag", "diag_stack", "diag_stacks", "marginal_variances", "sym"]
 
 
-def is_spd(matrix: np.ndarray) -> bool:
-    """True iff the matrix is symmetric positive definite (Cholesky succeeds)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        return False
-    if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12):
-        return False
-    try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def sym(a: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix or of every matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-@dataclass(frozen=True)
-class DiagonalCov:
-    variances: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.variances, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise ValueError("diagonal covariance requires finite positive variances")
-        object.__setattr__(self, "variances", v)
-
-    @property
-    def size(self) -> int:
-        return self.variances.size
+def diag_stack(d: np.ndarray) -> np.ndarray:
+    """(J, b) values -> (J, b, b) stack with the values on the diagonals."""
+    b = d.shape[-1]
+    out = np.zeros(d.shape + (b,))
+    out[..., np.arange(b), np.arange(b)] = d
+    return out
 
 
-@dataclass(frozen=True)
-class IsotropicCov:
-    variance: float
-    size: int
+def diag_stacks(partition: Partition, values: np.ndarray) -> list[np.ndarray]:
+    """Stacks of the diagonal matrix diag(values), values in pixel order."""
+    values = np.asarray(values, dtype=float)
+    return [diag_stack(values[g.pixels]) for g in partition.groups]
 
-    def __post_init__(self):
-        if not np.isfinite(self.variance) or self.variance <= 0:
-            raise ValueError("isotropic covariance requires a finite positive variance")
+
+def block_diag(partition: Partition, stacks) -> sparse.csr_matrix:
+    """Sparse N x N matrix with stacks[g][i] at the pixels of block
+    partition.groups[g].ids[i]."""
+    rows, cols, vals = [], [], []
+    for group, stack in zip(partition.groups, stacks):
+        b = group.pixels.shape[1]
+        rows.append(np.repeat(group.pixels, b, axis=1).ravel())
+        cols.append(np.tile(group.pixels, (1, b)).ravel())
+        vals.append(np.ravel(stack))
+    n = partition.n_pixels
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n))
 
 
 @dataclass(frozen=True)
 class BlockDiagonalCov:
-    """Per-patch symmetric positive-definite blocks aligned to a partition."""
+    """Symmetric positive-definite covariance blocks, one (J_g, b, b) stack
+    per group of the partition."""
 
     partition: Partition
-    blocks: list
+    stacks: list
 
     def __post_init__(self):
-        if len(self.blocks) != self.partition.n_blocks:
-            raise ValueError("one covariance block per partition block required")
+        groups = self.partition.groups
+        if len(self.stacks) != len(groups):
+            raise ValueError("one covariance stack per partition group required")
         checked = []
-        for j, block in enumerate(self.blocks):
-            block = np.asarray(block, dtype=float)
-            if block.shape != (len(self.partition.blocks[j]),) * 2:
-                raise ValueError(f"block {j} shape does not match the partition")
-            if not is_spd(block):
-                raise ValueError(f"covariance block {j} is not symmetric positive definite")
-            checked.append(block)
-        object.__setattr__(self, "blocks", checked)
-
-    @property
-    def size(self) -> int:
-        return self.partition.n_pixels
-
-
-Covariance = DiagonalCov | BlockDiagonalCov | IsotropicCov
+        for group, stack in zip(groups, self.stacks):
+            stack = np.asarray(stack, dtype=float)
+            if stack.shape != (len(group.ids),) + (group.pixels.shape[1],) * 2:
+                raise ValueError("covariance stack shape does not match the partition")
+            if not np.allclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-10, atol=1e-12):
+                raise ValueError("covariance blocks must be symmetric")
+            try:
+                np.linalg.cholesky(stack)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("covariance blocks must be positive definite") from exc
+            checked.append(stack)
+        object.__setattr__(self, "stacks", checked)
 
 
-@dataclass(frozen=True)
-class StructuredGaussian:
-    mean: np.ndarray
-    cov: Covariance
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.ndim != 1 or not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be a finite vector")
-        if mean.size != self.cov.size:
-            raise ValueError("mean and covariance dimensions differ")
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def size(self) -> int:
-        return self.mean.size
-
-    def marginal_variances(self) -> np.ndarray:
-        return marginal_variances(self.cov)
-
-
-def marginal_variances(cov: Covariance) -> np.ndarray:
-    """Per-pixel marginal variances of a structured covariance, in global
-    row-major pixel order."""
-    if isinstance(cov, DiagonalCov):
-        return cov.variances.copy()
-    if isinstance(cov, IsotropicCov):
-        return np.full(cov.size, cov.variance)
-    if isinstance(cov, BlockDiagonalCov):
-        out = np.empty(cov.partition.n_pixels)
-        for j, block in enumerate(cov.blocks):
-            out[cov.partition.blocks[j]] = np.diag(block)
-        return out
-    raise TypeError(f"unknown covariance structure: {type(cov)!r}")
+def marginal_variances(cov: BlockDiagonalCov) -> np.ndarray:
+    """Per-pixel marginal variances, in global row-major pixel order."""
+    out = np.empty(cov.partition.n_pixels)
+    for group, stack in zip(cov.partition.groups, cov.stacks):
+        out[group.pixels] = np.diagonal(stack, axis1=1, axis2=2)
+    return out

@@ -7,25 +7,20 @@ the factor precision, reduces per block to minimizing
     -log det(P + P_cav) + <P + P_cav, C>
 
 over the factor precision P, where C is the tilted covariance block and
-P_cav the cavity precision block.  The block (full or diagonal-constrained)
-case is solved by projected gradient descent with Barzilai-Borwein step
-initialization and backtracking; the diagonal and isotropic cases have
-closed-form / Newton solutions.
+P_cav the cavity precision block.  A full block is solved by gradient
+descent with Barzilai-Borwein step initialization and backtracking; the
+diagonal and isotropic cases have closed-form / Newton solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BlockKLProblem",
     "kl_block_loss",
     "update_block_precision",
     "diag_kl_update",
     "iso_kl_update",
-    "factor_mean_update",
 ]
 
 PRECISION_FLOOR = 1e-8
@@ -42,24 +37,6 @@ def _chol_or_none(a: np.ndarray):
         return None
 
 
-@dataclass
-class BlockKLProblem:
-    tilted_cov: np.ndarray        # Cov_P of the block, SPD
-    cavity_precision: np.ndarray  # precision of the other factor's block
-    init_precision: np.ndarray
-    structure: str = "full"       # "full" | "diagonal"
-
-    def __post_init__(self):
-        self.tilted_cov = _sym(np.asarray(self.tilted_cov, dtype=float))
-        self.cavity_precision = _sym(np.asarray(self.cavity_precision, dtype=float))
-        self.init_precision = _sym(np.asarray(self.init_precision, dtype=float))
-        shapes = {self.tilted_cov.shape, self.cavity_precision.shape, self.init_precision.shape}
-        if len(shapes) != 1:
-            raise ValueError("problem matrices must share one shape")
-        if self.structure not in ("full", "diagonal"):
-            raise ValueError(f"unknown structure {self.structure!r}")
-
-
 def kl_block_loss(precision: np.ndarray, cavity_precision: np.ndarray,
                   tilted_cov: np.ndarray) -> float:
     """-log det(P + P_cav) + trace((P + P_cav) C); the variable part of the
@@ -72,21 +49,21 @@ def kl_block_loss(precision: np.ndarray, cavity_precision: np.ndarray,
     return float(-logdet + np.trace(total @ tilted_cov))
 
 
-def update_block_precision(problem: BlockKLProblem, max_iters: int = 200,
+def update_block_precision(tilted_cov: np.ndarray, cavity_precision: np.ndarray,
+                           init_precision: np.ndarray, max_iters: int = 200,
                            tol: float = 1e-8,
                            loss_history: list | None = None) -> np.ndarray:
-    """Minimize the block KL loss over SPD precisions of the given structure.
+    """Minimize the block KL loss over SPD precisions P, starting at
+    init_precision (the symmetric parts of all three matrices are used).
 
-    Gradient steps P <- P - lam * (C - (P + P_cav)^{-1}); for the diagonal
-    structure only the gradient's diagonal is applied.  The step is seeded by
-    the Barzilai-Borwein rule (lam = <dP, dG>/<dG, dG>, 1 on the first step)
-    and halved until the loss strictly decreases and the iterate stays SPD.
-    If 50 halvings fail the previous iterate is returned.
+    Gradient steps P <- P - lam * (C - (P + P_cav)^{-1}).  The step is
+    seeded by the Barzilai-Borwein rule (lam = <dP, dG>/<dG, dG>, 1 on the
+    first step) and halved until the loss strictly decreases and the iterate
+    stays SPD.  If 50 halvings fail the previous iterate is returned.
     """
-    cov = problem.tilted_cov
-    cav = problem.cavity_precision
-    omega = _sym(problem.init_precision)
-    diagonal = problem.structure == "diagonal"
+    cov = _sym(np.asarray(tilted_cov, dtype=float))
+    cav = _sym(np.asarray(cavity_precision, dtype=float))
+    omega = _sym(np.asarray(init_precision, dtype=float))
 
     loss = kl_block_loss(omega, cav, cov)
     if loss_history is not None:
@@ -95,8 +72,6 @@ def update_block_precision(problem: BlockKLProblem, max_iters: int = 200,
     prev_grad = None
     for _ in range(max_iters):
         grad = cov - np.linalg.inv(_sym(omega + cav))
-        if diagonal:
-            grad = np.diag(np.diag(grad))
         if prev_grad is None:
             lam = 1.0
         else:
@@ -130,13 +105,13 @@ def update_block_precision(problem: BlockKLProblem, max_iters: int = 200,
     return omega
 
 
-def diag_kl_update(tilted_var: float, cavity_precision: float) -> float:
-    """Closed-form diagonal update: 1/d - p_cav, floored at a small positive
-    value when the unconstrained minimizer is nonpositive."""
-    if tilted_var <= 0:
-        raise ValueError("tilted variance must be positive")
-    p = 1.0 / tilted_var - cavity_precision
-    return p if p > 0 else PRECISION_FLOOR
+def diag_kl_update(tilted_vars, cavity_precisions):
+    """Closed-form diagonal update, elementwise: 1/d - p_cav, floored at
+    PRECISION_FLOOR where the unconstrained minimizer is not above it."""
+    d = np.asarray(tilted_vars, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError("tilted variances must be positive")
+    return np.maximum(1.0 / d - cavity_precisions, PRECISION_FLOOR)
 
 
 def iso_kl_update(tilted_vars: np.ndarray, cavity_precisions: np.ndarray,
@@ -160,12 +135,3 @@ def iso_kl_update(tilted_vars: np.ndarray, cavity_precisions: np.ndarray,
         p = new_p
     return p
 
-
-def factor_mean_update(tilted_mean: np.ndarray, own_precision: np.ndarray,
-                       cavity_precision: np.ndarray,
-                       cavity_mean: np.ndarray) -> np.ndarray:
-    """Mean of one factor so that the factor product matches the tilted mean:
-    P_i^{-1} ((P_i + P_cav) E_P - P_cav m_cav)."""
-    tilted_mean = np.asarray(tilted_mean, dtype=float)
-    rhs = (own_precision + cavity_precision) @ tilted_mean - cavity_precision @ np.asarray(cavity_mean, dtype=float)
-    return np.linalg.solve(own_precision, rhs)

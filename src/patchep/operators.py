@@ -2,10 +2,11 @@
 
 The linear degradation ``H`` is one of: identity (denoising), a 0/1 pixel
 mask (inpainting), or circular 2D convolution (deconvolution).  Every
-operator holds ``H`` as a CSR ``matrix`` built once at construction and
-exposes forward/adjoint application plus sparse row and column access, so
-that the quadratic forms ``h_n S h_n^T`` touch only the kernel's nonzeros
-and the covariance blocks they intersect.
+operator holds ``H`` as a CSR ``matrix`` built once at construction; it is
+the only representation of ``H``.  ``apply`` and ``apply_adjoint`` are
+products with it, ``gram_block`` reads its columns, and the quadratic forms
+``h_n S h_n^T`` of a block-diagonal covariance S are the diagonal of the
+sparse product ``H S H^T``.
 
 Noise simulation uses a counter-based (Philox) generator so runs are
 reproducible regardless of scheduling.
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .gaussians import BlockDiagonalCov, Covariance, DiagonalCov, IsotropicCov, marginal_variances
+from .gaussians import BlockDiagonalCov, block_diag
 
 __all__ = [
     "Identity",
@@ -28,16 +29,14 @@ __all__ = [
     "GaussianNoise",
     "PoissonNoise",
     "simulate",
-    "row_quadratic_form",
-    "row_dot",
     "all_row_quadratic_forms",
 ]
 
 
 class DegradationOperator:
     """Common interface: ``apply``, ``apply_adjoint``, H as a CSR ``matrix``
-    (set by each operator), sparse ``row``/``column``, and a dense
-    ``gram_block`` of ``H^T W H`` restricted to a pixel subset."""
+    (set by each operator), and a dense ``gram_block`` of ``H^T W H``
+    restricted to a pixel subset."""
 
     width: int
     height: int
@@ -60,21 +59,6 @@ class DegradationOperator:
     @cached_property
     def _columns(self) -> sparse.csc_matrix:
         return self.matrix.tocsc()
-
-    @staticmethod
-    def _slice(m, k: int, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= k < n:
-            raise IndexError(f"{what} index out of range")
-        sl = slice(m.indptr[k], m.indptr[k + 1])
-        return m.indices[sl].copy(), m.data[sl].copy()
-
-    def row(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero (indices, weights) of row n of H."""
-        return self._slice(self.matrix, n, self.n_pixels, "row")
-
-    def column(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero (indices, weights) of column m of H."""
-        return self._slice(self._columns, m, self.n_pixels, "column")
 
     @cached_property
     def _diag_gram(self) -> np.ndarray:
@@ -171,16 +155,15 @@ class Conv2D(DegradationOperator):
         if k > min(self.width, self.height):
             raise ValueError("kernel larger than the image")
         self.kernel = kernel
-        # offsets (da, db) = (a - c, b - c) paired with kernel weights
+        # kernel offsets (a - c, b - c), one per row of da and db
         aa, bb = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        self._offsets = np.stack([aa.ravel() - k // 2, bb.ravel() - k // 2], axis=1)
-        self._weights = kernel.ravel()
+        da = aa.reshape(-1, 1) - k // 2
+        db = bb.reshape(-1, 1) - k // 2
         n = self.n_pixels
         ii, jj = np.divmod(np.arange(n), self.width)
-        cols = (((ii - self._offsets[:, :1]) % self.height) * self.width
-                + (jj - self._offsets[:, 1:]) % self.width)
+        cols = ((ii - da) % self.height) * self.width + (jj - db) % self.width
         rows = np.broadcast_to(np.arange(n), cols.shape)
-        vals = np.broadcast_to(self._weights[:, None], cols.shape)
+        vals = np.broadcast_to(kernel.reshape(-1, 1), cols.shape)
         self.matrix = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
         self.matrix.eliminate_zeros()
 
@@ -222,77 +205,9 @@ def simulate(operator: DegradationOperator, x: np.ndarray, noise, seed: int) -> 
     raise TypeError(f"unknown noise model: {noise!r}")
 
 
-def row_dot(operator: DegradationOperator, n: int, vector: np.ndarray) -> float:
-    """h_n . vector using only the row's nonzeros."""
-    ms, ws = operator.row(n)
-    return float(np.dot(ws, np.asarray(vector)[ms]))
 
-
-def row_quadratic_form(operator: DegradationOperator, n: int, cov: Covariance) -> float:
-    """h_n S h_n^T for a structured covariance S."""
-    ms, ws = operator.row(n)
-    if ms.size == 0:
-        return 0.0
-    if isinstance(cov, DiagonalCov):
-        return float(np.sum(ws ** 2 * cov.variances[ms]))
-    if isinstance(cov, IsotropicCov):
-        return float(cov.variance * np.sum(ws ** 2))
-    if isinstance(cov, BlockDiagonalCov):
-        part = cov.partition
-        blocks = part.block_of[ms]
-        pos = part.pos_of[ms]
-        total = 0.0
-        for j in np.unique(blocks):
-            sel = blocks == j
-            sub = cov.blocks[j][np.ix_(pos[sel], pos[sel])]
-            w = ws[sel]
-            total += float(w @ sub @ w)
-        return total
-    raise TypeError(f"unknown covariance structure: {type(cov)!r}")
-
-
-def all_row_quadratic_forms(operator: DegradationOperator, cov: Covariance) -> np.ndarray:
-    """Vector of h_n S h_n^T for every row n (vectorized over pixels)."""
-    n_pix = operator.n_pixels
-    if isinstance(operator, Identity):
-        return marginal_variances(cov)
-    if isinstance(operator, Mask):
-        return operator.kept * marginal_variances(cov)
-    if not isinstance(operator, Conv2D):
-        return np.array([row_quadratic_form(operator, n, cov) for n in range(n_pix)])
-
-    offsets = operator._offsets
-    weights = operator._weights
-    # m(n, o): pixel hit by kernel offset o in row n, for all n at once
-    idx = np.empty((offsets.shape[0], n_pix), dtype=np.int64)
-    base = np.arange(n_pix)
-    ii, jj = divmod(base, operator.width)
-    for t, (da, db) in enumerate(offsets):
-        idx[t] = ((ii - da) % operator.height) * operator.width + (jj - db) % operator.width
-
-    if isinstance(cov, (DiagonalCov, IsotropicCov)):
-        v = marginal_variances(cov)
-        out = np.zeros(n_pix)
-        for t, w in enumerate(weights):
-            out += w * w * v[idx[t]]
-        return out
-    if isinstance(cov, BlockDiagonalCov):
-        part = cov.partition
-        rmax = max(len(b) for b in part.blocks)
-        padded = np.zeros((part.n_blocks, rmax, rmax))
-        for j, block in enumerate(cov.blocks):
-            padded[j, : block.shape[0], : block.shape[1]] = block
-        out = np.zeros(n_pix)
-        for t1, w1 in enumerate(weights):
-            if w1 == 0.0:
-                continue
-            b1 = part.block_of[idx[t1]]
-            p1 = part.pos_of[idx[t1]]
-            for t2, w2 in enumerate(weights):
-                if w2 == 0.0:
-                    continue
-                same = b1 == part.block_of[idx[t2]]
-                vals = padded[b1, p1, part.pos_of[idx[t2]]]
-                out += (w1 * w2) * np.where(same, vals, 0.0)
-        return out
-    raise TypeError(f"unknown covariance structure: {type(cov)!r}")
+def all_row_quadratic_forms(operator: DegradationOperator, cov: BlockDiagonalCov) -> np.ndarray:
+    """h_n S h_n^T for every row n of H: the diagonal of H S H^T."""
+    h = operator.matrix
+    s = block_diag(cov.partition, cov.stacks)
+    return np.asarray((h @ s).multiply(h).sum(axis=1)).ravel()

@@ -4,16 +4,29 @@ An image of ``width x height`` pixels is covered by non-overlapping square
 patches of side ``patch_size``.  Shifting the tiling origin by one pixel in
 each direction yields ``patch_size**2`` distinct partitions; shifted tilings
 have truncated blocks along the image boundary.  Global vectors always stay
-in row-major image order, blocks are realized through index lists.
+in row-major image order, blocks are realized through index lists.  Blocks
+with the same local-index pattern form one :class:`BlockGroup`; block
+matrices are stored and processed as one stack per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Partition", "build_shifted_partitions", "gather", "scatter"]
+__all__ = ["BlockGroup", "Partition", "build_shifted_partitions"]
+
+
+class BlockGroup(NamedTuple):
+    """Blocks of a partition that share one local-index pattern, hence one
+    size and one (possibly marginalised) patch prior."""
+
+    local: np.ndarray   # (b,) positions inside the canonical patch cell
+    ids: np.ndarray     # (J_g,) block ids, ascending
+    pixels: np.ndarray  # (J_g, b) pixel indices; pixels[i] == blocks[ids[i]]
 
 
 def _axis_cells(length: int, patch_size: int, shift: int) -> list[tuple[int, int]]:
@@ -46,23 +59,19 @@ class Partition:
     shift: tuple[int, int]
     blocks: list[np.ndarray]
     local_indices: list[np.ndarray]
-    # pixel -> (owning block, position within block); filled in __post_init__
+    # pixel -> owning block; filled in __post_init__
     block_of: np.ndarray = field(repr=False, default=None)
-    pos_of: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         n = self.width * self.height
         block_of = np.full(n, -1, dtype=np.int64)
-        pos_of = np.full(n, -1, dtype=np.int64)
         for j, idx in enumerate(self.blocks):
             if np.any(block_of[idx] >= 0):
                 raise ValueError("partition blocks overlap")
             block_of[idx] = j
-            pos_of[idx] = np.arange(len(idx))
         if np.any(block_of < 0):
             raise ValueError("partition blocks do not cover the image")
         object.__setattr__(self, "block_of", block_of)
-        object.__setattr__(self, "pos_of", pos_of)
 
     @property
     def n_pixels(self) -> int:
@@ -76,8 +85,16 @@ class Partition:
     def patch_dim(self) -> int:
         return self.patch_size ** 2
 
-    def block_sizes(self) -> np.ndarray:
-        return np.array([len(b) for b in self.blocks])
+    @cached_property
+    def groups(self) -> list[BlockGroup]:
+        """Blocks grouped by local-index pattern, in order of each group's
+        first block."""
+        by_pattern: dict[tuple, list[int]] = {}
+        for j, loc in enumerate(self.local_indices):
+            by_pattern.setdefault(tuple(loc.tolist()), []).append(j)
+        return [BlockGroup(np.array(pattern), np.array(ids),
+                           np.stack([self.blocks[j] for j in ids]))
+                for pattern, ids in by_pattern.items()]
 
 
 def _build_partition(width: int, height: int, patch_size: int,
@@ -113,20 +130,3 @@ def build_shifted_partitions(width: int, height: int, patch_size: int) -> list[P
         for dx in range(patch_size)
     ]
 
-
-def gather(vector: np.ndarray, partition: Partition, j: int) -> np.ndarray:
-    """Extract the values of block j from a global (row-major) vector."""
-    if not 0 <= j < partition.n_blocks:
-        raise IndexError(f"block index {j} out of range")
-    return np.asarray(vector)[partition.blocks[j]]
-
-
-def scatter(values: np.ndarray, partition: Partition, j: int,
-            vector: np.ndarray) -> np.ndarray:
-    """Write block values into a copy of the global vector; other indices
-    are left unchanged."""
-    if not 0 <= j < partition.n_blocks:
-        raise IndexError(f"block index {j} out of range")
-    out = np.array(vector, copy=True)
-    out[partition.blocks[j]] = values
-    return out

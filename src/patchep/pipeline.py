@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .ep_gaussian import EPConfig, EPResult, run_ep_gaussian
 from .ep_poisson import run_ep_poisson
-from .gaussians import BlockDiagonalCov, DiagonalCov
+from .gaussians import BlockDiagonalCov
 from .gmm import Adaptation, PatchGMM, adapt
 from .operators import DegradationOperator, GaussianNoise, PoissonNoise
 from .partitions import Partition, build_shifted_partitions
@@ -78,29 +78,13 @@ def fuse_poe(experts: list) -> FusedPosterior:
     return FusedPosterior(mean=mean, marginal_var=1.0 / prec)
 
 
-def _cov_block(cov, partition: Partition, j: int) -> np.ndarray:
-    if isinstance(cov, BlockDiagonalCov):
-        return cov.blocks[j]
-    if isinstance(cov, DiagonalCov):
-        return np.diag(cov.variances[partition.blocks[j]])
-    raise TypeError(f"unsupported joint covariance {type(cov)!r}")
-
-
-def _grouped_estep_terms(weights, mean, cov, partition: Partition):
-    """Group blocks by local-index pattern; stack the E-step quantities."""
-    groups: dict[tuple, list[int]] = {}
-    for j, loc in enumerate(partition.local_indices):
-        if weights[j] is None:
-            continue
-        groups.setdefault(tuple(loc.tolist()), []).append(j)
-    out = []
-    for key, block_ids in groups.items():
-        idxs = np.array(key)
-        w = np.stack([weights[j] for j in block_ids])                    # (J, K)
-        m = np.stack([mean[partition.blocks[j]] for j in block_ids])     # (J, b)
-        s = np.stack([_cov_block(cov, partition, j) for j in block_ids]) # (J, b, b)
-        out.append((idxs, w, m, s))
-    return out
+def _grouped_estep_terms(weights, mean: np.ndarray, cov: BlockDiagonalCov,
+                         partition: Partition):
+    """E-step quantities per partition group: local indices, weights (J, K),
+    means (J, b) and covariances (J, b, b).  Groups without weights (their
+    tilted moments failed) are left out."""
+    return [(group.local, w, mean[group.pixels], s)
+            for group, w, s in zip(partition.groups, weights, cov.stacks) if w is not None]
 
 
 def _theta_cov(base: PatchGMM, idxs: np.ndarray, theta: Adaptation) -> np.ndarray:

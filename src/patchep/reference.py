@@ -171,7 +171,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     cavity, with the same constrained precision optimization the scalable
     algorithm uses per block, but at full image size.
     """
-    from .kl_updates import BlockKLProblem, update_block_precision
+    from .kl_updates import update_block_precision
 
     n = partition.n_pixels
     if n > 1024:
@@ -221,8 +221,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
                                          + gain @ t_cov_j @ gain.T)
             t_cov = 0.5 * (t_cov + t_cov.T)
 
-            problem = BlockKLProblem(t_cov, cav_prec, prec[j], structure="full")
-            new_prec = update_block_precision(problem, max_iters=100, tol=1e-10)
+            new_prec = update_block_precision(t_cov, cav_prec, prec[j], max_iters=100, tol=1e-10)
             new_eta = (new_prec + cav_prec) @ t_mean - cav_eta
             prec[j] = damping * new_prec + (1 - damping) * prec[j]
             eta[j] = damping * new_eta + (1 - damping) * eta[j]
@@ -272,22 +271,18 @@ def mcmc_poisson_reference(y: np.ndarray, operator: DegradationOperator,
     rng = np.random.Generator(np.random.Philox(seed))
     diag_h = np.sqrt(operator.diag_gram())
 
-    groups: dict[tuple, list[int]] = {}
-    for j, loc in enumerate(partition.local_indices):
-        groups.setdefault(tuple(loc.tolist()), []).append(j)
-
     # per-group stacked state, priors, and observation slices
     stacks = []
-    for key, block_ids in groups.items():
-        prior = adapted if len(key) == adapted.dim else adapted.marginal(key)
+    for group in partition.groups:
+        prior = adapted if group.local.size == adapted.dim else adapted.marginal(group.local)
         chols = np.linalg.cholesky(prior.covs)
         logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
-        idx = np.stack([partition.blocks[j] for j in block_ids])
+        idx = group.pixels
         stacks.append({
-            "ids": block_ids, "prior": prior, "chols": chols,
+            "ids": group.ids, "prior": prior, "chols": chols,
             "logdets": logdets, "idx": idx,
             "x": np.maximum(y[idx] / np.maximum(diag_h[idx], 1e-12), 1.0),
-            "scale": 0.5 * np.ones(len(block_ids)),
+            "scale": 0.5 * np.ones(len(group.ids)),
         })
 
     def prior_logpdf(stack, x):

@@ -9,6 +9,28 @@ def random_spd(rng, dim, scale=1.0):
     return scale * (a @ a.T + dim * np.eye(dim))
 
 
+def stack_by_group(partition, per_block):
+    """Per-block list of arrays -> one stack per group of partition.groups."""
+    return [np.stack([per_block[j] for j in group.ids]) for group in partition.groups]
+
+
+def per_block(partition, stacks):
+    """Stacks aligned with partition.groups -> list of blocks by block id."""
+    out = [None] * partition.n_blocks
+    for group, stack in zip(partition.groups, stacks):
+        for j, block in zip(group.ids, stack):
+            out[j] = block
+    return out
+
+
+def pixel_diagonal(partition, stacks):
+    """Diagonal of a block-diagonal matrix given as stacks, in pixel order."""
+    out = np.empty(partition.n_pixels)
+    for group, stack in zip(partition.groups, stacks):
+        out[group.pixels] = np.diagonal(stack, axis1=1, axis2=2)
+    return out
+
+
 def small_gmm(rng, n_components, dim, mean_scale=1.0, cov_scale=0.2):
     weights = rng.uniform(0.5, 1.5, size=n_components)
     weights /= weights.sum()

@@ -32,8 +32,8 @@ def test_install_and_uninstall_restore_every_original():
     assert tr.uninstall() == []
 
 
-def test_deblur_restore_enters_every_required_span():
-    wl = run.WORKLOADS["deblur_gauss"]
+def assert_restore_enters_every_required_span(workload):
+    wl = run.WORKLOADS[workload]
     problem = run.set_up(patchep, wl, seed=1)[0]
     tr = tracer.Tracer()
     tracer.install(tr, patchep)
@@ -45,3 +45,11 @@ def test_deblur_restore_enters_every_required_span():
     assert result.failed_checks == []
     assert [span for span in wl.spans if tr.calls[span] == 0] == []
     assert tr.counts["cg.not_converged"] == 0
+
+
+def test_deblur_restore_enters_every_required_span():
+    assert_restore_enters_every_required_span("deblur_gauss")
+
+
+def test_poisson_restore_enters_every_required_span():
+    assert_restore_enters_every_required_span("denoise_poisson")

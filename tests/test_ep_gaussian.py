@@ -22,7 +22,7 @@ from patchep.reference import (
     sample_prior_image,
 )
 
-from conftest import random_spd, small_gmm
+from conftest import per_block, pixel_diagonal, random_spd, small_gmm, stack_by_group
 
 
 def pixel_partition(width, height):
@@ -71,12 +71,13 @@ class TestUpdateQx0:
         state.sync()
         update_q_x0(state, adapted, cfg)
         state.sync()
+        joint_blocks = per_block(part, state.joint_covs)
         for j, idx in enumerate(part.blocks):
             prior_prec = np.linalg.inv(adapted.covs[0])
             post_prec = prior_prec + np.eye(4) / sigma2
             post_cov = np.linalg.inv(post_prec)
             post_mean = post_cov @ (prior_prec @ adapted.means[0] + y[idx] / sigma2)
-            np.testing.assert_allclose(state.joint_block_cov(j), post_cov, atol=1e-6)
+            np.testing.assert_allclose(joint_blocks[j], post_cov, atol=1e-6)
             np.testing.assert_allclose(state.mean[idx], post_mean, atol=1e-6)
 
     def test_uninformative_prior_leaves_likelihood(self, rng):
@@ -94,7 +95,7 @@ class TestUpdateQx0:
         state.sync()
         update_q_x0(state, adapted, cfg)
         state.sync()
-        assert np.all(state.q0.prec_diag < 1e-6)
+        assert np.all(pixel_diagonal(part, state.q0.prec) < 1e-6)
         np.testing.assert_allclose(state.mean, y, atol=1e-4)
 
     def test_damping_is_convex_combination_of_natural_params(self, rng):
@@ -115,8 +116,9 @@ class TestUpdateQx0:
         old = GaussianFactor.from_moments("diagonal", part, y, np.full(16, 0.4))
         full = one_update(1.0)
         half = one_update(0.5)
-        np.testing.assert_allclose(half.prec_diag,
-                                   0.5 * full.prec_diag + 0.5 * old.prec_diag, rtol=1e-12)
+        np.testing.assert_allclose(pixel_diagonal(part, half.prec),
+                                   0.5 * pixel_diagonal(part, full.prec)
+                                   + 0.5 * pixel_diagonal(part, old.prec), rtol=1e-12)
         np.testing.assert_allclose(half.eta, 0.5 * full.eta + 0.5 * old.eta, rtol=1e-10)
 
 
@@ -129,12 +131,14 @@ class TestTiltedP1:
         q0 = GaussianFactor.from_moments("diagonal", part, rng.standard_normal(16),
                                          rng.uniform(0.2, 2.0, 16))
         w = np.full(16, 1.0 / sigma2)
-        mean, blocks, _, _ = tilted_p1_moments(q0, op, w, op.apply_adjoint(y) / sigma2,
+        mean, stacks, _, _ = tilted_p1_moments(q0, op, w, op.apply_adjoint(y) / sigma2,
                                                EPConfig(), np.random.default_rng(0))
+        blocks = per_block(part, stacks)
+        p0 = pixel_diagonal(part, q0.prec)
         for j, idx in enumerate(part.blocks):
-            expected = np.diag(1.0 / (1.0 / sigma2 + q0.prec_diag[idx]))
+            expected = np.diag(1.0 / (1.0 / sigma2 + p0[idx]))
             np.testing.assert_allclose(blocks[j], expected, atol=1e-12)
-        expected_mean = (q0.eta + y / sigma2) / (q0.prec_diag + 1.0 / sigma2)
+        expected_mean = (q0.eta + y / sigma2) / (p0 + 1.0 / sigma2)
         np.testing.assert_allclose(mean, expected_mean, atol=1e-12)
 
     def test_vanishing_prior_returns_observation(self, rng):
@@ -154,7 +158,7 @@ class TestTiltedP1:
         y = rng.standard_normal(36)
         blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
         eta = rng.standard_normal(36)
-        q0 = GaussianFactor("block", part, prec_blocks=blocks, eta=eta)
+        q0 = GaussianFactor("block", part, stack_by_group(part, blocks), eta)
         w = np.full(36, 1.0 / sigma2)
         obs_eta = op.apply_adjoint(y) / sigma2
         mean, _, _, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig(),
@@ -172,8 +176,8 @@ class TestTiltedP1:
         op = Conv2D(16, 16, np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0)
         sigma2 = 0.05
         blocks = [random_spd(rng, len(idx), 1.0 / len(idx)) for idx in part.blocks]
-        q0 = GaussianFactor("block", part, prec_blocks=blocks,
-                            eta=rng.standard_normal(256))
+        q0 = GaussianFactor("block", part, stack_by_group(part, blocks),
+                            rng.standard_normal(256))
         w = np.full(256, 1.0 / sigma2)
         omega0 = np.zeros((256, 256))
         for j, idx in enumerate(part.blocks):
@@ -184,6 +188,7 @@ class TestTiltedP1:
             cfg = EPConfig(rbmc_samples=samples)
             _, est, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg,
                                              np.random.Generator(np.random.Philox(seed)))
+            est = per_block(part, est)
             errs = []
             for j, idx in enumerate(part.blocks):
                 ref = dense_cov[np.ix_(idx, idx)]
@@ -235,7 +240,7 @@ class TestUpdateQx1:
 
         def warnings_with(cfg):
             state = EPState(
-                q0=GaussianFactor("block", part, prec_blocks=blocks, eta=eta),
+                q0=GaussianFactor("block", part, stack_by_group(part, blocks), eta),
                 q1=GaussianFactor.from_moments("block", part, y, np.full(36, sigma2)),
                 partition=part,
             )
@@ -265,8 +270,9 @@ class TestUpdateQx1:
         w = np.full(16, 1.0 / sigma2)
         update_q_x1(state, op, w, op.apply_adjoint(y) / sigma2, EPConfig(),
                     np.random.default_rng(0))
-        np.testing.assert_allclose(1.0 / state.q1.prec_diag, np.full(16, sigma2), rtol=1e-12)
-        np.testing.assert_allclose(state.q1.eta / state.q1.prec_diag, y, rtol=1e-10)
+        p1 = pixel_diagonal(part, state.q1.prec)
+        np.testing.assert_allclose(1.0 / p1, np.full(16, sigma2), rtol=1e-12)
+        np.testing.assert_allclose(state.q1.eta / p1, y, rtol=1e-10)
 
     def test_masked_pixel_gets_floor_precision(self, rng):
         kept = np.ones(16, bool)
@@ -283,8 +289,9 @@ class TestUpdateQx1:
         state.sync()
         update_q_x1(state, op, np.full(16, 1.0 / sigma2),
                     op.apply_adjoint(y) / sigma2, EPConfig(), np.random.default_rng(0))
-        assert np.all(state.q1.prec_diag[~kept] == 1e-8)
-        np.testing.assert_allclose(state.q1.prec_diag[kept], 1.0 / sigma2, rtol=1e-12)
+        p1 = pixel_diagonal(part, state.q1.prec)
+        assert np.all(p1[~kept] == 1e-8)
+        np.testing.assert_allclose(p1[kept], 1.0 / sigma2, rtol=1e-12)
         # masked pixels carry no information: eta = 0 there
         np.testing.assert_array_equal(state.q1.eta[~kept], 0.0)
 
@@ -379,30 +386,33 @@ class TestRunEpGaussian:
         res = run_ep_gaussian(y, Identity(6, 6), 0.05, adapted, part, EPConfig())
         state = res.state
         eta = state.q0.eta + state.q1.eta
-        prec = state.q0.prec_diag + state.q1.prec_diag
+        prec = pixel_diagonal(part, state.q0.prec) + pixel_diagonal(part, state.q1.prec)
         np.testing.assert_allclose(state.mean, eta / prec, rtol=1e-10)
 
     def test_deconvolution_mean_matches_dense_posterior_k1(self, rng):
         # K=1 conjugate deconvolution: the EP mean equals the exact posterior
-        # mean regardless of the block covariance approximation
-        part = build_shifted_partitions(8, 8, 4)[0]
+        # mean regardless of the block covariance approximation.  Shift (1, 1)
+        # truncates the boundary blocks: nine blocks in nine groups, each
+        # under its marginal prior.
         adapted = k1_adapted(rng, 16, scale=0.5)
         op = Conv2D(8, 8, np.full((3, 3), 1.0 / 9.0))
         sigma2 = 0.05
-        truth = sample_prior_image(adapted, part, rng)
+        truth = sample_prior_image(adapted, build_shifted_partitions(8, 8, 4)[0], rng)
         y = simulate(op, truth, GaussianNoise(sigma2), seed=6)
-        res = run_ep_gaussian(y, op, sigma2, adapted, part,
-                              EPConfig(damping=1.0, max_iterations=25, rbmc_samples=30))
-        prior_prec = np.linalg.inv(adapted.covs[0])
-        omega0 = np.zeros((64, 64))
-        eta0 = np.zeros(64)
-        for idx in part.blocks:
-            omega0[np.ix_(idx, idx)] = prior_prec
-            eta0[idx] = prior_prec @ adapted.means[0]
-        w = np.full(64, 1.0 / sigma2)
-        exact_mean, _ = dense_reference_moments(op, w, omega0,
-                                                eta0 + op.apply_adjoint(y) / sigma2)
-        np.testing.assert_allclose(res.mean, exact_mean, atol=5e-5)
+        for part in (build_shifted_partitions(8, 8, 4)[0], build_shifted_partitions(8, 8, 4)[5]):
+            res = run_ep_gaussian(y, op, sigma2, adapted, part,
+                                  EPConfig(damping=1.0, max_iterations=25, rbmc_samples=30))
+            omega0 = np.zeros((64, 64))
+            eta0 = np.zeros(64)
+            for idx, local in zip(part.blocks, part.local_indices):
+                prior = adapted.marginal(local)
+                prior_prec = np.linalg.inv(prior.covs[0])
+                omega0[np.ix_(idx, idx)] = prior_prec
+                eta0[idx] = prior_prec @ prior.means[0]
+            w = np.full(64, 1.0 / sigma2)
+            exact_mean, _ = dense_reference_moments(op, w, omega0,
+                                                    eta0 + op.apply_adjoint(y) / sigma2)
+            np.testing.assert_allclose(res.mean, exact_mean, atol=5e-5)
 
     def test_trace_records_emitted(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]

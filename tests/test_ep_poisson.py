@@ -16,7 +16,7 @@ from patchep.operators import Conv2D, Identity, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
 from patchep.reference import dense_reference_moments, sample_prior_image
 
-from conftest import random_spd
+from conftest import random_spd, stack_by_group
 
 
 def brute_force_tilted(y, mu1, c1, n_points=1_000_000):
@@ -184,7 +184,8 @@ class TestUpdateQx1Poisson:
         w = np.full(16, 1.0 / sigma2)  # Poisson path with q_u0 = N(y, sigma^2)
         update_q_x1(state_b, op, w, op.apply_adjoint(w * y), cfg,
                     np.random.default_rng(0))
-        np.testing.assert_array_equal(state_a.q1.prec_diag, state_b.q1.prec_diag)
+        for prec_a, prec_b in zip(state_a.q1.prec, state_b.q1.prec):
+            np.testing.assert_array_equal(prec_a, prec_b)
         np.testing.assert_allclose(state_a.q1.eta, state_b.q1.eta, rtol=1e-14)
 
     def test_blur_mean_matches_dense_solve(self, rng):
@@ -197,7 +198,7 @@ class TestUpdateQx1Poisson:
         blocks = [random_spd(rng, len(idx), 0.3) for idx in part.blocks]
         eta0 = rng.standard_normal(n)
         state = EPState(
-            q0=GaussianFactor("block", part, prec_blocks=blocks, eta=eta0),
+            q0=GaussianFactor("block", part, stack_by_group(part, blocks), eta0),
             q1=GaussianFactor.from_moments("block", part, m_u0, np.ones(n)),
             partition=part,
         )

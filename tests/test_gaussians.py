@@ -1,48 +1,42 @@
 import numpy as np
 import pytest
 
-from patchep.gaussians import (
-    BlockDiagonalCov,
-    DiagonalCov,
-    IsotropicCov,
-    StructuredGaussian,
-    marginal_variances,
-)
+from patchep.gaussians import BlockDiagonalCov, diag_stacks, marginal_variances
 from patchep.partitions import build_shifted_partitions
+
+from conftest import stack_by_group
 
 
 class TestConstruction:
     def test_rejects_nonpositive_variance(self):
+        part = build_shifted_partitions(2, 2, 2)[0]
         with pytest.raises(ValueError):
-            DiagonalCov(np.array([1.0, 0.0, 2.0]))
+            BlockDiagonalCov(part, diag_stacks(part, np.array([1.0, 0.0, 2.0, 1.0])))
         with pytest.raises(ValueError):
-            IsotropicCov(-1.0, 4)
+            BlockDiagonalCov(part, diag_stacks(part, np.full(4, -1.0)))
 
     def test_rejects_non_pd_block(self):
         part = build_shifted_partitions(2, 2, 2)[0]
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError):
-            BlockDiagonalCov(part, [np.block([[bad, np.zeros((2, 2))], [np.zeros((2, 2)), bad]])])
+            BlockDiagonalCov(part, [np.block([[bad, np.zeros((2, 2))], [np.zeros((2, 2)), bad]])[None]])
 
     def test_accepts_spd_block(self):
         part = build_shifted_partitions(2, 2, 2)[0]
-        cov = BlockDiagonalCov(part, [np.eye(4) + 0.5])
-        sg = StructuredGaussian(np.zeros(4), cov)
-        assert sg.size == 4
-
-    def test_mean_dimension_checked(self):
-        with pytest.raises(ValueError):
-            StructuredGaussian(np.zeros(3), DiagonalCov(np.ones(4)))
+        cov = BlockDiagonalCov(part, [(np.eye(4) + 0.5)[None]])
+        np.testing.assert_array_equal(marginal_variances(cov), np.full(4, 1.5))
 
 
 class TestMarginalVariances:
     def test_isotropic(self):
-        np.testing.assert_array_equal(
-            marginal_variances(IsotropicCov(2.0, 3)), [2.0, 2.0, 2.0])
+        part = build_shifted_partitions(3, 3, 2)[3]
+        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(9, 2.0)))
+        np.testing.assert_array_equal(marginal_variances(cov), np.full(9, 2.0))
 
     def test_diagonal(self):
-        np.testing.assert_array_equal(
-            marginal_variances(DiagonalCov(np.array([1.0, 4.0, 9.0]))), [1, 4, 9])
+        part = build_shifted_partitions(3, 3, 2)[3]
+        cov = BlockDiagonalCov(part, diag_stacks(part, np.arange(1.0, 10.0) ** 2))
+        np.testing.assert_array_equal(marginal_variances(cov), np.arange(1, 10) ** 2)
 
     def test_block_diagonal_reads_diagonals(self):
         # shift (1,0) on a 3x2 grid yields one 2-pixel and one 4-pixel block
@@ -50,7 +44,7 @@ class TestMarginalVariances:
         part = next(p for p in parts if p.shift == (1, 0))
         two = np.array([[2.0, 1.0], [1.0, 2.0]])
         blocks = [two if len(b) == 2 else np.eye(len(b)) for b in part.blocks]
-        out = marginal_variances(BlockDiagonalCov(part, blocks))
+        out = marginal_variances(BlockDiagonalCov(part, stack_by_group(part, blocks)))
         small = next(b for b in part.blocks if len(b) == 2)
         np.testing.assert_array_equal(out[small], [2.0, 2.0])
 
@@ -61,6 +55,7 @@ class TestMarginalVariances:
         for j, idx in enumerate(part.blocks):
             b = len(idx)
             blocks.append(np.diag(np.full(b, float(j + 1))))
-        out = marginal_variances(BlockDiagonalCov(part, blocks))
+        out = marginal_variances(BlockDiagonalCov(part, stack_by_group(part, blocks)))
         for j, idx in enumerate(part.blocks):
             np.testing.assert_array_equal(out[idx], np.full(len(idx), float(j + 1)))
+

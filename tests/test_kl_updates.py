@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from patchep.kl_updates import (
-    BlockKLProblem,
     diag_kl_update,
-    factor_mean_update,
     iso_kl_update,
     kl_block_loss,
     update_block_precision,
@@ -76,8 +74,8 @@ def chol_param_oracle(cov, cav, init):
 
 class TestUpdateBlockPrecision:
     def test_unconstrained_optimum(self):
-        problem = BlockKLProblem(np.diag([2.0, 2.0]), EPS_I(2), np.eye(2))
-        out = update_block_precision(problem, max_iters=500, tol=1e-14)
+        out = update_block_precision(np.diag([2.0, 2.0]), EPS_I(2), np.eye(2),
+                                     max_iters=500, tol=1e-14)
         np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-7)
 
     def test_matches_long_run_oracle(self, rng):
@@ -87,33 +85,16 @@ class TestUpdateBlockPrecision:
             cav = random_spd(rng, 2, 0.1)
             cov = np.linalg.inv(inv_opt + cav)
             init = random_spd(rng, 2)
-            got = update_block_precision(
-                BlockKLProblem(cov, cav, init), max_iters=5000, tol=1e-15)
+            got = update_block_precision(cov, cav, init, max_iters=5000, tol=1e-15)
             oracle = chol_param_oracle(cov, cav, init)
             assert np.linalg.norm(got - oracle) < 1e-6
             assert np.linalg.norm(got - inv_opt) < 1e-6
 
-    def test_diagonal_structure_reduces_to_closed_form(self, rng):
-        d_var = np.array([0.4, 0.8, 1.3])
-        cav = np.diag([0.3, 0.2, 0.1])
-        problem = BlockKLProblem(np.diag(d_var), cav, np.eye(3), structure="diagonal")
-        out = update_block_precision(problem, max_iters=2000, tol=1e-16)
-        expected = [diag_kl_update(d, p) for d, p in zip(d_var, np.diag(cav))]
-        np.testing.assert_allclose(np.diag(out), expected, atol=1e-10)
-        np.testing.assert_allclose(out, np.diag(np.diag(out)))  # stays diagonal
-
-    def test_diagonal_structure_with_full_cavity_stays_diagonal(self, rng):
-        problem = BlockKLProblem(random_spd(rng, 3), random_spd(rng, 3),
-                                 np.eye(3), structure="diagonal")
-        out = update_block_precision(problem)
-        assert np.count_nonzero(out - np.diag(np.diag(out))) == 0
-
     def test_loss_monotone_and_spd(self, rng):
         for _ in range(10):
-            problem = BlockKLProblem(random_spd(rng, 4), random_spd(rng, 4, 0.2),
-                                     random_spd(rng, 4))
             history = []
-            out = update_block_precision(problem, loss_history=history)
+            out = update_block_precision(random_spd(rng, 4), random_spd(rng, 4, 0.2),
+                                         random_spd(rng, 4), loss_history=history)
             np.linalg.cholesky(out)  # SPD or raises
             assert all(b < a + 1e-12 for a, b in zip(history, history[1:]))
 
@@ -121,8 +102,7 @@ class TestUpdateBlockPrecision:
         inv_opt = random_spd(rng, 3)
         cav = random_spd(rng, 3, 0.05)
         cov = np.linalg.inv(inv_opt + cav)
-        out = update_block_precision(BlockKLProblem(cov, cav, np.eye(3)),
-                                     max_iters=5000, tol=1e-15)
+        out = update_block_precision(cov, cav, np.eye(3), max_iters=5000, tol=1e-15)
         np.testing.assert_allclose(np.linalg.inv(out + cav), cov, atol=1e-6)
 
 
@@ -184,21 +164,3 @@ class TestIsoKlUpdate:
             q = rng.uniform(0.0, 5.0, size=6)
             assert iso_kl_update(d, q) >= 1e-8
 
-
-class TestFactorMeanUpdate:
-    def test_no_cavity_returns_tilted_mean(self, rng):
-        own = random_spd(rng, 3)
-        mean = rng.standard_normal(3)
-        out = factor_mean_update(mean, own, EPS_I(3), rng.standard_normal(3))
-        np.testing.assert_allclose(out, mean, atol=1e-9)
-
-    def test_fixed_point(self, rng):
-        own = random_spd(rng, 3)
-        m = rng.standard_normal(3)
-        out = factor_mean_update(m, own, own.copy(), m)
-        np.testing.assert_allclose(out, m, atol=1e-10)
-
-    def test_scalar_arithmetic(self):
-        out = factor_mean_update(np.array([3.0]), np.array([[2.0]]),
-                                 np.array([[1.0]]), np.array([0.0]))
-        assert out[0] == pytest.approx(4.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patchep.gaussians import BlockDiagonalCov, DiagonalCov, IsotropicCov
+from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.operators import (
     Conv2D,
     GaussianNoise,
@@ -9,13 +9,11 @@ from patchep.operators import (
     Mask,
     PoissonNoise,
     all_row_quadratic_forms,
-    row_dot,
-    row_quadratic_form,
     simulate,
 )
 from patchep.partitions import build_shifted_partitions
 
-from conftest import random_spd
+from conftest import random_spd, stack_by_group
 
 
 def conv_dense_from_formula(width, height, kernel):
@@ -81,14 +79,8 @@ class TestApplyAdjoint:
         op = Conv2D(6, 6, rng.standard_normal((3, 3)))
         h = dense_matrix(op)
         for n in [0, 5, 17, 35]:
-            ms, ws = op.row(n)
-            dense_row = np.zeros(36)
-            np.add.at(dense_row, ms, ws)
-            np.testing.assert_allclose(dense_row, h[n], atol=1e-14)
-            ns, ws = op.column(n)
-            dense_col = np.zeros(36)
-            np.add.at(dense_col, ns, ws)
-            np.testing.assert_allclose(dense_col, h[:, n], atol=1e-14)
+            np.testing.assert_allclose(op.matrix[[n]].toarray()[0], h[n], atol=1e-14)
+            np.testing.assert_allclose(op.matrix[:, [n]].toarray()[:, 0], h[:, n], atol=1e-14)
 
     def test_sparse_conv_matches_docstring_formula(self):
         # non-symmetric kernel on a non-square image, so a transposed or
@@ -117,14 +109,16 @@ class TestApplyAdjoint:
 
 class TestRowForms:
     def test_identity_diagonal(self):
-        op = Identity(3, 1)
-        v = DiagonalCov(np.array([1.0, 4.0, 9.0]))
-        assert row_quadratic_form(op, 1, v) == 4.0
+        op = Identity(3, 2)
+        part = build_shifted_partitions(3, 2, 2)[1]
+        v = BlockDiagonalCov(part, diag_stacks(part, np.arange(1.0, 7.0) ** 2))
+        np.testing.assert_array_equal(all_row_quadratic_forms(op, v), np.arange(1.0, 7.0) ** 2)
 
     def test_masked_row_is_zero(self):
-        op = Mask(3, 1, np.array([True, False, True]))
-        v = DiagonalCov(np.ones(3))
-        assert row_quadratic_form(op, 1, v) == 0.0
+        op = Mask(3, 2, np.array([True, False, True, True, True, False]))
+        part = build_shifted_partitions(3, 2, 2)[1]
+        v = BlockDiagonalCov(part, diag_stacks(part, np.ones(6)))
+        np.testing.assert_array_equal(all_row_quadratic_forms(op, v), [1, 0, 1, 1, 1, 0])
 
     def test_conv_vs_dense_oracle(self):
         # 3x3 uniform kernel on a 6x6 image against the dense H matrix
@@ -133,15 +127,10 @@ class TestRowForms:
         rng = np.random.default_rng(3)
         part = build_shifted_partitions(6, 6, 3)[4]
         blocks = [random_spd(rng, len(b)) for b in part.blocks]
-        cov = BlockDiagonalCov(part, blocks)
+        cov = BlockDiagonalCov(part, stack_by_group(part, blocks))
         sigma = np.zeros((36, 36))
         for j, idx in enumerate(part.blocks):
             sigma[np.ix_(idx, idx)] = blocks[j]
-        m = rng.standard_normal(36)
-        for n in range(36):
-            expected_q = h[n] @ sigma @ h[n]
-            assert abs(row_quadratic_form(op, n, cov) - expected_q) < 1e-12
-            assert abs(row_dot(op, n, m) - h[n] @ m) < 1e-12
         batch = all_row_quadratic_forms(op, cov)
         np.testing.assert_allclose(batch, [h[n] @ sigma @ h[n] for n in range(36)],
                                    rtol=1e-12, atol=1e-12)
@@ -150,11 +139,13 @@ class TestRowForms:
         rng = np.random.default_rng(8)
         op = Conv2D(5, 5, rng.standard_normal((3, 3)))
         h = dense_matrix(op)
-        diag = DiagonalCov(rng.uniform(0.5, 2.0, 25))
+        part = build_shifted_partitions(5, 5, 3)[4]
+        variances = rng.uniform(0.5, 2.0, 25)
+        diag = BlockDiagonalCov(part, diag_stacks(part, variances))
         np.testing.assert_allclose(
             all_row_quadratic_forms(op, diag),
-            [h[n] @ np.diag(diag.variances) @ h[n] for n in range(25)], rtol=1e-12)
-        iso = IsotropicCov(1.7, 25)
+            [h[n] @ np.diag(variances) @ h[n] for n in range(25)], rtol=1e-12)
+        iso = BlockDiagonalCov(part, diag_stacks(part, np.full(25, 1.7)))
         np.testing.assert_allclose(
             all_row_quadratic_forms(op, iso),
             [1.7 * h[n] @ h[n] for n in range(25)], rtol=1e-12)
@@ -177,10 +168,6 @@ class TestRowForms:
         np.testing.assert_allclose(op.diag_gram(), np.diag(h.T @ h), rtol=1e-12)
         kept = rng.random(25) < 0.5
         np.testing.assert_array_equal(Mask(5, 5, kept).diag_gram(), kept.astype(float))
-
-    def test_row_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            Identity(2, 2).row(4)
 
 
 class TestSimulate:

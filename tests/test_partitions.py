@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patchep.partitions import build_shifted_partitions, gather, scatter
+from patchep.partitions import build_shifted_partitions
 
 
 class TestBuildShiftedPartitions:
@@ -65,37 +65,19 @@ class TestBuildShiftedPartitions:
         assert set(cols_local.tolist()) == {2, 3}
 
 
-class TestGatherScatter:
-    def test_gather_zero_vector(self):
-        part = build_shifted_partitions(6, 6, 3)[0]
-        assert np.all(gather(np.zeros(36), part, 2) == 0)
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(3)
-        for part in build_shifted_partitions(7, 5, 2)[:4]:
-            v = rng.standard_normal(35)
-            for j in range(part.n_blocks):
-                out = scatter(gather(v, part, j), part, j, v)
-                np.testing.assert_array_equal(out, v)
-
-    def test_gather_single_block_is_identity_order(self):
-        part = build_shifted_partitions(8, 8, 8)[0]
-        v = np.arange(64.0)
-        np.testing.assert_array_equal(gather(v, part, 0), v)
-
-    def test_scatter_leaves_other_indices(self):
-        part = build_shifted_partitions(6, 6, 3)[0]
-        v = np.zeros(36)
-        out = scatter(np.ones(9), part, 1, v)
-        assert out[part.blocks[1]].sum() == 9
-        mask = np.ones(36, bool)
-        mask[part.blocks[1]] = False
-        assert np.all(out[mask] == 0)
-        assert np.all(v == 0)  # input untouched
-
-    def test_index_out_of_range(self):
-        part = build_shifted_partitions(6, 6, 3)[0]
-        with pytest.raises(IndexError):
-            gather(np.zeros(36), part, part.n_blocks)
-        with pytest.raises(IndexError):
-            scatter(np.zeros(9), part, -1, np.zeros(36))
+class TestGroups:
+    def test_groups_cover_blocks_by_local_pattern(self):
+        # 10x7 with 4x4 patches: every shift truncates blocks differently
+        for part in build_shifted_partitions(10, 7, 4):
+            groups = part.groups
+            ids = np.concatenate([g.ids for g in groups])
+            np.testing.assert_array_equal(np.sort(ids), np.arange(part.n_blocks))
+            assert [g.ids[0] for g in groups] == sorted(g.ids[0] for g in groups)
+            patterns = [tuple(g.local.tolist()) for g in groups]
+            assert len(set(patterns)) == len(patterns)
+            for g in groups:
+                assert g.pixels.shape == (len(g.ids), len(g.local))
+                for i, j in enumerate(g.ids):
+                    np.testing.assert_array_equal(g.pixels[i], part.blocks[j])
+                    np.testing.assert_array_equal(part.local_indices[j], g.local)
+            assert part.groups is groups  # computed once

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patchep.ep_gaussian import EPConfig, run_ep_gaussian
-from patchep.gaussians import DiagonalCov
+from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import GaussianNoise, Identity, simulate
 from patchep.partitions import build_shifted_partitions
@@ -15,6 +15,8 @@ from patchep.pipeline import (
     run_pipeline,
 )
 from patchep.reference import sample_prior_image
+
+from conftest import stack_by_group
 
 
 def make_expert(index, mean, var):
@@ -59,9 +61,9 @@ def single_pixel_partition_cost_inputs():
 
     part = Partition(1, 1, 1, (0, 0), [np.array([0])], [np.array([0])])
     base = PatchGMM(np.array([1.0]), np.array([[0.0]]), np.array([[[1.0]]]))
-    weights = [np.array([1.0])]
+    weights = [np.array([[1.0]])]
     mean = np.array([1.3])
-    cov = DiagonalCov(np.array([0.4]))
+    cov = BlockDiagonalCov(part, diag_stacks(part, np.array([0.4])))
     return part, base, weights, mean, cov
 
 
@@ -97,7 +99,7 @@ class TestEpemCost:
         x = sample_prior_image(adapted, part, rng)
         weights = []
         mean = x
-        cov = DiagonalCov(np.full(part.n_pixels, 1e-4))
+        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(part.n_pixels, 1e-4)))
         for j, idx in enumerate(part.blocks):
             logp = [np.log(adapted.weights[k])
                     - 0.5 * (x[idx] - adapted.means[k]) @ np.linalg.solve(
@@ -107,6 +109,7 @@ class TestEpemCost:
             logp = np.array(logp)
             w = np.exp(logp - logp.max())
             weights.append(w / w.sum())
+        weights = stack_by_group(part, weights)
         best = epem_e_cost(true_theta, weights, mean, cov, base, part)
         for offset in [1.0, 1.5, 2.5, 3.0]:
             assert epem_e_cost(Adaptation(offset, 0.3, 1.0), weights, mean, cov,
@@ -126,8 +129,8 @@ class TestEpemMStep:
         part = build_shifted_partitions(8, 8, 4)[0]
         base = PatchGMM(np.array([1.0]), np.zeros((1, 16)), np.eye(16)[None])
         mean = rng.standard_normal(64) + 2.0
-        weights = [np.array([1.0]) for _ in part.blocks]
-        cov = DiagonalCov(np.full(64, 0.1))
+        weights = stack_by_group(part, [np.array([1.0]) for _ in part.blocks])
+        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(64, 0.1)))
         theta = epem_m_step(weights, mean, cov, base, part,
                             Adaptation(offset=0.0, mean_var=1e-8, scale=1.0),
                             estimate_scale=False, max_rounds=1,
@@ -138,8 +141,8 @@ class TestEpemMStep:
         part = build_shifted_partitions(8, 8, 4)[0]
         base = PatchGMM(np.array([1.0]), np.zeros((1, 16)), np.eye(16)[None])
         mean = rng.standard_normal(64)
-        weights = [np.array([1.0]) for _ in part.blocks]
-        cov = DiagonalCov(np.full(64, 0.1))
+        weights = stack_by_group(part, [np.array([1.0]) for _ in part.blocks])
+        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(64, 0.1)))
         theta = epem_m_step(weights, mean, cov, base, part,
                             Adaptation(scale=1.0), estimate_scale=False)
         assert theta.scale == 1.0
@@ -153,8 +156,8 @@ class TestEpemMStep:
         )
         adapted = adapt(base, Adaptation(offset=1.0, mean_var=0.2, scale=1.0))
         x = sample_prior_image(adapted, part, rng)
-        weights = [np.full(2, 0.5) for _ in part.blocks]
-        cov = DiagonalCov(np.full(part.n_pixels, 0.05))
+        weights = stack_by_group(part, [np.full(2, 0.5) for _ in part.blocks])
+        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(part.n_pixels, 0.05)))
         theta0 = Adaptation(offset=0.2, mean_var=0.05, scale=1.0)
         cost0 = epem_e_cost(theta0, weights, x, cov, base, part)
         theta1 = epem_m_step(weights, x, cov, base, part, theta0, estimate_scale=True)
