@@ -139,9 +139,6 @@ class EPState:
             self.marginal_var[group.pixels] = np.diagonal(cov, axis1=1, axis2=2)
             self.joint_covs.append(cov)
 
-    def joint_cov(self) -> BlockDiagonalCov:
-        return BlockDiagonalCov(self.partition, self.joint_covs)
-
 
 @dataclass
 class EPResult:
@@ -381,7 +378,7 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     return EPResult(
         mean=state.mean.copy(),
         marginal_var=state.marginal_var.copy(),
-        cov=state.joint_cov(),
+        cov=BlockDiagonalCov(partition, state.joint_covs),
         weights=weights,
         iterations=state.iteration,
         converged=converged,

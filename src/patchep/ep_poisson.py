@@ -7,7 +7,10 @@ posterior is approximated with four Gaussian factors:
 
 * q_u0 (diagonal) for the count likelihood, refined from per-pixel 1D
   tilted moments: a two-piece truncated-Gaussian closed form when the count
-  is zero, mode-centered Simpson quadrature otherwise;
+  is zero, mode-centered Simpson quadrature otherwise.  The quadrature maps
+  every pixel's 513 nodes onto one fixed unit grid, so its three weighted
+  sums are a single matrix product with a fixed (513, 3) basis; pixels are
+  processed in cache-sized chunks of 256;
 * q_x1 / q_x0 for the x side, reusing the Gaussian-model machinery with the
   noise term replaced by the current diagonal q_u0;
 * q_u1 (isotropic) for the coupling, fitted by the Newton isotropic KL
@@ -36,6 +39,16 @@ __all__ = ["rectified_poisson_tilted", "run_ep_poisson"]
 _SIMPSON_POINTS = 513
 _SPAN_STD = 10.0
 _LARGE_VARIANCE = 1e8
+# Simpson nodes on [0, 1] and the basis (w / 3 (n - 1)) * [1, t, t^2]: one
+# contraction gives the zeroth to second moments on the unit interval
+_UNIT_NODES = np.linspace(0.0, 1.0, _SIMPSON_POINTS)
+_SIMPSON_WEIGHTS = np.ones(_SIMPSON_POINTS)
+_SIMPSON_WEIGHTS[1:-1:2] = 4.0
+_SIMPSON_WEIGHTS[2:-1:2] = 2.0
+_SIMPSON_BASIS = (_SIMPSON_WEIGHTS / (3.0 * (_SIMPSON_POINTS - 1)))[:, None] * np.stack(
+    [np.ones(_SIMPSON_POINTS), _UNIT_NODES, _UNIT_NODES ** 2], axis=1)
+# pixels per quadrature chunk: each (chunk, 513) float64 buffer is ~1 MB
+_CHUNK = 256
 
 
 def _truncated_normal_moments(mu, sigma2, lower: bool):
@@ -82,7 +95,14 @@ def _tilted_zero_counts(mu1: np.ndarray, c1: float):
 
 def _tilted_positive_counts(y: np.ndarray, mu1: np.ndarray, c1: float):
     """Simpson quadrature of u^y e^{-u} / y! * N(u; mu1, c1) on u > 0,
-    centered at the integrand's log-mode with span +-10 effective std."""
+    centered at the integrand's log-mode with span +-10 effective std.
+
+    Each pixel's nodes are u = lo + span * t on the fixed unit grid t, so
+    the three weighted sums are one (P, 513) @ (513, 3) product with the
+    fixed basis w * [1, t, t^2]; the moments follow in the unit-interval
+    basis, mean = lo + span E[t] and var = span^2 (E[t^2] - E[t]^2).  The
+    integrand is built in place in two (P, 513) buffers.
+    """
     y = np.asarray(y, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
     # stationary point of g(u) = y log u - u - (u - mu1)^2 / (2 c1):
@@ -96,36 +116,39 @@ def _tilted_positive_counts(y: np.ndarray, mu1: np.ndarray, c1: float):
     std_eff = 1.0 / np.sqrt(y / mode ** 2 + 1.0 / c1)
 
     lo = np.maximum(mode - _SPAN_STD * std_eff, 1e-300)
-    hi = mode + _SPAN_STD * std_eff
-    t = np.linspace(0.0, 1.0, _SIMPSON_POINTS)
-    u = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-
-    log_g = y[:, None] * np.log(u) - u - (u - mu1[:, None]) ** 2 / (2.0 * c1)
+    span = mode + _SPAN_STD * std_eff - lo
     g_max = y * np.log(mode) - mode - (mode - mu1) ** 2 / (2.0 * c1)
-    f = np.exp(log_g - g_max[:, None])
 
-    w = np.ones(_SIMPSON_POINTS)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = (hi - lo) / (_SIMPSON_POINTS - 1)
-    z0 = (f @ w) * h / 3.0
-    z1 = ((f * u) @ w) * h / 3.0
-    z2 = ((f * u ** 2) @ w) * h / 3.0
+    u = np.multiply(span[:, None], _UNIT_NODES)
+    u += lo[:, None]
+    f = np.log(u)
+    f *= y[:, None]
+    f -= u
+    u -= mu1[:, None]
+    np.square(u, out=u)
+    u /= 2.0 * c1
+    f -= u
+    f -= g_max[:, None]
+    np.exp(f, out=f)
+    m0, m1, m2 = (f @ _SIMPSON_BASIS).T
 
+    z0 = m0 * span
     bad = ~np.isfinite(z0) | (z0 < 1e-300)
-    safe_z0 = np.where(bad, 1.0, z0)
-    mean = np.where(bad, mu1, z1 / safe_z0)
-    var = np.where(bad, c1, z2 / safe_z0 - mean ** 2)
+    safe_m0 = np.where(bad, 1.0, m0)
+    e1 = m1 / safe_m0
+    mean = np.where(bad, mu1, lo + span * e1)
+    var = np.where(bad, c1, span ** 2 * (m2 / safe_m0 - e1 ** 2))
     log_z = np.where(
         bad, -np.inf,
-        np.log(safe_z0) + g_max - gammaln(y + 1) - 0.5 * np.log(2 * np.pi * c1))
+        np.log(np.where(bad, 1.0, z0)) + g_max - gammaln(y + 1) - 0.5 * np.log(2 * np.pi * c1))
     return log_z, mean, np.maximum(var, 0.0), int(np.sum(bad))
 
 
 def rectified_poisson_tilted_batch(y: np.ndarray, mu1: np.ndarray, c1: float,
-                                   chunk: int = 4096):
+                                   chunk: int = _CHUNK):
     """Per-pixel tilted moments for all counts; returns
-    (log Z, mean, variance, quadrature-failure count)."""
+    (log Z, mean, variance, quadrature-failure count).  Positive counts go
+    through the quadrature ``chunk`` pixels at a time."""
     y = np.asarray(y)
     mu1 = np.asarray(mu1, dtype=float)
     log_z = np.empty(y.size)
@@ -209,7 +232,7 @@ def update_q_u1(factors: PoissonFactors, state: EPState,
     Without this correction the count information is double-counted and
     Q(u) drifts away from H Q(x) even under the identity operator.
     """
-    s = all_row_quadratic_forms(operator, state.joint_cov())
+    s = all_row_quadratic_forms(operator, state.partition, state.joint_covs)
     t = operator.apply(state.mean)
     mu0, c0 = factors.u0_moments()
 

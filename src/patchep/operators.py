@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .gaussians import BlockDiagonalCov, block_diag
+from .gaussians import block_diag
+from .partitions import Partition
 
 __all__ = [
     "Identity",
@@ -206,8 +207,10 @@ def simulate(operator: DegradationOperator, x: np.ndarray, noise, seed: int) -> 
 
 
 
-def all_row_quadratic_forms(operator: DegradationOperator, cov: BlockDiagonalCov) -> np.ndarray:
-    """h_n S h_n^T for every row n of H: the diagonal of H S H^T."""
+def all_row_quadratic_forms(operator: DegradationOperator, partition: Partition,
+                            stacks) -> np.ndarray:
+    """h_n S h_n^T for every row n of H: the diagonal of H S H^T, with S the
+    block-diagonal matrix of ``stacks`` (one per group of ``partition``)."""
     h = operator.matrix
-    s = block_diag(cov.partition, cov.stacks)
+    s = block_diag(partition, stacks)
     return np.asarray((h @ s).multiply(h).sum(axis=1)).ravel()

@@ -114,8 +114,10 @@ def _build_partition(width: int, height: int, patch_size: int,
     return Partition(width, height, patch_size, shift, blocks, locals_)
 
 
-def build_shifted_partitions(width: int, height: int, patch_size: int) -> list[Partition]:
-    """All ``patch_size**2`` one-pixel-shifted tilings of the grid.
+def build_shifted_partitions(width: int, height: int, patch_size: int,
+                             n: int | None = None) -> list[Partition]:
+    """The first ``n`` (default: all ``patch_size**2``) one-pixel-shifted
+    tilings of the grid, shifts ordered row by row ((0, 0), (1, 0), ...).
 
     The (0, 0) shift tiles from the top-left corner; every other shift carries
     truncated blocks along the boundary.
@@ -124,9 +126,5 @@ def build_shifted_partitions(width: int, height: int, patch_size: int) -> list[P
         raise ValueError("patch_size must be >= 2")
     if width < patch_size or height < patch_size:
         raise ValueError("image dimensions must be >= patch_size")
-    return [
-        _build_partition(width, height, patch_size, (dx, dy))
-        for dy in range(patch_size)
-        for dx in range(patch_size)
-    ]
-
+    shifts = [(dx, dy) for dy in range(patch_size) for dx in range(patch_size)]
+    return [_build_partition(width, height, patch_size, shift) for shift in shifts[:n]]

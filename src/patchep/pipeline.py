@@ -283,9 +283,7 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
     config = config or PipelineConfig()
     y = np.asarray(y, dtype=float)
     partitions = build_shifted_partitions(operator.width, operator.height,
-                                          config.patch_size)
-    if config.n_experts is not None:
-        partitions = partitions[: config.n_experts]
+                                          config.patch_size, config.n_experts)
 
     theta0 = config.theta_init or default_theta(y, operator, noise)
     experts = []

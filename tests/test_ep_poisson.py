@@ -43,6 +43,42 @@ def brute_force_tilted(y, mu1, c1, n_points=1_000_000):
     return float(np.exp(np.log(z0) + shift)), float(mean), float(var)
 
 
+def three_sum_tilted(y, mu1, c1):
+    """Slow-path reference for the positive-count quadrature: the same
+    mode-centered 513-point Simpson rule, with the nodes u materialised per
+    pixel and the three sums z0, z1, z2 of f, f d, f d^2 (d = u - mode)
+    taken separately.  Sums of f u^2 about the origin would lose up to seven
+    digits of the variance to cancellation (a mean near 1000 with variance
+    0.1), which is more than the tolerance under test; d keeps them.
+    Also returns which pixels had their lower end clipped at u = 1e-300."""
+    y = np.asarray(y, dtype=float)
+    half_b = 0.5 * (c1 - mu1)
+    mode = -half_b + np.sqrt(half_b ** 2 + y * c1)
+    for _ in range(2):
+        grad = y / mode - 1.0 - (mode - mu1) / c1
+        hess = -y / mode ** 2 - 1.0 / c1
+        mode = np.maximum(mode - grad / hess, 1e-300)
+    std_eff = 1.0 / np.sqrt(y / mode ** 2 + 1.0 / c1)
+    clipped = mode - 10.0 * std_eff < 1e-300
+    lo = np.maximum(mode - 10.0 * std_eff, 1e-300)
+    hi = mode + 10.0 * std_eff
+    u = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 513)[None, :]
+    log_g = y[:, None] * np.log(u) - u - (u - mu1[:, None]) ** 2 / (2.0 * c1)
+    g_max = y * np.log(mode) - mode - (mode - mu1) ** 2 / (2.0 * c1)
+    f = np.exp(log_g - g_max[:, None])
+    w = np.ones(513)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    h = (hi - lo) / 512
+    z0 = (f @ w) * h / 3.0
+    d = u - mode[:, None]
+    z1 = ((f * d) @ w) * h / 3.0
+    z2 = ((f * d ** 2) @ w) * h / 3.0
+    mean = mode + z1 / z0
+    var = z2 / z0 - (z1 / z0) ** 2
+    log_z = np.log(z0) + g_max - gammaln(y + 1) - 0.5 * np.log(2 * np.pi * c1)
+    return log_z, mean, var, clipped
+
+
 class TestRectifiedPoissonTilted:
     def test_deep_negative_zero_count(self):
         # all mass on u <= 0: the tilted density is the cavity itself there
@@ -93,6 +129,24 @@ class TestRectifiedPoissonTilted:
         var = (f * u ** 2) @ w * h / 3 / z0 - mean ** 2
         assert abs(mean - mu) < 1e-10
         assert abs(var - c) < 1e-10
+
+    def test_unit_basis_contraction_matches_three_sums(self, rng):
+        # 750 positive counts over y in [1, 500], cavity means in [-20, 2y],
+        # three cavity variances, clipped and unclipped lower ends
+        for c1 in (0.1, 6.0, 1e4):
+            y = np.rint(np.exp(rng.uniform(0.0, np.log(500.0), 247)))
+            y = np.concatenate([[1.0, 2.0, 500.0], y])
+            mu1 = rng.uniform(-20.0, 2.0 * y)
+            mu1[:20] = rng.uniform(-20.0, 0.0, 20)
+            ref_lz, ref_mean, ref_var, clipped = three_sum_tilted(y, mu1, c1)
+            assert 0 < np.sum(clipped) < y.size
+            for chunk in (1, 7, None, 10_000):
+                kwargs = {} if chunk is None else {"chunk": chunk}
+                log_z, mean, var, n_bad = rectified_poisson_tilted_batch(y, mu1, c1, **kwargs)
+                assert n_bad == 0
+                np.testing.assert_allclose(log_z, ref_lz, rtol=1e-12)
+                np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+                np.testing.assert_allclose(var, ref_var, rtol=1e-10)
 
     def test_positivity_invariants(self, rng):
         y = rng.integers(0, 100, size=200)

@@ -64,6 +64,20 @@ class TestBuildShiftedPartitions:
         cols_local = lead[1] % 4
         assert set(cols_local.tolist()) == {2, 3}
 
+    def test_first_n_equal_prefix_of_all(self):
+        full = build_shifted_partitions(10, 7, 4)
+        assert [p.shift for p in full] == [(dx, dy) for dy in range(4) for dx in range(4)]
+        for n in (1, 5, 16):
+            first = build_shifted_partitions(10, 7, 4, n)
+            assert len(first) == n
+            for part, ref in zip(first, full):
+                assert part.shift == ref.shift
+                assert len(part.blocks) == len(ref.blocks)
+                for b, rb, loc, rloc in zip(part.blocks, ref.blocks,
+                                            part.local_indices, ref.local_indices):
+                    np.testing.assert_array_equal(b, rb)
+                    np.testing.assert_array_equal(loc, rloc)
+
 
 class TestGroups:
     def test_groups_cover_blocks_by_local_pattern(self):
