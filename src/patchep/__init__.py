@@ -15,7 +15,6 @@ from .gmm import (
     load_gmm,
     marginalize,
     save_gmm,
-    tilted_gmm_moments,
     train_em,
 )
 from .imageio import Image, read_float_raster, read_pgm, write_float_raster, write_pgm
@@ -43,7 +42,6 @@ __all__ = [
     "read_pgm",
     "save_gmm",
     "simulate",
-    "tilted_gmm_moments",
     "train_em",
     "write_float_raster",
     "write_pgm",

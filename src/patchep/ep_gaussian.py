@@ -202,7 +202,7 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
         cav_eta = state.q1.eta[group.pixels]
         cav_means, cav_covs = _stack_moments(cav_prec, cav_eta)
         try:
-            w, _, _, t_means, t_covs = _tilted_moments_stack(
+            w, t_means, t_covs = _tilted_moments_stack(
                 _prior_for_group(adapted, group.local), cav_means, cav_covs)
         except np.linalg.LinAlgError:
             weights.append(None)
@@ -411,7 +411,6 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     def step(state, rng):
         nonlocal warm
         weights, w0 = update_q_x0(state, adapted, config)
-        state.sync()
         cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta,
                                    config, rng, warm_start=warm)
         state.sync()

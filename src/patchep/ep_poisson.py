@@ -5,12 +5,13 @@ The Poisson likelihood is extended to real rates by the rectified transform
 linear operator through the auxiliary variable u = Hx.  The augmented
 posterior is approximated with four Gaussian factors:
 
-* q_u0 (diagonal) for the count likelihood, refined from per-pixel 1D
-  tilted moments: a two-piece truncated-Gaussian closed form when the count
-  is zero, mode-centered Simpson quadrature otherwise.  The quadrature maps
-  every pixel's 513 nodes onto one fixed unit grid, so its three weighted
-  sums are a single matrix product with a fixed (513, 3) basis; pixels are
-  processed in cache-sized chunks of 256;
+* q_u0 (diagonal) for the count likelihood, refined by the diagonal KL
+  step of :mod:`patchep.kl_updates` from per-pixel 1D tilted moments: a
+  two-piece truncated-Gaussian closed form when the count is zero,
+  mode-centered Simpson quadrature otherwise.  The quadrature maps every
+  pixel's 513 nodes onto one fixed unit grid, so its three weighted sums are
+  a single matrix product with a fixed (513, 3) basis; pixels are processed
+  in cache-sized chunks of 256;
 * q_x1 / q_x0 for the x side, reusing the Gaussian-model machinery with the
   noise term replaced by the current diagonal q_u0;
 * q_u1 (isotropic) for the coupling, fitted by the Newton isotropic KL
@@ -30,15 +31,14 @@ from scipy.special import gammaln, log_ndtr, logsumexp
 
 from .ep_gaussian import EPConfig, EPResult, EPState, run_ep, update_q_x0, update_q_x1
 from .gmm import AdaptedGMM
-from .kl_updates import PRECISION_FLOOR, iso_kl_update
+from .kl_updates import diag_kl_update, iso_kl_update
 from .operators import DegradationOperator, all_row_quadratic_forms
 from .partitions import Partition
 
-__all__ = ["rectified_poisson_tilted", "run_ep_poisson"]
+__all__ = ["rectified_poisson_tilted_batch", "run_ep_poisson"]
 
 _SIMPSON_POINTS = 513
 _SPAN_STD = 10.0
-_LARGE_VARIANCE = 1e8
 # Simpson nodes on [0, 1] and the basis (w / 3 (n - 1)) * [1, t, t^2]: one
 # contraction gives the zeroth to second moments on the unit interval
 _UNIT_NODES = np.linspace(0.0, 1.0, _SIMPSON_POINTS)
@@ -146,9 +146,12 @@ def _tilted_positive_counts(y: np.ndarray, mu1: np.ndarray, c1: float):
 
 def rectified_poisson_tilted_batch(y: np.ndarray, mu1: np.ndarray, c1: float,
                                    chunk: int = _CHUNK):
-    """Per-pixel tilted moments for all counts; returns
-    (log Z, mean, variance, quadrature-failure count).  Positive counts go
-    through the quadrature ``chunk`` pixels at a time."""
+    """Normalizing constant, mean and variance of the 1D tilted densities
+    rectified-Poisson(y_n; u) * N(u; mu1_n, c1) for arrays of counts y and
+    cavity means mu1 with one cavity variance c1 > 0.
+
+    Returns (log Z, mean, variance, quadrature-failure count).  Positive
+    counts go through the quadrature ``chunk`` pixels at a time."""
     y = np.asarray(y)
     mu1 = np.asarray(mu1, dtype=float)
     log_z = np.empty(y.size)
@@ -166,18 +169,6 @@ def rectified_poisson_tilted_batch(y: np.ndarray, mu1: np.ndarray, c1: float,
         log_z[sel], mean[sel], var[sel] = lz, m, v
         n_bad += bad
     return log_z, mean, var, n_bad
-
-
-def rectified_poisson_tilted(y: int, mu1: float, c1: float):
-    """Normalizing constant, mean, and variance of the 1D tilted density
-    rectified-Poisson(y; u) * N(u; mu1, c1)."""
-    if y < 0 or int(y) != y:
-        raise ValueError("count must be a nonnegative integer")
-    if c1 <= 0:
-        raise ValueError("cavity variance must be positive")
-    log_z, mean, var, _ = rectified_poisson_tilted_batch(
-        np.array([y]), np.array([float(mu1)]), float(c1))
-    return float(np.exp(log_z[0])), float(mean[0]), float(var[0])
 
 
 @dataclass
@@ -204,14 +195,22 @@ class PoissonFactors:
 
 
 def update_q_u0(factors: PoissonFactors, y: np.ndarray, config: EPConfig):
-    """Count-likelihood update from the 1D tilted moments; nonpositive
-    precisions escape to a large variance (1e8) before the mean update."""
+    """Count-likelihood update: the diagonal KL step on the 1D tilted
+    moments, then the matching precision-mean.  Returns the number of
+    escapes: pixels whose quadrature failed or whose tilted variance exceeds
+    the cavity variance c1 beyond rounding.
+
+    The rectified-Poisson likelihood is log-concave in u, so by
+    Brascamp-Lieb the tilted variance is at most c1 in exact arithmetic, and
+    the unconstrained precision 1/t_var - 1/c1 is nonnegative.  Far above zero
+    a zero count only shifts the cavity, and t_var equals c1 up to rounding;
+    the KL step floors such pixels at PRECISION_FLOOR without counting them.
+    """
     mu1, c1 = factors.u1_moments()
     _, t_mean, t_var, n_bad = rectified_poisson_tilted_batch(y, mu1, c1)
 
-    prec_new = 1.0 / t_var - 1.0 / c1
-    escapes = int(np.sum(prec_new <= 0)) + n_bad
-    prec_new = np.where(prec_new <= 0, 1.0 / _LARGE_VARIANCE, prec_new)
+    escapes = int(np.sum(t_var > c1 * (1.0 + 1e-12))) + n_bad
+    prec_new = diag_kl_update(t_var, 1.0 / c1)
     eta_new = t_mean * (prec_new + 1.0 / c1) - factors.eta_u1
 
     eps = config.damping

@@ -11,6 +11,11 @@ and a multiplicative scale.  The adapted component k has
 
 Sub-patch priors for truncated boundary blocks are obtained by marginalising
 coordinates, which for a GMM is a plain restriction of means and covariances.
+
+EP's prior-side moment matching needs the moments of the GMM times a
+Gaussian cavity on every block of a group; ``_tilted_moments_stack`` computes
+them for a whole stack of blocks from one Cholesky factor of S + C_k per
+block and component.
 """
 
 from __future__ import annotations
@@ -26,10 +31,8 @@ __all__ = [
     "PatchGMM",
     "Adaptation",
     "AdaptedGMM",
-    "TiltedMoments",
     "adapt",
     "marginalize",
-    "tilted_gmm_moments",
     "train_em",
     "save_gmm",
     "load_gmm",
@@ -82,15 +85,6 @@ class PatchGMM:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Log mixture density of rows of x, shape (n,)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        chols = _jittered_cholesky(self.covs)
-        parts = np.empty((x.shape[0], self.n_components))
-        for k in range(self.n_components):
-            parts[:, k] = np.log(self.weights[k]) + _mvn_logpdf_chol(x, self.means[k], chols[k])
-        return logsumexp(parts, axis=1)
 
 
 def _mvn_logpdf_chol(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
@@ -173,70 +167,48 @@ def marginalize(adapted: AdaptedGMM, indices: np.ndarray) -> AdaptedGMM:
     return AdaptedGMM(base=sub_base, theta=adapted.theta)
 
 
-@dataclass
-class TiltedMoments:
-    """Moments of (GMM prior) x (Gaussian cavity) for one block."""
-
-    weights: np.ndarray     # (K,) posterior component weights, sum to 1
-    comp_means: np.ndarray  # (K, b)
-    comp_covs: np.ndarray   # (K, b, b)
-    mean: np.ndarray        # (b,)
-    cov: np.ndarray         # (b, b)
-
-
 def _tilted_moments_stack(adapted: AdaptedGMM, cavity_means: np.ndarray,
                           cavity_covs: np.ndarray):
-    """Vectorized tilted-GMM moments for a stack of blocks sharing the prior.
+    """Tilted-GMM moments for a stack of blocks sharing the prior: the
+    posterior component weights and the mean and covariance of
+    GMM(x) * N(x; m_j, S_j) for every block j.
 
-    cavity_means: (J, b); cavity_covs: (J, b, b).  Returns
-    (weights (J, K), comp_means (J, K, b), comp_covs (J, K, b, b),
-    means (J, b), covs (J, b, b)).  Weights are computed in the log domain
-    with per-block max subtraction.
+    cavity_means: (J, b); cavity_covs: (J, b, b), SPD.  Returns
+    (weights (J, K), means (J, b), covs (J, b, b)).
+
+    S + C_k is factored once, L L^T, and every output comes from L: the
+    log-determinant from diag(L), the Mahalanobis term from
+    z = L^{-1}(m - mu_k), and with V = L^{-1} C_k the component means
+    mu_k + V^T z and covariances V^T (L^{-1} S) = C_k (S + C_k)^{-1} S.  The
+    product form keeps a component covariance accurate when C_k is much
+    larger than S, where C_k - C_k (S + C_k)^{-1} C_k would cancel.  Weights
+    are normalised in the log domain with per-block max subtraction.
     """
     m = np.asarray(cavity_means, dtype=float)
     s = np.asarray(cavity_covs, dtype=float)
-    n_blocks, b = m.shape
-    k = adapted.n_components
+    b = m.shape[1]
 
-    mu = adapted.means            # (K, b)
-    cc = adapted.covs             # (K, b, b)
-    total = s[:, None, :, :] + cc[None, :, :, :]          # (J, K, b, b)
-    chol = _jittered_cholesky(total)
-    diff = m[:, None, :] - mu[None, :, :]                 # (J, K, b)
-    sol = np.linalg.solve(total, diff[..., None])[..., 0]
-    quad = np.sum(diff * sol, axis=-1)                    # (J, K)
+    mu = adapted.means                                    # (K, b)
+    cc = adapted.covs                                     # (K, b, b)
+    chol = _jittered_cholesky(s[:, None, :, :] + cc[None, :, :, :])  # (J, K, b, b)
+    chol_inv = np.linalg.inv(chol)
+    z = (chol_inv @ (m[:, None, :] - mu[None, :, :])[..., None])[..., 0]  # (J, K, b)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    log_w = np.log(adapted.weights)[None, :] - 0.5 * (b * np.log(2 * np.pi) + logdet + quad)
+    log_w = np.log(adapted.weights)[None, :] - 0.5 * (
+        b * np.log(2 * np.pi) + logdet + np.sum(z ** 2, axis=-1))
     log_w = log_w - np.max(log_w, axis=1, keepdims=True)
     weights = np.exp(log_w - logsumexp(log_w, axis=1, keepdims=True))
 
-    # gain G = C (C + S)^{-1}; posterior mean mu + G (m - mu), cov C - G C
-    gain = np.swapaxes(np.linalg.solve(total, cc[None, :, :, :]), -1, -2)
-    comp_means = mu[None, :, :] + (gain @ diff[..., None])[..., 0]
-    comp_covs = cc[None, :, :, :] - gain @ cc[None, :, :, :]
-    comp_covs = 0.5 * (comp_covs + np.swapaxes(comp_covs, -1, -2))
+    v_t = np.swapaxes(chol_inv @ cc[None, :, :, :], -1, -2)  # V^T = C_k L^{-T}
+    comp_means = mu[None, :, :] + (v_t @ z[..., None])[..., 0]
+    comp_covs = v_t @ (chol_inv @ s[:, None, :, :])
 
     means = np.sum(weights[..., None] * comp_means, axis=1)
     outer = comp_means[..., :, None] * comp_means[..., None, :]
     covs = np.sum(weights[..., None, None] * (outer + comp_covs), axis=1)
     covs = covs - means[..., :, None] * means[..., None, :]
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
-    return weights, comp_means, comp_covs, means, covs
-
-
-def tilted_gmm_moments(adapted: AdaptedGMM, cavity_mean: np.ndarray,
-                       cavity_cov: np.ndarray) -> TiltedMoments:
-    """Posterior weights and first two moments of the tilted distribution
-    (prior GMM times one Gaussian cavity block)."""
-    cavity_mean = np.asarray(cavity_mean, dtype=float)
-    cavity_cov = np.asarray(cavity_cov, dtype=float)
-    if cavity_mean.shape != (adapted.dim,):
-        raise ValueError("cavity mean dimension does not match the prior")
-    _jittered_cholesky(cavity_cov)  # raises if the cavity block is not SPD
-    w, cm, cv, mean, cov = _tilted_moments_stack(
-        adapted, cavity_mean[None, :], cavity_cov[None, :, :])
-    return TiltedMoments(weights=w[0], comp_means=cm[0], comp_covs=cv[0],
-                         mean=mean[0], cov=cov[0])
+    return weights, means, covs
 
 
 def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,

@@ -158,6 +158,15 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-5, log_scale: bool = Fa
     return float(np.exp(best)) if log_scale else float(best)
 
 
+def _rel_change(new: Adaptation, old: Adaptation) -> float:
+    """Largest relative change of the three adaptation parameters."""
+    return max(
+        abs(new.offset - old.offset) / max(abs(old.offset), 1e-8),
+        abs(new.mean_var - old.mean_var) / max(old.mean_var, 1e-8),
+        abs(new.scale - old.scale) / max(old.scale, 1e-8),
+    )
+
+
 def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
                 theta_prev: Adaptation, estimate_scale: bool = True,
                 max_rounds: int = 20, tol: float = 1e-4,
@@ -185,12 +194,7 @@ def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
             scale = _golden_min(lambda a: -cost_with(scale=a),
                                 scale_bounds[0], scale_bounds[1])
             theta = replace(theta, scale=scale)
-        rel = max(
-            abs(theta.offset - prev.offset) / max(abs(prev.offset), 1e-8),
-            abs(theta.mean_var - prev.mean_var) / max(prev.mean_var, 1e-8),
-            abs(theta.scale - prev.scale) / max(prev.scale, 1e-8),
-        )
-        if rel < tol:
+        if _rel_change(theta, prev) < tol:
             break
     return theta
 
@@ -253,11 +257,7 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
             break
         new_theta = epem_m_step(result.weights, result.mean, result.cov, base,
                                 partition, theta, estimate_scale=config.estimate_scale)
-        rel = max(
-            abs(new_theta.offset - theta.offset) / max(abs(theta.offset), 1e-8),
-            abs(new_theta.mean_var - theta.mean_var) / max(theta.mean_var, 1e-8),
-            abs(new_theta.scale - theta.scale) / max(theta.scale, 1e-8),
-        )
+        rel = _rel_change(new_theta, theta)
         theta = new_theta
         if rel < config.theta_tol:
             break

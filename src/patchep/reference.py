@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln, logsumexp
 
 from .gmm import AdaptedGMM
@@ -279,23 +278,18 @@ def mcmc_poisson_reference(y: np.ndarray, operator: DegradationOperator,
         logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
         idx = group.pixels
         stacks.append({
-            "ids": group.ids, "prior": prior, "chols": chols,
-            "logdets": logdets, "idx": idx,
+            "ids": group.ids, "means": prior.means, "chol_invs": np.linalg.inv(chols),
+            "log_norms": np.log(prior.weights) - 0.5 * (prior.dim * np.log(2 * np.pi) + logdets),
+            "idx": idx,
             "x": np.maximum(y[idx] / np.maximum(diag_h[idx], 1e-12), 1.0),
             "scale": 0.5 * np.ones(len(group.ids)),
         })
 
     def prior_logpdf(stack, x):
-        prior = stack["prior"]
-        b = x.shape[1]
-        parts = np.empty((x.shape[0], prior.n_components))
-        for comp in range(prior.n_components):
-            diff = x - prior.means[comp]
-            z = solve_triangular(stack["chols"][comp], diff.T, lower=True)
-            quad = np.sum(z ** 2, axis=0)
-            parts[:, comp] = (np.log(prior.weights[comp])
-                              - 0.5 * (b * np.log(2 * np.pi) + stack["logdets"][comp] + quad))
-        return logsumexp(parts, axis=1)
+        z = np.einsum("kab,jkb->jka", stack["chol_invs"], x[:, None, :] - stack["means"])
+        parts = stack["log_norms"] - 0.5 * np.sum(z ** 2, axis=-1)       # (J, K)
+        top = np.max(parts, axis=1)
+        return top + np.log(np.sum(np.exp(parts - top[:, None]), axis=1))
 
     def lik_logpdf(stack, x):
         u = diag_h[stack["idx"]] * x

@@ -5,7 +5,6 @@ from scipy.special import gammaln
 from patchep.ep_gaussian import EPConfig, EPState, GaussianFactor, update_q_x1
 from patchep.ep_poisson import (
     PoissonFactors,
-    rectified_poisson_tilted,
     rectified_poisson_tilted_batch,
     run_ep_poisson,
     update_q_u0,
@@ -79,39 +78,45 @@ def three_sum_tilted(y, mu1, c1):
     return log_z, mean, var, clipped
 
 
+def tilted_moments(y, mu1, c1):
+    """Z, mean and variance arrays from the batched kernel."""
+    log_z, mean, var, _ = rectified_poisson_tilted_batch(y, mu1, c1)
+    return np.exp(log_z), mean, var
+
+
 class TestRectifiedPoissonTilted:
     def test_deep_negative_zero_count(self):
         # all mass on u <= 0: the tilted density is the cavity itself there
-        _, mean, var = rectified_poisson_tilted(0, -20.0, 1.0)
-        assert abs(mean + 20.0) < 1e-6
-        assert abs(var - 1.0) < 1e-5
+        _, mean, var = tilted_moments(np.array([0]), [-20.0], 1.0)
+        assert abs(mean[0] + 20.0) < 1e-6
+        assert abs(var[0] - 1.0) < 1e-5
 
     def test_flat_cavity_gives_gamma_moments(self):
         # c1 -> inf: tilted ~ u^5 e^{-u} = Gamma(6, 1), mean 6, var 6
-        _, mean, var = rectified_poisson_tilted(5, 5.0, 1e12)
-        assert abs(mean - 6.0) / 6.0 < 1e-2
-        assert abs(var - 6.0) / 6.0 < 1e-2
+        _, mean, var = tilted_moments(np.array([5]), [5.0], 1e12)
+        assert abs(mean[0] - 6.0) / 6.0 < 1e-2
+        assert abs(var[0] - 6.0) / 6.0 < 1e-2
 
     @pytest.mark.parametrize("y", [1, 5, 50, 500])
     def test_against_brute_force_integral(self, y, rng):
         for _ in range(3):
             mu1 = float(rng.uniform(-2.0, 2.0) * np.sqrt(y) + y)
             c1 = float(rng.uniform(0.5, 3.0) * max(y, 1))
-            z, mean, var = rectified_poisson_tilted(y, mu1, c1)
+            z, mean, var = tilted_moments(np.array([y]), [mu1], c1)
             z_ref, mean_ref, var_ref = brute_force_tilted(y, mu1, c1)
-            assert abs(mean - mean_ref) / abs(mean_ref) < 1e-8
-            assert abs(var - var_ref) / var_ref < 1e-7
-            assert abs(z - z_ref) / z_ref < 1e-6
+            assert abs(mean[0] - mean_ref) / abs(mean_ref) < 1e-8
+            assert abs(var[0] - var_ref) / var_ref < 1e-7
+            assert abs(z[0] - z_ref) / z_ref < 1e-6
 
     def test_zero_count_closed_form_cross_validates_quadrature(self, rng):
         # the y=0 closed form against brute-force integration of the same
         # two-piece density
         for mu1, c1 in [(0.5, 1.0), (-1.0, 2.0), (3.0, 0.5), (0.0, 4.0)]:
-            z, mean, var = rectified_poisson_tilted(0, mu1, c1)
+            z, mean, var = tilted_moments(np.array([0]), [mu1], c1)
             z_ref, mean_ref, var_ref = brute_force_tilted(0, mu1, c1)
-            assert abs(z - z_ref) / z_ref < 1e-8
-            assert abs(mean - mean_ref) / max(abs(mean_ref), 1e-3) < 1e-8
-            assert abs(var - var_ref) / var_ref < 1e-8
+            assert abs(z[0] - z_ref) / z_ref < 1e-8
+            assert abs(mean[0] - mean_ref) / max(abs(mean_ref), 1e-3) < 1e-8
+            assert abs(var[0] - var_ref) / var_ref < 1e-8
 
     def test_mode_centered_simpson_recovers_pure_gaussian(self):
         # quadrature-scheme invariant: same node layout (513 points, +-10
@@ -156,12 +161,6 @@ class TestRectifiedPoissonTilted:
         assert np.all(np.isfinite(log_z))
         assert np.all(var >= 0)
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            rectified_poisson_tilted(-1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            rectified_poisson_tilted(2, 0.0, -1.0)
-
 
 class TestUpdateQu0:
     def _factors(self, n, c1=2.0, mu1=None):
@@ -185,7 +184,7 @@ class TestUpdateQu0:
         np.testing.assert_allclose(1.0 / factors.prec_u0, np.full(4, c1), rtol=1e-12)
 
     def test_large_variance_escape(self, monkeypatch):
-        # tilted variance >= c1 makes the precision nonpositive: escape to 1e8
+        # tilted variance above c1 makes the precision nonpositive: escape to 1e8
         factors = self._factors(3, c1=2.0)
 
         def fake_tilted(y, mu1, c1_arg, chunk=4096):
@@ -196,6 +195,15 @@ class TestUpdateQu0:
         escapes = update_q_u0(factors, np.zeros(3), EPConfig(damping=1.0))
         assert escapes == 3
         np.testing.assert_allclose(1.0 / factors.prec_u0, np.full(3, 1e8))
+
+    def test_zero_counts_far_above_zero_do_not_escape(self):
+        # the tilted variance is at most c1 (log-concave likelihood); far
+        # above zero a zero count only shifts the cavity, so t_var equals c1
+        # up to rounding and is no escape
+        mu1 = np.linspace(30.0, 200.0, 2000)
+        for c1 in (2.0, 10.0, 50.0):
+            factors = self._factors(mu1.size, c1=c1, mu1=mu1)
+            assert update_q_u0(factors, np.zeros(mu1.size), EPConfig(damping=1.0)) == 0
 
     def test_symmetric_inputs_fix_the_mean(self, monkeypatch):
         # E = mu1 with Var = c1/2 leaves the factor mean at mu1

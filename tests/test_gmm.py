@@ -11,9 +11,10 @@ from patchep.gmm import (
     load_gmm,
     marginalize,
     save_gmm,
-    tilted_gmm_moments,
     train_em,
 )
+from patchep.gmm import _tilted_moments_stack
+from patchep.reference import _tilted_gmm_block
 
 from conftest import random_spd, small_gmm
 
@@ -104,6 +105,12 @@ def gaussian_product_moments(mu0, c0, m, s):
     return mean, cov
 
 
+def tilted_block(adapted, cavity_mean, cavity_cov):
+    """The batched kernel on a one-block stack: (weights, mean, cov)."""
+    w, mean, cov = _tilted_moments_stack(adapted, cavity_mean[None], cavity_cov[None])
+    return w[0], mean[0], cov[0]
+
+
 class TestTiltedMoments:
     def test_single_component_matches_product_formula(self, rng):
         base = PatchGMM(np.array([1.0]), rng.standard_normal((1, 3)),
@@ -111,24 +118,22 @@ class TestTiltedMoments:
         adapted = adapt(base, Adaptation())
         cavity_mean = rng.standard_normal(3)
         cavity_cov = random_spd(rng, 3)
-        tm = tilted_gmm_moments(adapted, cavity_mean, cavity_cov)
-        assert tm.weights[0] == pytest.approx(1.0)
+        w, t_mean, t_cov = tilted_block(adapted, cavity_mean, cavity_cov)
+        assert w[0] == pytest.approx(1.0)
         mean, cov = gaussian_product_moments(base.means[0], base.covs[0],
                                              cavity_mean, cavity_cov)
-        np.testing.assert_allclose(tm.mean, mean, atol=1e-10)
-        np.testing.assert_allclose(tm.cov, cov, atol=1e-10)
-        # for K=1 the mixture covariance is exactly the component covariance
-        np.testing.assert_array_equal(tm.cov, tm.comp_covs[0])
+        np.testing.assert_allclose(t_mean, mean, atol=1e-10)
+        np.testing.assert_allclose(t_cov, cov, atol=1e-10)
 
     def test_uninformative_cavity_returns_prior_moments(self, adapted_2d):
-        tm = tilted_gmm_moments(adapted_2d, np.zeros(2), 1e12 * np.eye(2))
+        _, t_mean, t_cov = tilted_block(adapted_2d, np.zeros(2), 1e12 * np.eye(2))
         w = adapted_2d.weights
         prior_mean = w @ adapted_2d.means
         prior_cov = sum(
             w[k] * (adapted_2d.covs[k] + np.outer(adapted_2d.means[k], adapted_2d.means[k]))
             for k in range(adapted_2d.n_components)) - np.outer(prior_mean, prior_mean)
-        np.testing.assert_allclose(tm.mean, prior_mean, atol=1e-6)
-        np.testing.assert_allclose(tm.cov, prior_cov, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(t_mean, prior_mean, atol=1e-6)
+        np.testing.assert_allclose(t_cov, prior_cov, rtol=1e-6, atol=1e-6)
 
     def test_1d_two_component_against_quadrature(self):
         # oracle: fine-grid integration of the tilted density in 1D
@@ -141,9 +146,9 @@ class TestTiltedMoments:
         z = np.trapezoid(dens, grid)
         mean = np.trapezoid(grid * dens, grid) / z
         var = np.trapezoid(grid ** 2 * dens, grid) / z - mean ** 2
-        tm = tilted_gmm_moments(adapted, np.array([m]), np.array([[c]]))
-        assert abs(tm.mean[0] - mean) < 1e-8
-        assert abs(tm.cov[0, 0] - var) < 1e-8
+        _, t_mean, t_cov = tilted_block(adapted, np.array([m]), np.array([[c]]))
+        assert abs(t_mean[0] - mean) < 1e-8
+        assert abs(t_cov[0, 0] - var) < 1e-8
 
     def test_2d_mixture_against_grid_quadrature(self, rng):
         # oracle: 2D brute-force grid integration of prior x cavity
@@ -165,23 +170,35 @@ class TestTiltedMoments:
         exx = np.trapezoid(np.trapezoid(dens * xx * xx, g, axis=1), g) / z - ex ** 2
         eyy = np.trapezoid(np.trapezoid(dens * yy * yy, g, axis=1), g) / z - ey ** 2
         exy = np.trapezoid(np.trapezoid(dens * xx * yy, g, axis=1), g) / z - ex * ey
-        tm = tilted_gmm_moments(adapted, cavity_mean, cavity_cov)
-        np.testing.assert_allclose(tm.mean, [ex, ey], rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(tm.cov, [[exx, exy], [exy, eyy]], rtol=1e-6, atol=1e-8)
+        _, t_mean, t_cov = tilted_block(adapted, cavity_mean, cavity_cov)
+        np.testing.assert_allclose(t_mean, [ex, ey], rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(t_cov, [[exx, exy], [exy, eyy]], rtol=1e-6, atol=1e-8)
 
     def test_weight_normalization_random_inputs(self, rng):
         for _ in range(20):
             gmm = small_gmm(rng, 4, 3)
             adapted = adapt(gmm, Adaptation(offset=rng.normal(), mean_var=abs(rng.normal()) * 0.1))
-            tm = tilted_gmm_moments(adapted, rng.standard_normal(3), random_spd(rng, 3))
-            assert abs(tm.weights.sum() - 1.0) < 1e-12
+            w, _, t_cov = tilted_block(adapted, rng.standard_normal(3), random_spd(rng, 3))
+            assert abs(w.sum() - 1.0) < 1e-12
             # mixture covariance symmetric PSD
-            np.testing.assert_allclose(tm.cov, tm.cov.T)
-            assert np.all(np.linalg.eigvalsh(tm.cov) > -1e-12)
+            np.testing.assert_allclose(t_cov, t_cov.T)
+            assert np.all(np.linalg.eigvalsh(t_cov) > -1e-12)
 
-    def test_non_spd_cavity_rejected(self, adapted_2d):
-        with pytest.raises(np.linalg.LinAlgError):
-            tilted_gmm_moments(adapted_2d, np.zeros(2), -np.eye(2))
+    def test_block_stack_against_inline_oracle(self, rng):
+        # six blocks truncated to the two left columns of a 3x3 patch share
+        # one marginalised K=3 prior; each block has its own cavity
+        gmm = small_gmm(rng, 3, 9, mean_scale=0.8, cov_scale=0.6)
+        local = np.array([0, 1, 3, 4, 6, 7])
+        prior = adapt(gmm, Adaptation(offset=0.3, mean_var=0.05, scale=0.8)).marginal(local)
+        cav_means = rng.standard_normal((6, 6))
+        cav_covs = np.stack([random_spd(rng, 6, 0.1) for _ in range(6)])
+        weights, means, covs = _tilted_moments_stack(prior, cav_means, cav_covs)
+        assert weights.shape == (6, 3) and means.shape == (6, 6) and covs.shape == (6, 6, 6)
+        for j in range(6):
+            w_ref, mean_ref, cov_ref = _tilted_gmm_block(prior, cav_means[j], cav_covs[j])
+            np.testing.assert_allclose(weights[j], w_ref, rtol=1e-9)
+            np.testing.assert_allclose(means[j], mean_ref, rtol=1e-9)
+            np.testing.assert_allclose(covs[j], cov_ref, rtol=1e-9)
 
 
 class TestTrainEm:
