@@ -8,9 +8,12 @@ its precision as one ``(J_g, b, b)`` stack per group of
 ``partition.groups`` and its precision-mean as one N-vector; every block
 operation is batched over a group's stack.  The structure is diagonal (zero
 off-diagonal entries) for diagonal H and a full block otherwise; it matters
-only in the KL step, which is closed-form per pixel for the diagonal
-structure and one precision solve per block for full blocks.  Each
-iteration alternates
+only in the KL step (see :mod:`patchep.kl_updates`).  That step is
+closed-form per pixel for the diagonal structure.  For full blocks it is
+closed-form for a group's whole stack at once, and the iterative precision
+solver runs only on the boundary blocks whose unconstrained optimum falls
+below the precision floor; solver runs that stop at kl_max_iters are counted
+as warnings.  Each iteration alternates
 
 * prior-side update: tilted GMM moments of each group against the
   likelihood factor as cavity, then the KL precision update and the
@@ -20,9 +23,12 @@ iteration alternates
   perturbation samples of Rao-Blackwellized Monte Carlo (RBMC) are solved by
   conjugate gradients preconditioned with the inverses of the diagonal blocks
   Q_jj (block Jacobi), which the RBMC estimate of the covariance blocks
-  needs anyway; then the same KL step runs with roles swapped.  When H^T H
-  is diagonal the likelihood factor is set directly.  CG solves that stop
-  at the iteration cap are counted as warnings.
+  needs anyway; then the same KL step runs with roles swapped.  The RBMC
+  probes are drawn afresh from EPConfig.seed on every update, so each
+  iteration sees the same probes (common random numbers) and the update is a
+  deterministic map that can reach a fixed point.  When H^T H is diagonal
+  the likelihood factor is set directly.  CG solves that stop at the
+  iteration cap are counted as warnings.
 
 Factor updates are damped in natural parameters (precision and
 precision-mean).  The loop stops when the squared change of the joint mean
@@ -41,7 +47,7 @@ from scipy.sparse.linalg import cg
 
 from .gaussians import BlockDiagonalCov, block_diag, diag_stack, diag_stacks, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
-from .kl_updates import PRECISION_FLOOR, diag_kl_update, update_block_precision
+from .kl_updates import PRECISION_FLOOR, block_kl_update, diag_kl_update, update_block_precision
 from .operators import DegradationOperator
 from .partitions import Partition
 
@@ -59,7 +65,7 @@ class EPConfig:
     structure: str = "auto"         # "auto" | "diagonal" | "block"
     kl_max_iters: int = 200
     kl_tol: float = 1e-8
-    seed: int = 0                   # RBMC sampling stream
+    seed: int = 0                   # RBMC probes, the same on every update
 
     def __post_init__(self):
         if not 0 < self.damping <= 1:
@@ -165,8 +171,9 @@ def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
              cav_prec: np.ndarray, cav_eta: np.ndarray, config: EPConfig) -> int:
     """Set group g of ``target`` so that its product with the cavity
     (precisions cav_prec, precision-means cav_eta) matches the tilted
-    moments.  Returns the number of blocks whose update failed; those keep
-    their old parameters."""
+    moments.  Returns the warning count: blocks whose update failed (they
+    keep their old parameters) plus blocks whose solver stopped at
+    kl_max_iters."""
     pixels = target.partition.groups[g].pixels
     stack = target.prec[g]
     if target.structure == "diagonal":
@@ -177,17 +184,26 @@ def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
         stack[ok] = diag_stack(p_new)
         target.eta[pixels[ok]] = (p_new + p_cav[ok]) * t_means[ok] - cav_eta[ok]
         return int(np.sum(~ok))
-    failed = 0
-    for i in range(len(stack)):
+    try:
+        p_star, cov_inv, interior = block_kl_update(t_covs, cav_prec)
+    except np.linalg.LinAlgError:
+        interior = np.zeros(len(stack), dtype=bool)
+    else:
+        stack[interior] = p_star[interior]
+        target.eta[pixels[interior]] = ((cov_inv[interior] @ t_means[interior, :, None])[..., 0]
+                                        - cav_eta[interior])
+    warnings = 0
+    for i in np.flatnonzero(~interior):
         try:
-            p_new = update_block_precision(t_covs[i], cav_prec[i], stack[i],
-                                           config.kl_max_iters, config.kl_tol)
+            p_new, hit_cap = update_block_precision(t_covs[i], cav_prec[i], stack[i],
+                                                    config.kl_max_iters, config.kl_tol)
         except np.linalg.LinAlgError:
-            failed += 1
+            warnings += 1
             continue
+        warnings += hit_cap
         stack[i] = p_new
         target.eta[pixels[i]] = (p_new + cav_prec[i]) @ t_means[i] - cav_eta[i]
-    return failed
+    return warnings
 
 
 def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
@@ -236,8 +252,7 @@ def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig,
 
 def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
                       obs_weights: np.ndarray, obs_eta: np.ndarray,
-                      config: EPConfig, rng: np.random.Generator,
-                      warm_start: np.ndarray | None = None):
+                      config: EPConfig, warm_start: np.ndarray | None = None):
     """Moments of the likelihood-side tilted distribution.
 
     The tilted precision is Q = P0 + H^T W H with W = diag(obs_weights) and
@@ -245,8 +260,10 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     The marginal covariance blocks are RBMC estimates
     Q_jj^{-1} + Q_jj^{-1} SampleCov((Q x)_j - Q_jj x_j) Q_jj^{-1}
     from exact samples x ~ N(0, Q^{-1}); they are exact when Q is
-    block-diagonal.  Q is assembled as one sparse matrix and every solve is
-    preconditioned by blockdiag(Q_jj^{-1}).
+    block-diagonal.  The probes come from a new Philox(config.seed) stream
+    on every call, so repeated calls use the same probes.  Q is assembled
+    as one sparse matrix and every solve is preconditioned by
+    blockdiag(Q_jj^{-1}).
 
     Returns (mean, covariance stacks aligned with partition.groups, CG
     iterations, number of CG solves that did not converge).
@@ -270,6 +287,7 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     s = config.rbmc_samples
     chol0 = block_diag(part, [np.linalg.cholesky(p) for p in q0.prec])
     sqrt_w = np.sqrt(obs_weights)
+    rng = np.random.Generator(np.random.Philox(config.seed))
     x_samples = np.empty((n, s))
     for t in range(s):
         eps1 = rng.standard_normal(n)
@@ -295,12 +313,11 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
 
 def update_q_x1(state: EPState, operator: DegradationOperator,
                 obs_weights: np.ndarray, obs_eta: np.ndarray,
-                config: EPConfig, rng: np.random.Generator,
-                warm_start: np.ndarray | None = None):
+                config: EPConfig, warm_start: np.ndarray | None = None):
     """Likelihood-side EP update; returns (cg iterations, warning count).
 
-    The warning count adds the CG solves that hit cg_max_iters and the
-    blocks whose KL update failed (those keep their old precision).
+    The warning count adds the CG solves that hit cg_max_iters and the KL
+    step's warnings (see :func:`_kl_step`).
     For diagonal H^T H the factor is set directly to the exact Gaussian
     likelihood term (precision W * diag(H^T H), floored where a pixel is
     unobserved); no damping is applied to that exact assignment.
@@ -313,7 +330,7 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
         return 0, 0
 
     t_mean, t_covs, cg_iters, warnings = tilted_p1_moments(
-        state.q0, operator, obs_weights, obs_eta, config, rng, warm_start)
+        state.q0, operator, obs_weights, obs_eta, config, warm_start)
     target = state.q1.copy()
     for g, group in enumerate(part.groups):
         warnings += _kl_step(target, g, t_mean[group.pixels], t_covs[g],
@@ -337,7 +354,7 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     """The EP outer loop shared by the Gaussian and the Poisson model.
 
     Both x-side factors start at (init_mean, init_var).  Each iteration calls
-    ``step(state, rng)``, which updates the factors, leaves the state synced
+    ``step(state)``, which updates the factors, leaves the state synced
     and returns (per-group tilted weights, warning count, trace fields).
     Iterations stop when the squared changes of the joint mean and joint
     marginal variances both drop below stop_tol * N, or at max_iterations.
@@ -346,7 +363,6 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     """
     n = partition.n_pixels
     structure = config.resolve_structure(operator)
-    rng = np.random.Generator(np.random.Philox(config.seed))
     state = EPState(
         q0=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
         q1=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
@@ -361,7 +377,7 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     prev_var = state.marginal_var.copy()
     for iteration in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
-        weights, step_warnings, fields = step(state, rng)
+        weights, step_warnings, fields = step(state)
         warnings += step_warnings
         state.iteration = iteration
 
@@ -408,11 +424,11 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     obs_eta = operator.apply_adjoint(y) / sigma2
     warm = None
 
-    def step(state, rng):
+    def step(state):
         nonlocal warm
         weights, w0 = update_q_x0(state, adapted, config)
         cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta,
-                                   config, rng, warm_start=warm)
+                                   config, warm_start=warm)
         state.sync()
         warm = state.mean.copy()
         return weights, w0 + w1, {"cg_iterations": cg_iters}

@@ -287,7 +287,7 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     )
     warm = None
 
-    def step(state, rng):
+    def step(state):
         nonlocal warm
         escapes = update_q_u0(factors, y, config)
 
@@ -295,7 +295,7 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
         obs_weights = factors.prec_u0
         obs_eta = operator.apply_adjoint(obs_weights * mu0)
         cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta,
-                                   config, rng, warm_start=warm)
+                                   config, warm_start=warm)
         state.sync()
         warm = state.mean.copy()
 

@@ -220,7 +220,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
                                          + gain @ t_cov_j @ gain.T)
             t_cov = 0.5 * (t_cov + t_cov.T)
 
-            new_prec = update_block_precision(t_cov, cav_prec, prec[j], max_iters=100, tol=1e-10)
+            new_prec, _ = update_block_precision(t_cov, cav_prec, prec[j], max_iters=100, tol=1e-10)
             new_eta = (new_prec + cav_prec) @ t_mean - cav_eta
             prec[j] = damping * new_prec + (1 - damping) * prec[j]
             eta[j] = damping * new_eta + (1 - damping) * eta[j]

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
+from patchep import ep_gaussian
 from patchep.ep_gaussian import (
     EPConfig,
     EPState,
     GaussianFactor,
+    _kl_step,
     run_ep_gaussian,
     solve_cg,
     tilted_p1_moments,
@@ -13,6 +18,7 @@ from patchep.ep_gaussian import (
     update_q_x1,
 )
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
+from patchep.kl_updates import PRECISION_FLOOR
 from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, simulate
 from patchep.partitions import Partition, build_shifted_partitions
 from patchep.reference import (
@@ -122,6 +128,88 @@ class TestUpdateQx0:
         np.testing.assert_allclose(half.eta, 0.5 * full.eta + 0.5 * old.eta, rtol=1e-10)
 
 
+def kl_target(stack):
+    """Block factor holding one (J, 4, 4) stack: J 2x2 patches side by side,
+    precision-mean 0."""
+    n_blocks = len(stack)
+    part = build_shifted_partitions(2 * n_blocks, 2, 2)[0]
+    return GaussianFactor("block", part, [stack.copy()], np.zeros(4 * n_blocks))
+
+
+def counting_solver(monkeypatch):
+    """Route ep_gaussian.update_block_precision through a call counter."""
+    calls = []
+    solver = ep_gaussian.update_block_precision
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(ep_gaussian, "update_block_precision", counted)
+    return calls
+
+
+class TestKlStep:
+    def mixed_problem(self, rng):
+        # four 4x4 blocks with SPD optima p_opt; blocks 1 and 3 then get a
+        # cavity more precise than the tilted covariance, so their optimum
+        # P* = C^{-1} - P_cav = -2 p_opt is not SPD
+        p_opt = np.stack([random_spd(rng, 4) for _ in range(4)])
+        cav = np.stack([random_spd(rng, 4, 0.1) for _ in range(4)])
+        covs = np.linalg.inv(p_opt + cav)
+        cav[[1, 3]] += 3 * p_opt[[1, 3]]
+        means = rng.standard_normal((4, 4))
+        cav_eta = rng.standard_normal((4, 4))
+        return means, covs, cav, cav_eta
+
+    def test_only_boundary_blocks_reach_the_solver(self, rng, monkeypatch):
+        means, covs, cav, cav_eta = self.mixed_problem(rng)
+        calls = counting_solver(monkeypatch)
+        target = kl_target(np.stack([np.eye(4)] * 4))
+        assert _kl_step(target, 0, means, covs, cav, cav_eta, EPConfig()) == 0
+        assert len(calls) == 2
+        pixels = target.partition.groups[0].pixels
+        for i in (0, 2):
+            cov_inv = np.linalg.inv(covs[i])
+            np.testing.assert_allclose(target.prec[0][i], cov_inv - cav[i], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(target.eta[pixels[i]], cov_inv @ means[i] - cav_eta[i],
+                                       rtol=1e-10, atol=1e-12)
+        for i in (1, 3):
+            assert np.linalg.eigvalsh(target.prec[0][i])[0] >= PRECISION_FLOOR
+
+    def test_solver_cap_is_a_warning(self, rng):
+        means, covs, cav, cav_eta = self.mixed_problem(rng)
+        target = kl_target(np.stack([np.eye(4)] * 4))
+        assert _kl_step(target, 0, means, covs, cav, cav_eta, EPConfig(kl_max_iters=1)) == 2
+
+    def test_singular_tilted_covariance_falls_back_per_block(self, rng, monkeypatch):
+        means, covs, cav, cav_eta = self.mixed_problem(rng)
+        covs[2] = 0.0
+        calls = counting_solver(monkeypatch)
+        target = kl_target(np.stack([np.eye(4)] * 4))
+        warnings = _kl_step(target, 0, means, covs, cav, cav_eta, EPConfig(kl_max_iters=20))
+        assert len(calls) == 4
+        assert warnings >= 1         # block 2 cannot converge: its loss is unbounded below
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),
+           c=hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),
+           shift=st.floats(0.05, 1.0), cav_scale=st.floats(1e-3, 10.0))
+    def test_floor_and_exact_match_property(self, a, c, shift, cav_scale):
+        # random SPD tilted covariances and cavity precisions; the cavity
+        # scale makes the stack interior, boundary or mixed
+        covs = a @ np.swapaxes(a, 1, 2) + shift * np.eye(4)
+        cav = cav_scale * (c @ np.swapaxes(c, 1, 2) + 0.1 * np.eye(4))
+        target = kl_target(np.stack([np.eye(4)] * 3))
+        _kl_step(target, 0, np.zeros((3, 4)), covs, cav, np.zeros((3, 4)), EPConfig())
+        for prec, cov, p_cav in zip(target.prec[0], covs, cav):
+            # the floor holds up to the rounding of the eigenvalue computation
+            assert np.linalg.eigvalsh(prec)[0] >= PRECISION_FLOOR * (1 - 1e-6)
+            if np.linalg.eigvalsh(np.linalg.inv(cov) - p_cav)[0] > 1e-6:   # interior
+                matched = np.linalg.inv(prec + p_cav)
+                assert np.linalg.norm(matched - cov) <= 1e-10 * np.linalg.norm(cov)
+
+
 class TestTiltedP1:
     def test_identity_exact_diagonal_blocks(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]
@@ -132,7 +220,7 @@ class TestTiltedP1:
                                          rng.uniform(0.2, 2.0, 16))
         w = np.full(16, 1.0 / sigma2)
         mean, stacks, _, _ = tilted_p1_moments(q0, op, w, op.apply_adjoint(y) / sigma2,
-                                               EPConfig(), np.random.default_rng(0))
+                                               EPConfig())
         blocks = per_block(part, stacks)
         p0 = pixel_diagonal(part, q0.prec)
         for j, idx in enumerate(part.blocks):
@@ -148,7 +236,7 @@ class TestTiltedP1:
         q0 = GaussianFactor.from_moments("diagonal", part, np.zeros(16), np.full(16, 1e12))
         mean, _, _, _ = tilted_p1_moments(q0, op, np.full(16, 10.0),
                                           op.apply_adjoint(y) * 10.0,
-                                          EPConfig(), np.random.default_rng(0))
+                                          EPConfig())
         np.testing.assert_allclose(mean, y, atol=1e-6)
 
     def test_cg_mean_matches_dense_solve(self, rng):
@@ -161,8 +249,7 @@ class TestTiltedP1:
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), eta)
         w = np.full(36, 1.0 / sigma2)
         obs_eta = op.apply_adjoint(y) / sigma2
-        mean, _, _, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig(),
-                                          np.random.default_rng(1))
+        mean, _, _, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig())
         omega0 = np.zeros((36, 36))
         for j, idx in enumerate(part.blocks):
             omega0[np.ix_(idx, idx)] = blocks[j]
@@ -185,9 +272,8 @@ class TestTiltedP1:
         _, dense_cov = dense_reference_moments(op, w, omega0, np.zeros(256))
 
         def mean_rel_error(samples, seed):
-            cfg = EPConfig(rbmc_samples=samples)
-            _, est, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg,
-                                             np.random.Generator(np.random.Philox(seed)))
+            cfg = EPConfig(rbmc_samples=samples, seed=seed)
+            _, est, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg)
             est = per_block(part, est)
             errs = []
             for j, idx in enumerate(part.blocks):
@@ -203,6 +289,22 @@ class TestTiltedP1:
         assert err20 <= 0.12
         assert err200 <= 0.04
         assert err200 < err20
+
+    def test_probes_repeat_on_every_call(self, rng):
+        # common random numbers: the RBMC probes depend on config.seed only
+        part = build_shifted_partitions(6, 6, 3)[0]
+        op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
+        blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
+        q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
+        w = np.full(36, 4.0)
+
+        def covs(seed):
+            return tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig(seed=seed))[1]
+
+        first, again, other = covs(3), covs(3), covs(4)
+        for a, b, c in zip(first, again, other):
+            np.testing.assert_array_equal(a, b)
+            assert not np.allclose(a, c)
 
     def test_block_jacobi_cg_matches_plain_cg(self, rng):
         # the 16x16 RBMC system: preconditioning by blockdiag(Q_jj^{-1})
@@ -245,8 +347,7 @@ class TestUpdateQx1:
                 partition=part,
             )
             state.sync()
-            _, warnings = update_q_x1(state, op, w, op.apply_adjoint(y) / sigma2, cfg,
-                                      np.random.default_rng(1))
+            _, warnings = update_q_x1(state, op, w, op.apply_adjoint(y) / sigma2, cfg)
             return warnings
 
         assert warnings_with(EPConfig()) == 0
@@ -268,8 +369,7 @@ class TestUpdateQx1:
         )
         state.sync()
         w = np.full(16, 1.0 / sigma2)
-        update_q_x1(state, op, w, op.apply_adjoint(y) / sigma2, EPConfig(),
-                    np.random.default_rng(0))
+        update_q_x1(state, op, w, op.apply_adjoint(y) / sigma2, EPConfig())
         p1 = pixel_diagonal(part, state.q1.prec)
         np.testing.assert_allclose(1.0 / p1, np.full(16, sigma2), rtol=1e-12)
         np.testing.assert_allclose(state.q1.eta / p1, y, rtol=1e-10)
@@ -288,7 +388,7 @@ class TestUpdateQx1:
         )
         state.sync()
         update_q_x1(state, op, np.full(16, 1.0 / sigma2),
-                    op.apply_adjoint(y) / sigma2, EPConfig(), np.random.default_rng(0))
+                    op.apply_adjoint(y) / sigma2, EPConfig())
         p1 = pixel_diagonal(part, state.q1.prec)
         assert np.all(p1[~kept] == 1e-8)
         np.testing.assert_allclose(p1[kept], 1.0 / sigma2, rtol=1e-12)
@@ -413,6 +513,23 @@ class TestRunEpGaussian:
             exact_mean, _ = dense_reference_moments(op, w, omega0,
                                                     eta0 + op.apply_adjoint(y) / sigma2)
             np.testing.assert_allclose(res.mean, exact_mean, atol=5e-5)
+
+    def test_deblur_converges_with_common_random_numbers(self):
+        # 12x12 3x3-box deblur: with the same RBMC probes on every update EP
+        # reaches its fixed point; with fresh probes per iteration the RBMC
+        # noise kept it from converging within 40 iterations
+        from patchep.phantoms import extract_patches, make_phantom
+
+        base = train_em(extract_patches(make_phantom(32, 32, seed=0), 4), 3,
+                        max_iters=20, seed=0)
+        op = Conv2D(12, 12, np.full((3, 3), 1.0 / 9.0))
+        sigma2 = (10 / 255) ** 2
+        y = simulate(op, make_phantom(12, 12, seed=0).ravel(), GaussianNoise(sigma2), seed=100)
+        theta = Adaptation(offset=float(np.mean(y)), mean_var=float(np.var(y)) - sigma2)
+        res = run_ep_gaussian(y, op, sigma2, adapt(base, theta),
+                              build_shifted_partitions(12, 12, 4)[0],
+                              EPConfig(max_iterations=40))
+        assert res.converged and res.warnings == 0
 
     def test_trace_records_emitted(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]

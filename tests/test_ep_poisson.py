@@ -241,11 +241,10 @@ class TestUpdateQx1Poisson:
         cfg = EPConfig(damping=1.0)
         state_a = fresh_state()
         update_q_x1(state_a, op, np.full(16, 1.0 / sigma2),
-                    op.apply_adjoint(y) / sigma2, cfg, np.random.default_rng(0))
+                    op.apply_adjoint(y) / sigma2, cfg)
         state_b = fresh_state()
         w = np.full(16, 1.0 / sigma2)  # Poisson path with q_u0 = N(y, sigma^2)
-        update_q_x1(state_b, op, w, op.apply_adjoint(w * y), cfg,
-                    np.random.default_rng(0))
+        update_q_x1(state_b, op, w, op.apply_adjoint(w * y), cfg)
         for prec_a, prec_b in zip(state_a.q1.prec, state_b.q1.prec):
             np.testing.assert_array_equal(prec_a, prec_b)
         np.testing.assert_allclose(state_a.q1.eta, state_b.q1.eta, rtol=1e-14)
@@ -267,7 +266,7 @@ class TestUpdateQx1Poisson:
         state.sync()
         from patchep.ep_gaussian import tilted_p1_moments
         mean, _, _, _ = tilted_p1_moments(state.q0, op, w, op.apply_adjoint(w * m_u0),
-                                          EPConfig(), np.random.default_rng(2))
+                                          EPConfig())
         omega0 = np.zeros((n, n))
         for j, idx in enumerate(part.blocks):
             omega0[np.ix_(idx, idx)] = blocks[j]

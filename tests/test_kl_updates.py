@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from patchep.kl_updates import (
+    PRECISION_FLOOR,
+    block_kl_update,
     diag_kl_update,
     iso_kl_update,
     kl_block_loss,
@@ -74,8 +76,8 @@ def chol_param_oracle(cov, cav, init):
 
 class TestUpdateBlockPrecision:
     def test_unconstrained_optimum(self):
-        out = update_block_precision(np.diag([2.0, 2.0]), EPS_I(2), np.eye(2),
-                                     max_iters=500, tol=1e-14)
+        out, _ = update_block_precision(np.diag([2.0, 2.0]), EPS_I(2), np.eye(2),
+                                        max_iters=500, tol=1e-14)
         np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-7)
 
     def test_matches_long_run_oracle(self, rng):
@@ -85,7 +87,7 @@ class TestUpdateBlockPrecision:
             cav = random_spd(rng, 2, 0.1)
             cov = np.linalg.inv(inv_opt + cav)
             init = random_spd(rng, 2)
-            got = update_block_precision(cov, cav, init, max_iters=5000, tol=1e-15)
+            got, _ = update_block_precision(cov, cav, init, max_iters=5000, tol=1e-15)
             oracle = chol_param_oracle(cov, cav, init)
             assert np.linalg.norm(got - oracle) < 1e-6
             assert np.linalg.norm(got - inv_opt) < 1e-6
@@ -93,8 +95,8 @@ class TestUpdateBlockPrecision:
     def test_loss_monotone_and_spd(self, rng):
         for _ in range(10):
             history = []
-            out = update_block_precision(random_spd(rng, 4), random_spd(rng, 4, 0.2),
-                                         random_spd(rng, 4), loss_history=history)
+            out, _ = update_block_precision(random_spd(rng, 4), random_spd(rng, 4, 0.2),
+                                            random_spd(rng, 4), loss_history=history)
             np.linalg.cholesky(out)  # SPD or raises
             assert all(b < a + 1e-12 for a, b in zip(history, history[1:]))
 
@@ -102,8 +104,77 @@ class TestUpdateBlockPrecision:
         inv_opt = random_spd(rng, 3)
         cav = random_spd(rng, 3, 0.05)
         cov = np.linalg.inv(inv_opt + cav)
-        out = update_block_precision(cov, cav, np.eye(3), max_iters=5000, tol=1e-15)
+        out, _ = update_block_precision(cov, cav, np.eye(3), max_iters=5000, tol=1e-15)
         np.testing.assert_allclose(np.linalg.inv(out + cav), cov, atol=1e-6)
+
+
+    def test_boundary_block_stays_above_floor(self):
+        # P* = C^{-1} - P_cav has negative eigenvalues: the solver drives some
+        # eigenvalues of P down to the floor, and a damped mix of two such
+        # results must still factor (a block just above 0 can round below it)
+        for seed in range(5):
+            r = np.random.default_rng(seed)
+            cov = random_spd(r, 4, 0.25) + 0.5 * np.eye(4)
+            cav = random_spd(r, 4, 0.25) + 0.2 * np.eye(4) + 2 * np.linalg.inv(cov)
+            assert np.linalg.eigvalsh(np.linalg.inv(cov) - cav)[0] < 0
+            outs = [update_block_precision(cov, cav, init)[0] for init in (np.eye(4), 3 * np.eye(4))]
+            for out in outs:
+                assert np.linalg.eigvalsh(out)[0] >= PRECISION_FLOOR
+            np.linalg.cholesky(0.7 * outs[0] + 0.3 * outs[1])
+
+    def test_reports_cap_hit(self, rng):
+        cov = random_spd(rng, 3)
+        cav = random_spd(rng, 3, 0.1)
+        _, hit_cap = update_block_precision(cov, cav, np.eye(3), max_iters=1)
+        assert hit_cap
+        _, hit_cap = update_block_precision(cov, cav, np.eye(3), max_iters=5000)
+        assert not hit_cap
+
+
+def interior_stack(rng, n_blocks, dim):
+    """Tilted covariances and cavity precisions whose optimum P* is SPD by
+    construction; returns (C, P_cav, P*)."""
+    p_opt = np.stack([random_spd(rng, dim) for _ in range(n_blocks)])
+    cav = np.stack([random_spd(rng, dim, 0.1) for _ in range(n_blocks)])
+    return np.linalg.inv(p_opt + cav), cav, p_opt
+
+
+class TestBlockKlUpdate:
+    def test_matches_iterative_solver_on_interior_stacks(self, rng):
+        cov, cav, p_opt = interior_stack(rng, 6, 3)
+        p_star, cov_inv, interior = block_kl_update(cov, cav)
+        assert interior.all()
+        np.testing.assert_allclose(cov_inv, np.linalg.inv(cov), rtol=1e-12, atol=1e-12)
+        for c, q, p in zip(cov, cav, p_star):
+            solved, _ = update_block_precision(c, q, np.eye(3), max_iters=5000, tol=1e-15)
+            assert np.linalg.norm(p - solved) < 1e-6
+        np.testing.assert_allclose(p_star, p_opt, rtol=1e-10, atol=1e-10)
+
+    def test_ill_conditioned_interior_block_matched_exactly(self):
+        # cond(C) = 1e5: the closed form matches C where the 200-step
+        # gradient solver stops at its cap half a percent away
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        cov = (q * np.geomspace(1e-5, 1.0, 6)) @ q.T
+        cav = 0.1 * np.eye(6)
+        p_star, _, interior = block_kl_update(cov[None], cav[None])
+        assert interior[0]
+        rel = lambda p: np.linalg.norm(np.linalg.inv(p + cav) - cov) / np.linalg.norm(cov)  # noqa: E731
+        assert rel(p_star[0]) < 1e-10
+        solved, hit_cap = update_block_precision(cov, cav, np.eye(6))
+        assert hit_cap and rel(solved) > 1e-3
+
+    def test_boundary_blocks_flagged(self, rng):
+        cov, cav, _ = interior_stack(rng, 4, 3)
+        cav[[1, 3]] += 5 * np.linalg.inv(cov[[1, 3]])   # makes P* negative definite there
+        _, _, interior = block_kl_update(cov, cav)
+        np.testing.assert_array_equal(interior, [True, False, True, False])
+
+    def test_singular_covariance_raises(self, rng):
+        cov, cav, _ = interior_stack(rng, 2, 3)
+        cov[1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            block_kl_update(cov, cav)
 
 
 class TestDiagKlUpdate:
