@@ -7,13 +7,12 @@ block-diagonal precisions aligned to the patch partition.  Each factor keeps
 its precision as one ``(J_g, b, b)`` stack per group of
 ``partition.groups`` and its precision-mean as one N-vector; every block
 operation is batched over a group's stack.  The structure is diagonal (zero
-off-diagonal entries) for diagonal H and a full block otherwise; it matters
-only in the KL step (see :mod:`patchep.kl_updates`).  That step is
-closed-form per pixel for the diagonal structure.  For full blocks it is
-closed-form for a group's whole stack at once, and the iterative precision
-solver runs only on the boundary blocks whose unconstrained optimum falls
-below the precision floor; solver runs that stop at kl_max_iters are counted
-as warnings.  Each iteration alternates
+off-diagonal entries) exactly when H is diagonal and a full block otherwise;
+it matters only in the KL step (see :mod:`patchep.kl_updates`), which is
+closed-form either way: per pixel for the diagonal structure, and for full
+blocks in one batched step over a group's stack, with the exact constrained
+minimizer computed block by block where the unconstrained optimum falls
+below the precision floor.  Each iteration alternates
 
 * prior-side update: tilted GMM moments of each group against the
   likelihood factor as cavity, then the KL precision update and the
@@ -62,9 +61,6 @@ class EPConfig:
     cg_tol: float = 1e-8            # relative residual
     cg_max_iters: int = 500
     rbmc_samples: int = 20
-    structure: str = "auto"         # "auto" | "diagonal" | "block"
-    kl_max_iters: int = 200
-    kl_tol: float = 1e-8
     seed: int = 0                   # RBMC probes, the same on every update
 
     def __post_init__(self):
@@ -72,13 +68,6 @@ class EPConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.stop_tol <= 0 or self.cg_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.structure not in ("auto", "diagonal", "block"):
-            raise ValueError(f"unknown structure {self.structure!r}")
-
-    def resolve_structure(self, operator: DegradationOperator) -> str:
-        if self.structure != "auto":
-            return self.structure
-        return "diagonal" if operator.is_diagonal else "block"
 
 
 def _stack_moments(prec: np.ndarray, eta: np.ndarray):
@@ -168,12 +157,11 @@ def _prior_for_group(adapted: AdaptedGMM, local: np.ndarray) -> AdaptedGMM:
 
 
 def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.ndarray,
-             cav_prec: np.ndarray, cav_eta: np.ndarray, config: EPConfig) -> int:
+             cav_prec: np.ndarray, cav_eta: np.ndarray) -> int:
     """Set group g of ``target`` so that its product with the cavity
     (precisions cav_prec, precision-means cav_eta) matches the tilted
-    moments.  Returns the warning count: blocks whose update failed (they
-    keep their old parameters) plus blocks whose solver stopped at
-    kl_max_iters."""
+    moments.  Returns the warning count: blocks whose update failed or was
+    rejected; they keep their old parameters."""
     pixels = target.partition.groups[g].pixels
     stack = target.prec[g]
     if target.structure == "diagonal":
@@ -195,12 +183,12 @@ def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
     warnings = 0
     for i in np.flatnonzero(~interior):
         try:
-            p_new, hit_cap = update_block_precision(t_covs[i], cav_prec[i], stack[i],
-                                                    config.kl_max_iters, config.kl_tol)
+            p_new, ok = update_block_precision(t_covs[i], cav_prec[i], stack[i])
         except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
             warnings += 1
             continue
-        warnings += hit_cap
         stack[i] = p_new
         target.eta[pixels[i]] = (p_new + cav_prec[i]) @ t_means[i] - cav_eta[i]
     return warnings
@@ -225,7 +213,7 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
             warnings += len(group.ids)
             continue
         weights.append(w)
-        warnings += _kl_step(target, g, t_means, t_covs, cav_prec, cav_eta, config)
+        warnings += _kl_step(target, g, t_means, t_covs, cav_prec, cav_eta)
     state.q0.damp_from(target, config.damping)
     return weights, warnings
 
@@ -334,7 +322,7 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
     target = state.q1.copy()
     for g, group in enumerate(part.groups):
         warnings += _kl_step(target, g, t_mean[group.pixels], t_covs[g],
-                             state.q0.prec[g], state.q0.eta[group.pixels], config)
+                             state.q0.prec[g], state.q0.eta[group.pixels])
     state.q1.damp_from(target, config.damping)
     return cg_iters, warnings
 
@@ -362,7 +350,7 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     stream that receives JSON lines).
     """
     n = partition.n_pixels
-    structure = config.resolve_structure(operator)
+    structure = "diagonal" if operator.is_diagonal else "block"
     state = EPState(
         q0=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
         q1=GaussianFactor.from_moments(structure, partition, init_mean, init_var),

@@ -144,14 +144,13 @@ def _tilted_positive_counts(y: np.ndarray, mu1: np.ndarray, c1: float):
     return log_z, mean, np.maximum(var, 0.0), int(np.sum(bad))
 
 
-def rectified_poisson_tilted_batch(y: np.ndarray, mu1: np.ndarray, c1: float,
-                                   chunk: int = _CHUNK):
+def rectified_poisson_tilted_batch(y: np.ndarray, mu1: np.ndarray, c1: float):
     """Normalizing constant, mean and variance of the 1D tilted densities
     rectified-Poisson(y_n; u) * N(u; mu1_n, c1) for arrays of counts y and
     cavity means mu1 with one cavity variance c1 > 0.
 
     Returns (log Z, mean, variance, quadrature-failure count).  Positive
-    counts go through the quadrature ``chunk`` pixels at a time."""
+    counts go through the quadrature _CHUNK pixels at a time."""
     y = np.asarray(y)
     mu1 = np.asarray(mu1, dtype=float)
     log_z = np.empty(y.size)
@@ -163,8 +162,8 @@ def rectified_poisson_tilted_batch(y: np.ndarray, mu1: np.ndarray, c1: float,
     if np.any(zero):
         log_z[zero], mean[zero], var[zero] = _tilted_zero_counts(mu1[zero], c1)
     pos_idx = np.flatnonzero(~zero)
-    for start in range(0, pos_idx.size, chunk):
-        sel = pos_idx[start:start + chunk]
+    for start in range(0, pos_idx.size, _CHUNK):
+        sel = pos_idx[start:start + _CHUNK]
         lz, m, v, bad = _tilted_positive_counts(y[sel], mu1[sel], c1)
         log_z[sel], mean[sel], var[sel] = lz, m, v
         n_bad += bad

@@ -1,4 +1,4 @@
-"""Image and kernel file I/O.
+"""Image file I/O.
 
 Two raster formats are supported:
 
@@ -6,10 +6,6 @@ Two raster formats are supported:
 * a raw little-endian float32 format with a 16-byte header
   ``{magic "PEPF", u32 width, u32 height, u32 reserved}`` for exact
   floating-point rasters (restored means, variance maps).
-
-Convolution kernels are plain text: first line ``k``, then ``k`` rows of
-``k`` whitespace-separated reals.  Inpainting masks are PGM files where 0
-marks a missing pixel.
 """
 
 from __future__ import annotations
@@ -25,9 +21,6 @@ __all__ = [
     "write_pgm",
     "read_float_raster",
     "write_float_raster",
-    "read_kernel",
-    "write_kernel",
-    "read_mask",
 ]
 
 FLOAT_MAGIC = b"PEPF"
@@ -139,34 +132,3 @@ def write_float_raster(path, image: Image) -> None:
         fh.write(struct.pack("<III", image.width, image.height, 0))
         fh.write(image.data.astype("<f4").tobytes())
 
-
-def read_kernel(path) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError("empty kernel file")
-    k = int(tokens[0])
-    values = [float(t) for t in tokens[1:]]
-    if len(values) != k * k:
-        raise ValueError(f"kernel file promises {k}x{k} entries, found {len(values)}")
-    kernel = np.array(values).reshape(k, k)
-    if not np.all(np.isfinite(kernel)):
-        raise ValueError("kernel entries must be finite")
-    return kernel
-
-
-def write_kernel(path, kernel: np.ndarray) -> None:
-    kernel = np.asarray(kernel, dtype=float)
-    k = kernel.shape[0]
-    if kernel.shape != (k, k):
-        raise ValueError("kernel must be square")
-    with open(path, "w") as fh:
-        fh.write(f"{k}\n")
-        for row in kernel:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_mask(path) -> np.ndarray:
-    """Kept-pixel mask from a PGM file: 0 means missing, anything else kept."""
-    image = read_pgm(path)
-    return image.data > 0

@@ -12,10 +12,10 @@ and its unconstrained minimizer is P* = C^{-1} - P_cav.
 
 * Full blocks: :func:`block_kl_update` computes P* for a whole stack of
   blocks at once.  Where lambda_min(P*) > PRECISION_FLOOR (an *interior*
-  block) P* is the exact answer and the factor matches C exactly.  Only the
-  remaining *boundary* blocks need :func:`update_block_precision`, gradient
-  descent with Barzilai-Borwein steps and backtracking that keeps every
-  iterate at or above the floor.
+  block) P* is the exact answer and the factor matches C exactly.  The
+  remaining *boundary* blocks go to :func:`update_block_precision`, the
+  exact constrained minimizer from one Cholesky factor and one symmetric
+  eigendecomposition.
 * Diagonal factors: :func:`diag_kl_update`, the same closed form per pixel,
   clipped at the floor.
 * Isotropic factors: :func:`iso_kl_update`, Newton steps on one scalar.
@@ -38,85 +38,56 @@ __all__ = [
 PRECISION_FLOOR = 1e-8
 
 
-def _chol_or_none(a: np.ndarray):
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def kl_block_loss(precision: np.ndarray, cavity_precision: np.ndarray,
                   tilted_cov: np.ndarray) -> float:
     """-log det(P + P_cav) + trace((P + P_cav) C); the variable part of the
     block KL divergence at the matched mean."""
     total = sym(np.asarray(precision) + np.asarray(cavity_precision))
-    chol = _chol_or_none(total)
-    if chol is None:
-        raise np.linalg.LinAlgError("precision sum is not positive definite")
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    logdet = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(total))))
     return float(-logdet + np.trace(total @ tilted_cov))
 
 
 def update_block_precision(tilted_cov: np.ndarray, cavity_precision: np.ndarray,
-                           init_precision: np.ndarray, max_iters: int = 200,
-                           tol: float = 1e-8,
-                           loss_history: list | None = None) -> tuple[np.ndarray, bool]:
-    """Minimize the block KL loss over precisions P >= PRECISION_FLOOR * I,
-    starting at init_precision (the symmetric parts of all three matrices
-    are used).
+                           init_precision: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Exact minimizer of the block KL loss over P >= eps I with
+    eps = PRECISION_FLOOR (the symmetric parts of all three matrices are
+    used).
 
-    Gradient steps P <- P - lam * (C - (P + P_cav)^{-1}).  The step is
-    seeded by the Barzilai-Borwein rule (lam = <dP, dG>/<dG, dG>, 1 on the
-    first step) and halved until the loss strictly decreases and
-    P - PRECISION_FLOOR * I stays positive definite.  If 50 halvings fail the
-    previous iterate is returned.
+    With X = P + P_cav the constraint reads X >= B = P_cav + eps I.  Factor
+    B = L L^T and write X = L Y L^T: the loss becomes, up to a constant,
+    -log det Y + <Y, M> over Y >= I, with M = L^T C L = U diag(mu) U^T.  For
+    fixed eigenvalues of Y, <Y, M> is smallest when Y shares the eigenvectors
+    of M with its eigenvalues in the opposite order (von Neumann's trace
+    inequality), so Y = U diag(y) U^T and each y_i minimizes
+    -log y + mu_i y over y >= 1: y_i = max(1/mu_i, 1).  Back in P,
 
-    Returns (P, hit_cap): hit_cap is True when the solver stopped at
-    max_iters rather than at the relative loss change tol.
+        P = eps I + (L U) diag(max(1/mu - 1, 0)) (L U)^T.
+
+    The KKT conditions hold: the gradient G = C - X^{-1} equals
+    L^{-T} U diag(max(mu - 1, 0)) U^T L^{-1} >= 0, and G (P - eps I) = 0
+    because no index has both mu_i > 1 and 1/mu_i > 1.  When every
+    mu_i < 1 the result is C^{-1} - P_cav; for 1x1 blocks it is
+    :func:`diag_kl_update`.
+
+    Returns (P, True), or (init_precision, False) when the loss of P is
+    above that of init_precision by more than rounding (1e-12 relative),
+    which the caller counts as a warning.  Raises LinAlgError unless C,
+    P_cav + eps I and init_precision + P_cav are positive definite.
     """
     cov = sym(np.asarray(tilted_cov, dtype=float))
     cav = sym(np.asarray(cavity_precision, dtype=float))
-    omega = sym(np.asarray(init_precision, dtype=float))
-    floor = PRECISION_FLOOR * np.eye(len(omega))
-
-    loss = kl_block_loss(omega, cav, cov)
-    if loss_history is not None:
-        loss_history.append(loss)
-    prev_omega = None
-    prev_grad = None
-    for _ in range(max_iters):
-        grad = cov - np.linalg.inv(sym(omega + cav))
-        if prev_grad is None:
-            lam = 1.0
-        else:
-            d_omega = omega - prev_omega
-            d_grad = grad - prev_grad
-            denom = float(np.sum(d_grad * d_grad))
-            lam = float(np.sum(d_omega * d_grad)) / denom if denom > 0 else 1.0
-            if lam <= 0:  # a nonpositive step would not descend
-                lam = 1.0
-        accepted = None
-        for _halving in range(50):
-            candidate = sym(omega - lam * grad)
-            if _chol_or_none(candidate - floor) is not None:
-                try:
-                    cand_loss = kl_block_loss(candidate, cav, cov)
-                except np.linalg.LinAlgError:
-                    cand_loss = np.inf
-                if cand_loss < loss:
-                    accepted = (candidate, cand_loss)
-                    break
-            lam *= 0.5
-        if accepted is None:
-            return omega, False
-        prev_omega, prev_grad = omega, grad
-        omega, new_loss = accepted
-        if loss_history is not None:
-            loss_history.append(new_loss)
-        if abs(loss - new_loss) < tol * abs(loss):
-            return omega, False
-        loss = new_loss
-    return omega, True
+    init = sym(np.asarray(init_precision, dtype=float))
+    eye = np.eye(len(cav))
+    init_loss = kl_block_loss(init, cav, cov)
+    low = np.linalg.cholesky(cav + PRECISION_FLOOR * eye)
+    mu, u = np.linalg.eigh(sym(low.T @ cov @ low))
+    if mu[0] <= 0:
+        raise np.linalg.LinAlgError("tilted covariance is not positive definite")
+    lu = low @ u
+    precision = sym(PRECISION_FLOOR * eye + (lu * np.maximum(1.0 / mu - 1.0, 0.0)) @ lu.T)
+    if kl_block_loss(precision, cav, cov) > init_loss + 1e-12 * abs(init_loss):
+        return init, False
+    return precision, True
 
 
 def block_kl_update(tilted_covs: np.ndarray, cavity_precisions: np.ndarray):

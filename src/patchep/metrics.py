@@ -1,8 +1,7 @@
 """Restoration quality and uncertainty-calibration metrics.
 
-PSNR against a reference, central credible intervals from the (Gaussian)
-fused posterior marginals, pixel-wise coverage maps, and coverage as a
-function of the interval level.
+PSNR against a reference, and central credible intervals from the
+(Gaussian) fused posterior marginals with their pixel-wise coverage maps.
 """
 
 from __future__ import annotations
@@ -12,14 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .imageio import Image, write_float_raster, write_pgm
-
 __all__ = [
     "psnr",
     "CoverageReport",
     "coverage",
-    "coverage_curve",
-    "write_uncertainty_maps",
 ]
 
 
@@ -67,27 +62,3 @@ def coverage(reference: np.ndarray, mean: np.ndarray, variances: np.ndarray,
     return CoverageReport(level=level, outside_map=outside,
                           fraction_inside=1.0 - float(np.mean(outside)))
 
-
-def coverage_curve(reference: np.ndarray, mean: np.ndarray, variances: np.ndarray,
-                   levels) -> list[float]:
-    """Fractions inside the central interval for each level (ascending)."""
-    levels = list(levels)
-    if any(b < a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be sorted ascending")
-    return [coverage(reference, mean, variances, level).fraction_inside
-            for level in levels]
-
-
-def write_uncertainty_maps(prefix, width: int, height: int,
-                           variances: np.ndarray,
-                           outside_map: np.ndarray | None = None) -> None:
-    """Variance raster as float32 plus an 8-bit normalized PGM preview;
-    optionally the coverage map as PGM (0 = inside, 255 = outside)."""
-    std = np.sqrt(np.asarray(variances, dtype=float))
-    write_float_raster(f"{prefix}_variance.pepf", Image(width, height, variances))
-    span = std.max() - std.min()
-    preview = (std - std.min()) / span * 255.0 if span > 0 else np.zeros_like(std)
-    write_pgm(f"{prefix}_uncertainty.pgm", Image(width, height, preview))
-    if outside_map is not None:
-        write_pgm(f"{prefix}_coverage.pgm",
-                  Image(width, height, np.asarray(outside_map, dtype=float) * 255.0))

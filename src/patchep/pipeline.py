@@ -51,6 +51,7 @@ class ExpertResult:
     outer_rounds: int
     converged: bool
     status: str
+    warnings: int = 0                 # EP warnings summed over EM rounds
 
     def __post_init__(self):
         if np.any(self.marginal_var <= 0):
@@ -241,6 +242,7 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
     ep_config = replace(config.ep, seed=int(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(index,)).generate_state(1)[0]))
     total_iters = 0
+    warnings = 0
     outer = 0
     result: EPResult | None = None
     for outer in range(1, config.outer_rounds + 1):
@@ -253,6 +255,7 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
         else:
             raise TypeError(f"unknown noise model {noise!r}")
         total_iters += result.iterations
+        warnings += result.warnings
         if not em_enabled:
             break
         new_theta = epem_m_step(result.weights, result.mean, result.cov, base,
@@ -271,6 +274,7 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
         outer_rounds=outer,
         converged=result.converged,
         status=result.status,
+        warnings=warnings,
     )
 
 
@@ -279,7 +283,9 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
                  ground_truth: np.ndarray | None = None) -> PipelineResult:
     """Full restoration: one EP(-EM) expert per shifted partition, fused by
     the product-of-experts rule.  Experts run in index order with
-    per-expert seeds, so results are reproducible."""
+    per-expert seeds, so results are reproducible.  The report gives each
+    expert's EP warnings (unconverged CG solves, failed or rejected block
+    updates), summed over its EM rounds, and their total."""
     config = config or PipelineConfig()
     y = np.asarray(y, dtype=float)
     partitions = build_shifted_partitions(operator.width, operator.height,
@@ -320,9 +326,11 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
                 "iterations": e.iterations,
                 "outer_rounds": e.outer_rounds,
                 "status": e.status,
+                "warnings": e.warnings,
             }
             for e in experts
         ],
+        "warnings": sum(e.warnings for e in experts),
         "failures": failures,
     }
     if ground_truth is not None:

@@ -167,8 +167,9 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
 
     The Gaussian likelihood factor is exact and set once; the J patch-prior
     factors are refined sequentially, each against the full-covariance
-    cavity, with the same constrained precision optimization the scalable
-    algorithm uses per block, but at full image size.
+    cavity.  Each refinement is the exact minimizer of the KL loss over
+    N x N factor precisions P >= PRECISION_FLOOR * I, the closed form the
+    scalable algorithm uses on its boundary blocks, here at full image size.
     """
     from .kl_updates import update_block_precision
 
@@ -220,7 +221,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
                                          + gain @ t_cov_j @ gain.T)
             t_cov = 0.5 * (t_cov + t_cov.T)
 
-            new_prec, _ = update_block_precision(t_cov, cav_prec, prec[j], max_iters=100, tol=1e-10)
+            new_prec, _ = update_block_precision(t_cov, cav_prec, prec[j])
             new_eta = (new_prec + cav_prec) @ t_mean - cav_eta
             prec[j] = damping * new_prec + (1 - damping) * prec[j]
             eta[j] = damping * new_eta + (1 - damping) * eta[j]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from patchep import ep_poisson
 from patchep.ep_gaussian import EPConfig, EPState, GaussianFactor, update_q_x1
 from patchep.ep_poisson import (
     PoissonFactors,
@@ -135,7 +136,7 @@ class TestRectifiedPoissonTilted:
         assert abs(mean - mu) < 1e-10
         assert abs(var - c) < 1e-10
 
-    def test_unit_basis_contraction_matches_three_sums(self, rng):
+    def test_unit_basis_contraction_matches_three_sums(self, rng, monkeypatch):
         # 750 positive counts over y in [1, 500], cavity means in [-20, 2y],
         # three cavity variances, clipped and unclipped lower ends
         for c1 in (0.1, 6.0, 1e4):
@@ -145,9 +146,9 @@ class TestRectifiedPoissonTilted:
             mu1[:20] = rng.uniform(-20.0, 0.0, 20)
             ref_lz, ref_mean, ref_var, clipped = three_sum_tilted(y, mu1, c1)
             assert 0 < np.sum(clipped) < y.size
-            for chunk in (1, 7, None, 10_000):
-                kwargs = {} if chunk is None else {"chunk": chunk}
-                log_z, mean, var, n_bad = rectified_poisson_tilted_batch(y, mu1, c1, **kwargs)
+            for chunk in (1, 7, ep_poisson._CHUNK, 10_000):
+                monkeypatch.setattr(ep_poisson, "_CHUNK", chunk)
+                log_z, mean, var, n_bad = rectified_poisson_tilted_batch(y, mu1, c1)
                 assert n_bad == 0
                 np.testing.assert_allclose(log_z, ref_lz, rtol=1e-12)
                 np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
@@ -175,7 +176,7 @@ class TestUpdateQu0:
         c1 = 2.0
         factors = self._factors(4, c1=c1)
 
-        def fake_tilted(y, mu1, c1_arg, chunk=4096):
+        def fake_tilted(y, mu1, c1_arg):
             n = y.size
             return np.zeros(n), np.full(n, 0.3), np.full(n, c1_arg / 2), 0
 
@@ -187,7 +188,7 @@ class TestUpdateQu0:
         # tilted variance above c1 makes the precision nonpositive: escape to 1e8
         factors = self._factors(3, c1=2.0)
 
-        def fake_tilted(y, mu1, c1_arg, chunk=4096):
+        def fake_tilted(y, mu1, c1_arg):
             n = y.size
             return np.zeros(n), np.zeros(n), np.full(n, 2.5), 0
 
@@ -210,7 +211,7 @@ class TestUpdateQu0:
         c1, mu1 = 2.0, 1.7
         factors = self._factors(2, c1=c1, mu1=np.full(2, mu1))
 
-        def fake_tilted(y, m, c1_arg, chunk=4096):
+        def fake_tilted(y, m, c1_arg):
             n = y.size
             return np.zeros(n), np.full(n, mu1), np.full(n, c1_arg / 2), 0
 

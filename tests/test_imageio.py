@@ -4,11 +4,8 @@ import pytest
 from patchep.imageio import (
     Image,
     read_float_raster,
-    read_kernel,
-    read_mask,
     read_pgm,
     write_float_raster,
-    write_kernel,
     write_pgm,
 )
 
@@ -106,22 +103,3 @@ class TestFloatRaster:
         with pytest.raises(ValueError):
             read_float_raster(path)
 
-
-class TestKernelAndMask:
-    def test_kernel_round_trip(self, tmp_path):
-        k = np.array([[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]])
-        path = tmp_path / "k.txt"
-        write_kernel(path, k)
-        np.testing.assert_array_equal(read_kernel(path), k)
-
-    def test_kernel_size_mismatch(self, tmp_path):
-        path = tmp_path / "k.txt"
-        path.write_text("2\n1 0 0\n")
-        with pytest.raises(ValueError):
-            read_kernel(path)
-
-    def test_mask_zero_means_missing(self, tmp_path):
-        img = Image(4, 1, np.array([0.0, 255.0, 0.0, 128.0]))
-        path = tmp_path / "m.pgm"
-        write_pgm(path, img)
-        np.testing.assert_array_equal(read_mask(path), [False, True, False, True])

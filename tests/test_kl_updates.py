@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from patchep.kl_updates import (
     PRECISION_FLOOR,
@@ -49,9 +52,10 @@ class TestBlockLoss:
             kl_block_loss(-np.eye(2), EPS_I(2), np.eye(2))
 
 
-def chol_param_oracle(cov, cav, init):
-    """Independent minimizer: Nelder-Mead over the Cholesky factor of the
-    precision, which makes positive definiteness unconstrained."""
+def chol_param_oracle(cov, cav, init, floor=0.0):
+    """Independent minimizer: Nelder-Mead over the Cholesky factor L of
+    P - floor * I = L L^T, which makes the constraint P >= floor * I
+    unconstrained."""
     from scipy.optimize import minimize
 
     d = cov.shape[0]
@@ -60,24 +64,35 @@ def chol_param_oracle(cov, cav, init):
     def loss(x):
         low = np.zeros((d, d))
         low[tril] = x
-        total = low @ low.T + cav
+        total = low @ low.T + floor * np.eye(d) + cav
         sign, logdet = np.linalg.slogdet(total)
         if sign <= 0:
             return 1e12
         return -logdet + np.trace(total @ cov)
 
-    x0 = np.linalg.cholesky(init)[tril]
+    x0 = np.linalg.cholesky(init - floor * np.eye(d))[tril]
     res = minimize(loss, x0, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
     low = np.zeros((d, d))
     low[tril] = res.x
-    return low @ low.T
+    return low @ low.T + floor * np.eye(d)
+
+
+def boundary_problem(a, b, w, shift, cav_scale):
+    """Tilted covariance C and cavity precision P_cav with
+    w^T (C^{-1} - P_cav) w < 0, so that the unconstrained optimum
+    P* = C^{-1} - P_cav is not above the floor."""
+    d = len(w)
+    cov = a @ a.T + shift * np.eye(d)
+    w = w / np.linalg.norm(w)
+    cav = cav_scale * (b @ b.T + 0.1 * np.eye(d)) + 2.0 * (w @ np.linalg.solve(cov, w)) * np.outer(w, w)
+    return cov, cav
 
 
 class TestUpdateBlockPrecision:
     def test_unconstrained_optimum(self):
-        out, _ = update_block_precision(np.diag([2.0, 2.0]), EPS_I(2), np.eye(2),
-                                        max_iters=500, tol=1e-14)
+        out, ok = update_block_precision(np.diag([2.0, 2.0]), EPS_I(2), np.eye(2))
+        assert ok
         np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-7)
 
     def test_matches_long_run_oracle(self, rng):
@@ -87,26 +102,27 @@ class TestUpdateBlockPrecision:
             cav = random_spd(rng, 2, 0.1)
             cov = np.linalg.inv(inv_opt + cav)
             init = random_spd(rng, 2)
-            got, _ = update_block_precision(cov, cav, init, max_iters=5000, tol=1e-15)
+            got, _ = update_block_precision(cov, cav, init)
             oracle = chol_param_oracle(cov, cav, init)
             assert np.linalg.norm(got - oracle) < 1e-6
             assert np.linalg.norm(got - inv_opt) < 1e-6
 
     def test_loss_monotone_and_spd(self, rng):
+        # the step never raises the loss above that of its start
         for _ in range(10):
-            history = []
-            out, _ = update_block_precision(random_spd(rng, 4), random_spd(rng, 4, 0.2),
-                                            random_spd(rng, 4), loss_history=history)
+            cov, cav, init = random_spd(rng, 4), random_spd(rng, 4, 0.2), random_spd(rng, 4)
+            out, ok = update_block_precision(cov, cav, init)
+            assert ok
             np.linalg.cholesky(out)  # SPD or raises
-            assert all(b < a + 1e-12 for a, b in zip(history, history[1:]))
+            start = kl_block_loss(init, cav, cov)
+            assert kl_block_loss(out, cav, cov) <= start + 1e-12 * abs(start)
 
     def test_moment_matching_at_fixed_point(self, rng):
         inv_opt = random_spd(rng, 3)
         cav = random_spd(rng, 3, 0.05)
         cov = np.linalg.inv(inv_opt + cav)
-        out, _ = update_block_precision(cov, cav, np.eye(3), max_iters=5000, tol=1e-15)
+        out, _ = update_block_precision(cov, cav, np.eye(3))
         np.testing.assert_allclose(np.linalg.inv(out + cav), cov, atol=1e-6)
-
 
     def test_boundary_block_stays_above_floor(self):
         # P* = C^{-1} - P_cav has negative eigenvalues: the solver drives some
@@ -122,13 +138,50 @@ class TestUpdateBlockPrecision:
                 assert np.linalg.eigvalsh(out)[0] >= PRECISION_FLOOR
             np.linalg.cholesky(0.7 * outs[0] + 0.3 * outs[1])
 
-    def test_reports_cap_hit(self, rng):
+    def test_reports_rejected_step(self, rng):
+        # P* is negative definite, so the constrained optimum is eps I; a
+        # start at P = 0, below the floor, has the lower loss and is kept
         cov = random_spd(rng, 3)
-        cav = random_spd(rng, 3, 0.1)
-        _, hit_cap = update_block_precision(cov, cav, np.eye(3), max_iters=1)
-        assert hit_cap
-        _, hit_cap = update_block_precision(cov, cav, np.eye(3), max_iters=5000)
-        assert not hit_cap
+        cav = 2.0 * np.linalg.inv(cov)
+        out, ok = update_block_precision(cov, cav, np.zeros((3, 3)))
+        assert not ok
+        np.testing.assert_array_equal(out, 0.0)
+        out, ok = update_block_precision(cov, cav, np.eye(3))
+        assert ok
+        np.testing.assert_allclose(out, PRECISION_FLOOR * np.eye(3), rtol=1e-12, atol=1e-20)
+
+    def test_one_by_one_blocks_match_diagonal_update(self, rng):
+        for d, p_cav in zip(rng.uniform(0.05, 3.0, 20), rng.uniform(0.0, 4.0, 20)):
+            out, _ = update_block_precision([[d]], [[p_cav]], [[1.0]])
+            assert out[0, 0] == pytest.approx(diag_kl_update(d, p_cav), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),
+           b=hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),
+           w=hnp.arrays(np.float64, (3, 4), elements=st.floats(0.1, 1)),
+           shift=st.floats(0.05, 1.0), cav_scale=st.floats(1e-3, 10.0))
+    def test_kkt_conditions_on_boundary_stacks(self, a, b, w, shift, cav_scale):
+        # the gradient G = C - (P + P_cav)^{-1} is the multiplier of the
+        # constraint P - eps I >= 0: at the optimum it is PSD and
+        # complementary to P - eps I
+        eye = np.eye(4)
+        for j in range(3):
+            cov, cav = boundary_problem(a[j], b[j], w[j], shift, cav_scale)
+            out, _ = update_block_precision(cov, cav, eye)
+            grad = cov - np.linalg.inv(out + cav)
+            scale = np.linalg.norm(cov)
+            assert np.linalg.eigvalsh(grad)[0] >= -1e-10 * scale
+            assert np.linalg.norm(grad @ (out - PRECISION_FLOOR * eye)) <= 1e-10 * scale
+
+    def test_boundary_loss_not_above_nelder_mead(self, rng):
+        for _ in range(5):
+            cov, cav = boundary_problem(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)),
+                                        rng.uniform(0.1, 1, 3), 0.2, 0.5)
+            assert np.linalg.eigvalsh(np.linalg.inv(cov) - cav)[0] < 0
+            got, _ = update_block_precision(cov, cav, np.eye(3))
+            oracle = chol_param_oracle(cov, cav, np.eye(3), PRECISION_FLOOR)
+            best = kl_block_loss(oracle, cav, cov)
+            assert kl_block_loss(got, cav, cov) <= best + 1e-12 * abs(best)
 
 
 def interior_stack(rng, n_blocks, dim):
@@ -146,13 +199,11 @@ class TestBlockKlUpdate:
         assert interior.all()
         np.testing.assert_allclose(cov_inv, np.linalg.inv(cov), rtol=1e-12, atol=1e-12)
         for c, q, p in zip(cov, cav, p_star):
-            solved, _ = update_block_precision(c, q, np.eye(3), max_iters=5000, tol=1e-15)
-            assert np.linalg.norm(p - solved) < 1e-6
+            assert np.linalg.norm(p - chol_param_oracle(c, q, np.eye(3))) < 1e-6
         np.testing.assert_allclose(p_star, p_opt, rtol=1e-10, atol=1e-10)
 
     def test_ill_conditioned_interior_block_matched_exactly(self):
-        # cond(C) = 1e5: the closed form matches C where the 200-step
-        # gradient solver stops at its cap half a percent away
+        # cond(C) = 1e5: both closed forms match C
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         cov = (q * np.geomspace(1e-5, 1.0, 6)) @ q.T
@@ -161,8 +212,8 @@ class TestBlockKlUpdate:
         assert interior[0]
         rel = lambda p: np.linalg.norm(np.linalg.inv(p + cav) - cov) / np.linalg.norm(cov)  # noqa: E731
         assert rel(p_star[0]) < 1e-10
-        solved, hit_cap = update_block_precision(cov, cav, np.eye(6))
-        assert hit_cap and rel(solved) > 1e-3
+        solved, ok = update_block_precision(cov, cav, np.eye(6))
+        assert ok and rel(solved) < 1e-10
 
     def test_boundary_blocks_flagged(self, rng):
         cov, cav, _ = interior_stack(rng, 4, 3)

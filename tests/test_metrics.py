@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from patchep.imageio import read_float_raster, read_pgm
-from patchep.metrics import CoverageReport, coverage, coverage_curve, psnr, write_uncertainty_maps
+from patchep.metrics import CoverageReport, coverage, psnr
 
 
 class TestPsnr:
@@ -70,36 +69,3 @@ class TestCoverage:
         with pytest.raises(ValueError):
             CoverageReport(level=0.9, outside_map=np.array([1, 0]), fraction_inside=0.9)
 
-
-class TestCoverageCurve:
-    def test_monotone_in_level(self, rng):
-        ref = rng.standard_normal(500)
-        mean = ref + 0.3 * rng.standard_normal(500)
-        var = np.full(500, 0.09)
-        fracs = coverage_curve(ref, mean, var, [0.5, 0.7, 0.9, 0.95, 0.99])
-        assert all(b >= a for a, b in zip(fracs, fracs[1:]))
-
-    def test_single_level_reduces_to_coverage(self, rng):
-        ref = rng.standard_normal(100)
-        mean = np.zeros(100)
-        var = np.ones(100)
-        assert coverage_curve(ref, mean, var, [0.8])[0] == \
-            coverage(ref, mean, var, 0.8).fraction_inside
-
-    def test_unsorted_levels_rejected(self):
-        with pytest.raises(ValueError):
-            coverage_curve(np.ones(3), np.ones(3), np.ones(3), [0.9, 0.5])
-
-
-class TestMapOutput:
-    def test_written_rasters_round_trip(self, tmp_path, rng):
-        var = rng.uniform(0.1, 2.0, 24)
-        outside = (rng.random(24) < 0.2).astype(np.uint8)
-        prefix = tmp_path / "out"
-        write_uncertainty_maps(prefix, 6, 4, var, outside)
-        raster = read_float_raster(f"{prefix}_variance.pepf")
-        np.testing.assert_allclose(raster.data, var, rtol=1e-6)
-        preview = read_pgm(f"{prefix}_uncertainty.pgm")
-        assert preview.data.min() >= 0 and preview.data.max() <= 255
-        cov_map = read_pgm(f"{prefix}_coverage.pgm")
-        np.testing.assert_array_equal(cov_map.data, outside * 255.0)

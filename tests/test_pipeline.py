@@ -4,7 +4,7 @@ import pytest
 from patchep.ep_gaussian import EPConfig, run_ep_gaussian
 from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
-from patchep.operators import GaussianNoise, Identity, simulate
+from patchep.operators import Conv2D, GaussianNoise, Identity, simulate
 from patchep.partitions import build_shifted_partitions
 from patchep.pipeline import (
     ExpertResult,
@@ -250,5 +250,27 @@ class TestRunPipeline:
         b = run_pipeline(y, Identity(8, 8), GaussianNoise(0.01), base, cfg)
         assert a.report == b.report
         np.testing.assert_array_equal(a.fused.mean, b.fused.mean)
-        assert {"n_experts", "experts", "failures", "patch_size"} <= set(a.report)
+        assert {"n_experts", "experts", "failures", "patch_size", "warnings"} <= set(a.report)
         assert "total_s" in a.timings
+
+    def test_ep_warnings_reach_the_report(self, rng):
+        # 6x6 deblur: with cg_max_iters=1 every CG solve of every EP
+        # iteration stops unconverged (1 + rbmc_samples per iteration), and
+        # each EM round adds its EP run's warnings to the expert's count
+        base = train_em(rng.standard_normal((200, 9)) * 0.3 + 0.5, 2, max_iters=20, seed=0)
+        op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
+        y = simulate(op, np.full(36, 0.5), GaussianNoise(0.01), seed=9)
+
+        def report(ep):
+            cfg = PipelineConfig(ep=ep, patch_size=3, n_experts=2, outer_rounds=2,
+                                 theta_tol=0.0, seed=4)
+            return run_pipeline(y, op, GaussianNoise(0.01), base, cfg).report
+
+        capped = report(EPConfig(cg_max_iters=1, max_iterations=1))
+        per_expert = [e["warnings"] for e in capped["experts"]]
+        assert [e["outer_rounds"] for e in capped["experts"]] == [2, 2]
+        assert all(w >= 2 * (1 + EPConfig().rbmc_samples) for w in per_expert)
+        assert capped["warnings"] == sum(per_expert)
+        default = report(EPConfig(max_iterations=1))
+        assert default["warnings"] == 0
+        assert [e["warnings"] for e in default["experts"]] == [0, 0]
