@@ -4,20 +4,33 @@ Approximate MMSE estimates and pixel-wise posterior variances for denoising,
 inpainting and deconvolution under Gaussian or Poisson noise, using Gaussian
 mixture patch priors, structured-covariance EP, and product-of-experts
 fusion over shifted patch partitions.
+
+Everything works on numpy arrays in row-major pixel order.  Train a patch
+prior, blur and corrupt a synthetic scene, and restore it:
+
+>>> import numpy as np
+>>> from patchep import Conv2D, GaussianNoise, simulate, train_em
+>>> from patchep.metrics import psnr
+>>> from patchep.phantoms import extract_patches, make_phantom
+>>> from patchep.pipeline import PipelineConfig, run_pipeline
+>>> prior = train_em(extract_patches(make_phantom(16, 16, seed=0), 4), 2, max_iters=10)
+>>> blur = Conv2D(8, 8, np.full((3, 3), 1 / 9))
+>>> truth = make_phantom(8, 8, seed=1).ravel()
+>>> noise = GaussianNoise((10 / 255) ** 2)
+>>> y = simulate(blur, truth, noise, seed=2)
+>>> out = run_pipeline(y, blur, noise, prior,
+...                    PipelineConfig(patch_size=4, n_experts=1, em_enabled=False))
+>>> out.fused.mean.shape, out.report["experts"][0]["status"]
+((64,), 'converged')
+>>> bool(psnr(truth, out.fused.mean) > psnr(truth, y))
+True
+>>> std = np.sqrt(out.fused.marginal_var)  # per-pixel posterior std
+>>> bool(np.all(std > 0))
+True
 """
 
-from .gaussians import BlockDiagonalCov, marginal_variances
-from .gmm import (
-    Adaptation,
-    AdaptedGMM,
-    PatchGMM,
-    adapt,
-    load_gmm,
-    marginalize,
-    save_gmm,
-    train_em,
-)
-from .imageio import Image, read_float_raster, read_pgm, write_float_raster, write_pgm
+from .gaussians import BlockDiagonalCov
+from .gmm import Adaptation, AdaptedGMM, PatchGMM, adapt, marginalize, train_em
 from .operators import Conv2D, GaussianNoise, Identity, Mask, PoissonNoise, simulate
 from .partitions import Partition, build_shifted_partitions
 
@@ -28,23 +41,15 @@ __all__ = [
     "Conv2D",
     "GaussianNoise",
     "Identity",
-    "Image",
     "Mask",
     "Partition",
     "PatchGMM",
     "PoissonNoise",
     "adapt",
     "build_shifted_partitions",
-    "load_gmm",
-    "marginal_variances",
     "marginalize",
-    "read_float_raster",
-    "read_pgm",
-    "save_gmm",
     "simulate",
     "train_em",
-    "write_float_raster",
-    "write_pgm",
 ]
 
 __version__ = "0.1.0"

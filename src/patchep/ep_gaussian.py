@@ -68,6 +68,9 @@ class EPConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.stop_tol <= 0 or self.cg_tol <= 0:
             raise ValueError("tolerances must be positive")
+        for name in ("max_iterations", "cg_max_iters", "rbmc_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _stack_moments(prec: np.ndarray, eta: np.ndarray):
@@ -150,12 +153,6 @@ class EPResult:
     warnings: int = 0
 
 
-def _prior_for_group(adapted: AdaptedGMM, local: np.ndarray) -> AdaptedGMM:
-    if local.size == adapted.dim and np.array_equal(local, np.arange(adapted.dim)):
-        return adapted
-    return adapted.marginal(local)
-
-
 def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.ndarray,
              cav_prec: np.ndarray, cav_eta: np.ndarray) -> int:
     """Set group g of ``target`` so that its product with the cavity
@@ -207,7 +204,7 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
         cav_means, cav_covs = _stack_moments(cav_prec, cav_eta)
         try:
             w, t_means, t_covs = _tilted_moments_stack(
-                _prior_for_group(adapted, group.local), cav_means, cav_covs)
+                adapted.marginal(group.local), cav_means, cav_covs)
         except np.linalg.LinAlgError:
             weights.append(None)
             warnings += len(group.ids)

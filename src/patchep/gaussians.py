@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .partitions import Partition
 
-__all__ = ["BlockDiagonalCov", "block_diag", "diag_stack", "diag_stacks", "marginal_variances", "sym"]
+__all__ = ["BlockDiagonalCov", "block_diag", "diag_stack", "diag_stacks", "sym"]
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -82,11 +82,3 @@ class BlockDiagonalCov:
                 raise ValueError("covariance blocks must be positive definite") from exc
             checked.append(stack)
         object.__setattr__(self, "stacks", checked)
-
-
-def marginal_variances(cov: BlockDiagonalCov) -> np.ndarray:
-    """Per-pixel marginal variances, in global row-major pixel order."""
-    out = np.empty(cov.partition.n_pixels)
-    for group, stack in zip(cov.partition.groups, cov.stacks):
-        out[group.pixels] = np.diagonal(stack, axis1=1, axis2=2)
-    return out

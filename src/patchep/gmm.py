@@ -20,7 +20,6 @@ block and component.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +33,7 @@ __all__ = [
     "adapt",
     "marginalize",
     "train_em",
-    "save_gmm",
-    "load_gmm",
 ]
-
-GMM_MAGIC = b"PEPG"
-GMM_VERSION = 1
 
 
 def _jittered_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -140,8 +134,11 @@ class AdaptedGMM:
         return self.base.dim
 
     def marginal(self, indices) -> "AdaptedGMM":
-        """Cached marginalization onto a coordinate subset."""
+        """Cached marginalization onto a coordinate subset; the full cell
+        ``range(dim)`` is the prior itself."""
         key = tuple(int(i) for i in indices)
+        if key == tuple(range(self.dim)):
+            return self
         if key not in self._marginal_cache:
             self._marginal_cache[key] = marginalize(self, np.asarray(key))
         return self._marginal_cache[key]
@@ -212,13 +209,13 @@ def _tilted_moments_stack(adapted: AdaptedGMM, cavity_means: np.ndarray,
 
 
 def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
-             seed: int = 0, cov_floor: float | None = None,
-             return_history: bool = False):
+             seed: int = 0) -> PatchGMM:
     """Fit a PatchGMM by expectation-maximization.
 
     The log-likelihood is non-decreasing across iterations; a regularization
-    floor keeps every covariance diagonal bounded away from zero.  Degenerate
-    (constant) data collapses to a single floored component.
+    floor, 1e-6 times the mean per-coordinate sample variance, keeps every
+    covariance diagonal bounded away from zero.  Degenerate (constant) data
+    collapses to a single floored component.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, dim = samples.shape
@@ -228,14 +225,12 @@ def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
         raise ValueError("need at least one sample per component")
 
     spread = float(np.mean(np.var(samples, axis=0)))
-    if cov_floor is None:
-        cov_floor = max(1e-6 * spread, 1e-10)
+    cov_floor = max(1e-6 * spread, 1e-10)
     eye = np.eye(dim)
 
     if spread == 0.0:  # constant data: EM is degenerate
-        gmm = PatchGMM(weights=np.ones(1), means=samples[:1].copy(),
-                       covs=cov_floor * eye[None])
-        return (gmm, []) if return_history else gmm
+        return PatchGMM(weights=np.ones(1), means=samples[:1].copy(),
+                        covs=cov_floor * eye[None])
 
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=n_components, replace=False)
@@ -245,14 +240,12 @@ def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
     weights = np.full(n_components, 1.0 / n_components)
     gmm = PatchGMM(weights=weights, means=means, covs=covs)
 
-    history = []
     for _ in range(max_iters):
         chols = _jittered_cholesky(gmm.covs)
         log_resp = np.empty((n, n_components))
         for k in range(n_components):
             log_resp[:, k] = np.log(gmm.weights[k]) + _mvn_logpdf_chol(samples, gmm.means[k], chols[k])
         log_norm = logsumexp(log_resp, axis=1)
-        history.append(float(np.sum(log_norm)))
         resp = np.exp(log_resp - log_norm[:, None])
 
         counts = resp.sum(axis=0) + 1e-300
@@ -265,40 +258,4 @@ def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
         weights = weights / weights.sum()
         gmm = PatchGMM(weights=weights, means=means, covs=covs)
 
-    return (gmm, history) if return_history else gmm
-
-
-def save_gmm(path, gmm: PatchGMM) -> None:
-    with open(path, "wb") as fh:
-        fh.write(GMM_MAGIC)
-        fh.write(struct.pack("<III", GMM_VERSION, gmm.n_components, gmm.dim))
-        for k in range(gmm.n_components):
-            fh.write(struct.pack("<d", gmm.weights[k]))
-            fh.write(gmm.means[k].astype("<f8").tobytes())
-            fh.write(gmm.covs[k].astype("<f8").tobytes())
-
-
-def load_gmm(path) -> PatchGMM:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != GMM_MAGIC:
-            raise ValueError(f"bad GMM file magic {magic!r}")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise ValueError("truncated GMM header")
-        version, k, dim = struct.unpack("<III", header)
-        if version != GMM_VERSION:
-            raise ValueError(f"unsupported GMM file version {version}")
-        payload = fh.read()
-    per_comp = 8 * (1 + dim + dim * dim)
-    if len(payload) != k * per_comp:
-        raise ValueError("truncated GMM component data")
-    weights = np.empty(k)
-    means = np.empty((k, dim))
-    covs = np.empty((k, dim, dim))
-    for i in range(k):
-        chunk = payload[i * per_comp:(i + 1) * per_comp]
-        weights[i] = struct.unpack("<d", chunk[:8])[0]
-        means[i] = np.frombuffer(chunk[8:8 + 8 * dim], dtype="<f8")
-        covs[i] = np.frombuffer(chunk[8 + 8 * dim:], dtype="<f8").reshape(dim, dim)
-    return PatchGMM(weights=weights, means=means, covs=covs)
+    return gmm

@@ -81,10 +81,6 @@ class Partition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_size ** 2
-
     @cached_property
     def groups(self) -> list[BlockGroup]:
         """Blocks grouped by local-index pattern, in order of each group's
@@ -117,7 +113,8 @@ def _build_partition(width: int, height: int, patch_size: int,
 def build_shifted_partitions(width: int, height: int, patch_size: int,
                              n: int | None = None) -> list[Partition]:
     """The first ``n`` (default: all ``patch_size**2``) one-pixel-shifted
-    tilings of the grid, shifts ordered row by row ((0, 0), (1, 0), ...).
+    tilings of the grid, shifts ordered row by row ((0, 0), (1, 0), ...);
+    ``n`` must lie in ``1..patch_size**2``.
 
     The (0, 0) shift tiles from the top-left corner; every other shift carries
     truncated blocks along the boundary.
@@ -126,5 +123,7 @@ def build_shifted_partitions(width: int, height: int, patch_size: int,
         raise ValueError("patch_size must be >= 2")
     if width < patch_size or height < patch_size:
         raise ValueError("image dimensions must be >= patch_size")
+    if n is not None and not 1 <= n <= patch_size ** 2:
+        raise ValueError(f"n must lie in 1..{patch_size ** 2}, got {n}")
     shifts = [(dx, dy) for dy in range(patch_size) for dx in range(patch_size)]
     return [_build_partition(width, height, patch_size, shift) for shift in shifts[:n]]

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the production EP code paths: moments
 are computed with dense linear algebra, explicit enumeration, brute-force
-quadrature, or MCMC.  These oracles back the test suite and the ``verify``
-command.
+quadrature, or MCMC.  These oracles back the test suite; tests import them
+as ``from reference import ...``.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .gmm import AdaptedGMM
-from .operators import DegradationOperator
-from .partitions import Partition
+from patchep.gmm import AdaptedGMM
+from patchep.operators import DegradationOperator
+from patchep.partitions import Partition
 
 __all__ = [
     "BlockPosterior",
@@ -64,7 +64,7 @@ def exact_diagonal_gaussian_posterior(y: np.ndarray, operator: DegradationOperat
     mvar = np.empty(n)
     for j, idx in enumerate(partition.blocks):
         local = partition.local_indices[j]
-        prior = adapted if len(local) == adapted.dim else adapted.marginal(local)
+        prior = adapted.marginal(local)
         b = len(idx)
         obs_prec = diag_h[idx] / sigma2
         obs = obs_prec > 0
@@ -130,7 +130,7 @@ def sample_prior_image(adapted: AdaptedGMM, partition: Partition,
     x = np.empty(partition.n_pixels)
     for j, idx in enumerate(partition.blocks):
         local = partition.local_indices[j]
-        prior = adapted if len(local) == adapted.dim else adapted.marginal(local)
+        prior = adapted.marginal(local)
         comp = rng.choice(prior.n_components, p=prior.weights)
         chol = np.linalg.cholesky(prior.covs[comp])
         x[idx] = prior.means[comp] + chol @ rng.standard_normal(len(idx))
@@ -171,7 +171,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     N x N factor precisions P >= PRECISION_FLOOR * I, the closed form the
     scalable algorithm uses on its boundary blocks, here at full image size.
     """
-    from .kl_updates import update_block_precision
+    from patchep.kl_updates import update_block_precision
 
     n = partition.n_pixels
     if n > 1024:
@@ -198,7 +198,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
         prev_var = np.diag(cov_q).copy()
         for j, idx in enumerate(partition.blocks):
             local = partition.local_indices[j]
-            prior = adapted if len(local) == adapted.dim else adapted.marginal(local)
+            prior = adapted.marginal(local)
             cav_prec = lik_prec + sum(prec[t] for t in range(j_blocks) if t != j)
             cav_eta = lik_eta + sum(eta[t] for t in range(j_blocks) if t != j)
             cav_cov = np.linalg.inv(cav_prec)
@@ -274,7 +274,7 @@ def mcmc_poisson_reference(y: np.ndarray, operator: DegradationOperator,
     # per-group stacked state, priors, and observation slices
     stacks = []
     for group in partition.groups:
-        prior = adapted if group.local.size == adapted.dim else adapted.marginal(group.local)
+        prior = adapted.marginal(group.local)
         chols = np.linalg.cholesky(prior.covs)
         logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
         idx = group.pixels

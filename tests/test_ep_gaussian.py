@@ -21,14 +21,14 @@ from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.kl_updates import PRECISION_FLOOR
 from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, simulate
 from patchep.partitions import Partition, build_shifted_partitions
-from patchep.reference import (
+
+from conftest import per_block, pixel_diagonal, random_spd, small_gmm, stack_by_group
+from reference import (
     dense_operator,
     dense_reference_moments,
     exact_diagonal_gaussian_posterior,
     sample_prior_image,
 )
-
-from conftest import per_block, pixel_diagonal, random_spd, small_gmm, stack_by_group
 
 
 def pixel_partition(width, height):
@@ -52,6 +52,14 @@ class TestConfig:
             EPConfig(damping=0.0)
         with pytest.raises(ValueError):
             EPConfig(cg_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["max_iterations", "cg_max_iters", "rbmc_samples"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_counts_below_one(self, field, value):
+        # at 0: no M-step weights, division by zero in RBMC, or CG that
+        # returns its start vector as "converged"
+        with pytest.raises(ValueError, match=field):
+            EPConfig(**{field: value})
 
     def test_structure_resolution(self, rng):
         # the factors are diagonal exactly when the operator is

@@ -14,9 +14,9 @@ from patchep.ep_poisson import (
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import Conv2D, Identity, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
-from patchep.reference import dense_reference_moments, sample_prior_image
 
 from conftest import random_spd, stack_by_group
+from reference import dense_reference_moments, sample_prior_image
 
 
 def brute_force_tilted(y, mu1, c1, n_points=1_000_000):

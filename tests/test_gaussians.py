@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from patchep.gaussians import BlockDiagonalCov, diag_stacks, marginal_variances
+from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.partitions import build_shifted_partitions
 
-from conftest import stack_by_group
+from conftest import pixel_diagonal, stack_by_group
 
 
 class TestConstruction:
@@ -24,19 +24,22 @@ class TestConstruction:
     def test_accepts_spd_block(self):
         part = build_shifted_partitions(2, 2, 2)[0]
         cov = BlockDiagonalCov(part, [(np.eye(4) + 0.5)[None]])
-        np.testing.assert_array_equal(marginal_variances(cov), np.full(4, 1.5))
+        np.testing.assert_array_equal(cov.stacks[0], (np.eye(4) + 0.5)[None])
 
 
 class TestMarginalVariances:
+    """Diagonals read back from the stacks through ``group.pixels`` land in
+    pixel order, the layout EP's joint marginal variances rely on."""
+
     def test_isotropic(self):
         part = build_shifted_partitions(3, 3, 2)[3]
         cov = BlockDiagonalCov(part, diag_stacks(part, np.full(9, 2.0)))
-        np.testing.assert_array_equal(marginal_variances(cov), np.full(9, 2.0))
+        np.testing.assert_array_equal(pixel_diagonal(part, cov.stacks), np.full(9, 2.0))
 
     def test_diagonal(self):
         part = build_shifted_partitions(3, 3, 2)[3]
         cov = BlockDiagonalCov(part, diag_stacks(part, np.arange(1.0, 10.0) ** 2))
-        np.testing.assert_array_equal(marginal_variances(cov), np.arange(1, 10) ** 2)
+        np.testing.assert_array_equal(pixel_diagonal(part, cov.stacks), np.arange(1, 10) ** 2)
 
     def test_block_diagonal_reads_diagonals(self):
         # shift (1,0) on a 3x2 grid yields one 2-pixel and one 4-pixel block
@@ -44,7 +47,7 @@ class TestMarginalVariances:
         part = next(p for p in parts if p.shift == (1, 0))
         two = np.array([[2.0, 1.0], [1.0, 2.0]])
         blocks = [two if len(b) == 2 else np.eye(len(b)) for b in part.blocks]
-        out = marginal_variances(BlockDiagonalCov(part, stack_by_group(part, blocks)))
+        out = pixel_diagonal(part, BlockDiagonalCov(part, stack_by_group(part, blocks)).stacks)
         small = next(b for b in part.blocks if len(b) == 2)
         np.testing.assert_array_equal(out[small], [2.0, 2.0])
 
@@ -55,7 +58,6 @@ class TestMarginalVariances:
         for j, idx in enumerate(part.blocks):
             b = len(idx)
             blocks.append(np.diag(np.full(b, float(j + 1))))
-        out = marginal_variances(BlockDiagonalCov(part, stack_by_group(part, blocks)))
+        out = pixel_diagonal(part, BlockDiagonalCov(part, stack_by_group(part, blocks)).stacks)
         for j, idx in enumerate(part.blocks):
             np.testing.assert_array_equal(out[idx], np.full(len(idx), float(j + 1)))
-

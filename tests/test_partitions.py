@@ -32,6 +32,17 @@ class TestBuildShiftedPartitions:
         with pytest.raises(ValueError):
             build_shifted_partitions(8, 8, 1)
 
+    @pytest.mark.parametrize("n", [-1, 0, 17])
+    def test_rejects_partition_count_outside_range(self, n):
+        # 4x4 patches give 16 shifts; n must pick 1..16 of them
+        with pytest.raises(ValueError):
+            build_shifted_partitions(8, 8, 4, n)
+
+    def test_partition_count_at_range_ends(self):
+        assert len(build_shifted_partitions(8, 8, 4, 1)) == 1
+        assert len(build_shifted_partitions(8, 8, 4, 16)) == 16
+        assert len(build_shifted_partitions(8, 8, 4, None)) == 16
+
     def test_blocks_disjoint_and_cover(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

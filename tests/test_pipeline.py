@@ -14,9 +14,9 @@ from patchep.pipeline import (
     fuse_poe,
     run_pipeline,
 )
-from patchep.reference import sample_prior_image
 
 from conftest import stack_by_group
+from reference import sample_prior_image
 
 
 def make_expert(index, mean, var):
@@ -183,6 +183,14 @@ class TestEpemMStep:
         assert abs(theta.scale - 2.0) / 2.0 < 0.15
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rejects_outer_rounds_below_one(self, rounds):
+        # no round means no EP run, hence no expert result to report
+        with pytest.raises(ValueError, match="outer_rounds"):
+            PipelineConfig(outer_rounds=rounds)
+
+
 class TestRunPipeline:
     def test_single_expert_matches_bare_ep(self, rng):
         part0 = build_shifted_partitions(8, 8, 2)[0]
@@ -225,10 +233,9 @@ class TestRunPipeline:
         y = simulate(Identity(32, 32), truth, GaussianNoise(sigma2), seed=6)
         cfg = PipelineConfig(ep=EPConfig(damping=1.0), patch_size=4,
                              em_enabled=True, estimate_scale=False, seed=1)
-        out = run_pipeline(y, Identity(32, 32), GaussianNoise(sigma2), base, cfg,
-                           ground_truth=truth)
-        fused_psnr = out.report["fused_psnr_db"]
-        assert fused_psnr > max(out.report["expert_psnr_db"])
+        out = run_pipeline(y, Identity(32, 32), GaussianNoise(sigma2), base, cfg)
+        fused_psnr = psnr(truth, out.fused.mean)
+        assert fused_psnr > max(psnr(truth, e.mean) for e in out.experts)
         assert fused_psnr > psnr(truth, y) + 2.0
 
     def test_share_theta_mode(self, rng):

@@ -6,7 +6,9 @@ from patchep.ep_gaussian import EPConfig, run_ep_gaussian
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
-from patchep.reference import (
+
+from conftest import random_spd, small_gmm
+from reference import (
     dense_operator,
     dense_reference_moments,
     exact_diagonal_gaussian_posterior,
@@ -14,8 +16,6 @@ from patchep.reference import (
     naive_full_ep,
     sample_prior_image,
 )
-
-from conftest import random_spd, small_gmm
 
 
 class TestExactDiagonalPosterior:
