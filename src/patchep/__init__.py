@@ -9,10 +9,10 @@ Everything works on numpy arrays in row-major pixel order.  Train a patch
 prior, blur and corrupt a synthetic scene, and restore it:
 
 >>> import numpy as np
->>> from patchep import Conv2D, GaussianNoise, simulate, train_em
+>>> from patchep import (Conv2D, GaussianNoise, PipelineConfig, run_pipeline,
+...                      simulate, train_em)
 >>> from patchep.metrics import psnr
 >>> from patchep.phantoms import extract_patches, make_phantom
->>> from patchep.pipeline import PipelineConfig, run_pipeline
 >>> prior = train_em(extract_patches(make_phantom(16, 16, seed=0), 4), 2, max_iters=10)
 >>> blur = Conv2D(8, 8, np.full((3, 3), 1 / 9))
 >>> truth = make_phantom(8, 8, seed=1).ravel()
@@ -29,25 +29,30 @@ True
 True
 """
 
+from .ep_gaussian import EPConfig
 from .gaussians import BlockDiagonalCov
 from .gmm import Adaptation, AdaptedGMM, PatchGMM, adapt, marginalize, train_em
 from .operators import Conv2D, GaussianNoise, Identity, Mask, PoissonNoise, simulate
 from .partitions import Partition, build_shifted_partitions
+from .pipeline import PipelineConfig, run_pipeline
 
 __all__ = [
     "Adaptation",
     "AdaptedGMM",
     "BlockDiagonalCov",
     "Conv2D",
+    "EPConfig",
     "GaussianNoise",
     "Identity",
     "Mask",
     "Partition",
     "PatchGMM",
+    "PipelineConfig",
     "PoissonNoise",
     "adapt",
     "build_shifted_partitions",
     "marginalize",
+    "run_pipeline",
     "simulate",
     "train_em",
 ]

@@ -7,12 +7,13 @@ block-diagonal precisions aligned to the patch partition.  Each factor keeps
 its precision as one ``(J_g, b, b)`` stack per group of
 ``partition.groups`` and its precision-mean as one N-vector; every block
 operation is batched over a group's stack.  The structure is diagonal (zero
-off-diagonal entries) exactly when H is diagonal and a full block otherwise;
-it matters only in the KL step (see :mod:`patchep.kl_updates`), which is
-closed-form either way: per pixel for the diagonal structure, and for full
-blocks in one batched step over a group's stack, with the exact constrained
-minimizer computed block by block where the unconstrained optimum falls
-below the precision floor.  Each iteration alternates
+off-diagonal entries) exactly when H is diagonal and a full block otherwise.
+Diagonal stacks get their moments per pixel, without a batched inverse.  The
+KL step (see :mod:`patchep.kl_updates`) is closed-form either way: per pixel
+for the diagonal structure, and for full blocks in one batched step over a
+group's stack, with the exact constrained minimizer computed block by block
+where the unconstrained optimum falls below the precision floor.  Each
+iteration alternates
 
 * prior-side update: tilted GMM moments of each group against the
   likelihood factor as cavity, then the KL precision update and the
@@ -73,9 +74,13 @@ class EPConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _stack_moments(prec: np.ndarray, eta: np.ndarray):
+def _stack_moments(prec: np.ndarray, eta: np.ndarray, structure: str):
     """Means (J, b) and covariances (J, b, b) of a stack of blocks given in
-    natural parameters: precisions (J, b, b) and precision-means (J, b)."""
+    natural parameters: precisions (J, b, b) and precision-means (J, b).
+    Diagonal stacks are inverted per pixel."""
+    if structure == "diagonal":
+        var = 1.0 / np.diagonal(prec, axis1=1, axis2=2)
+        return var * eta, diag_stack(var)
     cov = sym(np.linalg.inv(prec))
     return (cov @ eta[..., None])[..., 0], cov
 
@@ -132,7 +137,7 @@ class EPState:
         self.marginal_var = np.empty(part.n_pixels)
         self.joint_covs = []
         for group, p0, p1 in zip(part.groups, self.q0.prec, self.q1.prec):
-            mean, cov = _stack_moments(p0 + p1, eta[group.pixels])
+            mean, cov = _stack_moments(p0 + p1, eta[group.pixels], self.q0.structure)
             self.mean[group.pixels] = mean
             self.marginal_var[group.pixels] = np.diagonal(cov, axis1=1, axis2=2)
             self.joint_covs.append(cov)
@@ -201,7 +206,7 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     target = state.q0.copy()
     for g, (group, cav_prec) in enumerate(zip(part.groups, state.q1.prec)):
         cav_eta = state.q1.eta[group.pixels]
-        cav_means, cav_covs = _stack_moments(cav_prec, cav_eta)
+        cav_means, cav_covs = _stack_moments(cav_prec, cav_eta, state.q1.structure)
         try:
             w, t_means, t_covs = _tilted_moments_stack(
                 adapted.marginal(group.local), cav_means, cav_covs)

@@ -8,10 +8,11 @@ posterior is approximated with four Gaussian factors:
 * q_u0 (diagonal) for the count likelihood, refined by the diagonal KL
   step of :mod:`patchep.kl_updates` from per-pixel 1D tilted moments: a
   two-piece truncated-Gaussian closed form when the count is zero,
-  mode-centered Simpson quadrature otherwise.  The quadrature maps every
-  pixel's 513 nodes onto one fixed unit grid, so its three weighted sums are
-  a single matrix product with a fixed (513, 3) basis; pixels are processed
-  in cache-sized chunks of 256;
+  mode-centered 48-node Gauss-Legendre quadrature otherwise (Golub & Welsch
+  1969; 48 nodes is the floor, see :func:`_tilted_positive_counts`).  The
+  quadrature maps every pixel's nodes onto one fixed unit grid, so its
+  three weighted sums are a single matrix product with a fixed (48, 3)
+  basis; pixels are processed in cache-sized chunks of 256;
 * q_x1 / q_x0 for the x side, reusing the Gaussian-model machinery with the
   noise term replaced by the current diagonal q_u0;
 * q_u1 (isotropic) for the coupling, fitted by the Newton isotropic KL
@@ -37,17 +38,17 @@ from .partitions import Partition
 
 __all__ = ["rectified_poisson_tilted_batch", "run_ep_poisson"]
 
-_SIMPSON_POINTS = 513
+_GL_POINTS = 48
 _SPAN_STD = 10.0
-# Simpson nodes on [0, 1] and the basis (w / 3 (n - 1)) * [1, t, t^2]: one
-# contraction gives the zeroth to second moments on the unit interval
-_UNIT_NODES = np.linspace(0.0, 1.0, _SIMPSON_POINTS)
-_SIMPSON_WEIGHTS = np.ones(_SIMPSON_POINTS)
-_SIMPSON_WEIGHTS[1:-1:2] = 4.0
-_SIMPSON_WEIGHTS[2:-1:2] = 2.0
-_SIMPSON_BASIS = (_SIMPSON_WEIGHTS / (3.0 * (_SIMPSON_POINTS - 1)))[:, None] * np.stack(
-    [np.ones(_SIMPSON_POINTS), _UNIT_NODES, _UNIT_NODES ** 2], axis=1)
-# pixels per quadrature chunk: each (chunk, 513) float64 buffer is ~1 MB
+# Gauss-Legendre nodes on [0, 1] (t = (x + 1) / 2, weights w / 2) and the
+# basis w * [1, t, t^2]: one contraction gives the zeroth to second moments
+# on the unit interval
+_UNIT_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
+_UNIT_NODES = 0.5 * (_UNIT_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+_GL_BASIS = _GL_WEIGHTS[:, None] * np.stack(
+    [np.ones(_GL_POINTS), _UNIT_NODES, _UNIT_NODES ** 2], axis=1)
+# pixels per quadrature chunk: each (chunk, 48) float64 buffer is ~100 KB
 _CHUNK = 256
 
 
@@ -94,14 +95,16 @@ def _tilted_zero_counts(mu1: np.ndarray, c1: float):
 
 
 def _tilted_positive_counts(y: np.ndarray, mu1: np.ndarray, c1: float):
-    """Simpson quadrature of u^y e^{-u} / y! * N(u; mu1, c1) on u > 0,
-    centered at the integrand's log-mode with span +-10 effective std.
+    """48-node Gauss-Legendre quadrature of u^y e^{-u} / y! * N(u; mu1, c1)
+    on u > 0, centered at the integrand's log-mode with span +-10 effective
+    std.  Fewer nodes do not suffice: 32 leave 3e-7 relative error in the
+    moments and 24 leave 5e-4.
 
     Each pixel's nodes are u = lo + span * t on the fixed unit grid t, so
-    the three weighted sums are one (P, 513) @ (513, 3) product with the
+    the three weighted sums are one (P, 48) @ (48, 3) product with the
     fixed basis w * [1, t, t^2]; the moments follow in the unit-interval
     basis, mean = lo + span E[t] and var = span^2 (E[t^2] - E[t]^2).  The
-    integrand is built in place in two (P, 513) buffers.
+    integrand is built in place in two (P, 48) buffers.
     """
     y = np.asarray(y, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
@@ -130,7 +133,7 @@ def _tilted_positive_counts(y: np.ndarray, mu1: np.ndarray, c1: float):
     f -= u
     f -= g_max[:, None]
     np.exp(f, out=f)
-    m0, m1, m2 = (f @ _SIMPSON_BASIS).T
+    m0, m1, m2 = (f @ _GL_BASIS).T
 
     z0 = m0 * span
     bad = ~np.isfinite(z0) | (z0 < 1e-300)

@@ -6,7 +6,7 @@ operator holds ``H`` as a CSR ``matrix`` built once at construction; it is
 the only representation of ``H``.  ``apply`` and ``apply_adjoint`` are
 products with it, ``gram_block`` reads its columns, and the quadratic forms
 ``h_n S h_n^T`` of a block-diagonal covariance S are the diagonal of the
-sparse product ``H S H^T``.
+sparse product ``H S H^T``, or ``diag(H^T H) * S_nn`` when H is diagonal.
 
 Noise simulation uses a counter-based (Philox) generator so runs are
 reproducible regardless of scheduling.
@@ -210,7 +210,14 @@ def simulate(operator: DegradationOperator, x: np.ndarray, noise, seed: int) -> 
 def all_row_quadratic_forms(operator: DegradationOperator, partition: Partition,
                             stacks) -> np.ndarray:
     """h_n S h_n^T for every row n of H: the diagonal of H S H^T, with S the
-    block-diagonal matrix of ``stacks`` (one per group of ``partition``)."""
+    block-diagonal matrix of ``stacks`` (one per group of ``partition``).
+    A diagonal H reads only S_nn, so there the forms are diag(H^T H) * S_nn
+    for any blocks."""
+    if operator.is_diagonal:
+        s_nn = np.empty(partition.n_pixels)
+        for group, stack in zip(partition.groups, stacks):
+            s_nn[group.pixels] = np.diagonal(stack, axis1=1, axis2=2)
+        return operator.diag_gram() * s_nn
     h = operator.matrix
     s = block_diag(partition, stacks)
     return np.asarray((h @ s).multiply(h).sum(axis=1)).ravel()

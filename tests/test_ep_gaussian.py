@@ -11,12 +11,14 @@ from patchep.ep_gaussian import (
     EPState,
     GaussianFactor,
     _kl_step,
+    _stack_moments,
     run_ep_gaussian,
     solve_cg,
     tilted_p1_moments,
     update_q_x0,
     update_q_x1,
 )
+from patchep.gaussians import diag_stack
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.kl_updates import PRECISION_FLOOR
 from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, simulate
@@ -71,6 +73,19 @@ class TestConfig:
                               (Conv2D(4, 4, np.ones((1, 1))), "block")):
             state = run_ep_gaussian(y, op, 0.1, adapted, part, cfg).state
             assert state.q0.structure == state.q1.structure == structure
+
+
+class TestStackMoments:
+    def test_diagonal_branch_matches_inverse(self, rng):
+        # random diagonal stacks: the per-pixel branch against the batched
+        # inverse of the general branch
+        prec = diag_stack(rng.uniform(0.01, 100.0, (30, 9)))
+        eta = rng.standard_normal((30, 9))
+        mean, cov = _stack_moments(prec, eta, "diagonal")
+        ref_mean, ref_cov = _stack_moments(prec, eta, "block")
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-14)
+        np.testing.assert_allclose(cov, ref_cov, rtol=1e-14)
+        assert np.all(cov[:, ~np.eye(9, dtype=bool)] == 0.0)
 
 
 class TestUpdateQx0:

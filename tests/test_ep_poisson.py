@@ -43,13 +43,14 @@ def brute_force_tilted(y, mu1, c1, n_points=1_000_000):
     return float(np.exp(np.log(z0) + shift)), float(mean), float(var)
 
 
-def three_sum_tilted(y, mu1, c1):
-    """Slow-path reference for the positive-count quadrature: the same
-    mode-centered 513-point Simpson rule, with the nodes u materialised per
-    pixel and the three sums z0, z1, z2 of f, f d, f d^2 (d = u - mode)
-    taken separately.  Sums of f u^2 about the origin would lose up to seven
-    digits of the variance to cancellation (a mean near 1000 with variance
-    0.1), which is more than the tolerance under test; d keeps them.
+def three_sum_tilted(y, mu1, c1, n_points):
+    """Slow-path reference for the positive-count quadrature: a composite
+    Simpson rule with n_points (odd) nodes on the kernel's mode-centered
+    span, with the nodes u materialised pixel by pixel and the three sums
+    z0, z1, z2 of f, f d, f d^2 (d = u - mode) taken separately.  Sums of
+    f u^2 about the origin would lose up to seven digits of the variance to
+    cancellation (a mean near 1000 with variance 0.1), which is more than
+    the tolerance under test; d keeps them.
     Also returns which pixels had their lower end clipped at u = 1e-300."""
     y = np.asarray(y, dtype=float)
     half_b = 0.5 * (c1 - mu1)
@@ -62,17 +63,16 @@ def three_sum_tilted(y, mu1, c1):
     clipped = mode - 10.0 * std_eff < 1e-300
     lo = np.maximum(mode - 10.0 * std_eff, 1e-300)
     hi = mode + 10.0 * std_eff
-    u = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 513)[None, :]
-    log_g = y[:, None] * np.log(u) - u - (u - mu1[:, None]) ** 2 / (2.0 * c1)
     g_max = y * np.log(mode) - mode - (mode - mu1) ** 2 / (2.0 * c1)
-    f = np.exp(log_g - g_max[:, None])
-    w = np.ones(513)
+    w = np.ones(n_points)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    h = (hi - lo) / 512
-    z0 = (f @ w) * h / 3.0
-    d = u - mode[:, None]
-    z1 = ((f * d) @ w) * h / 3.0
-    z2 = ((f * d ** 2) @ w) * h / 3.0
+    z0, z1, z2 = np.empty((3, y.size))
+    for i in range(y.size):
+        u = np.linspace(lo[i], hi[i], n_points)
+        f = np.exp(y[i] * np.log(u) - u - (u - mu1[i]) ** 2 / (2.0 * c1) - g_max[i])
+        d = u - mode[i]
+        h = (hi[i] - lo[i]) / (n_points - 1)
+        z0[i], z1[i], z2[i] = f @ w * h / 3.0, (f * d) @ w * h / 3.0, (f * d ** 2) @ w * h / 3.0
     mean = mode + z1 / z0
     var = z2 / z0 - (z1 / z0) ** 2
     log_z = np.log(z0) + g_max - gammaln(y + 1) - 0.5 * np.log(2 * np.pi * c1)
@@ -119,32 +119,31 @@ class TestRectifiedPoissonTilted:
             assert abs(mean[0] - mean_ref) / max(abs(mean_ref), 1e-3) < 1e-8
             assert abs(var[0] - var_ref) / var_ref < 1e-8
 
-    def test_mode_centered_simpson_recovers_pure_gaussian(self):
-        # quadrature-scheme invariant: same node layout (513 points, +-10
-        # effective std around the mode) integrates a pure Gaussian exactly
-        # within tolerance
+    def test_mode_centered_rule_recovers_pure_gaussian(self):
+        # quadrature-scheme invariant: the module's unit nodes and basis,
+        # laid over +-10 std around the mode, integrate a pure Gaussian
+        # exactly within tolerance
         mu, c = 3.7, 0.9
-        lo, hi = mu - 10 * np.sqrt(c), mu + 10 * np.sqrt(c)
-        u = np.linspace(lo, hi, 513)
-        w = np.ones(513)
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        lo, span = mu - 10 * np.sqrt(c), 20 * np.sqrt(c)
+        u = lo + span * ep_poisson._UNIT_NODES
         f = np.exp(-0.5 * (u - mu) ** 2 / c)
-        h = (hi - lo) / 512
-        z0 = f @ w * h / 3
-        mean = (f * u) @ w * h / 3 / z0
-        var = (f * u ** 2) @ w * h / 3 / z0 - mean ** 2
+        m0, m1, m2 = f @ ep_poisson._GL_BASIS
+        mean = lo + span * m1 / m0
+        var = span ** 2 * (m2 / m0 - (m1 / m0) ** 2)
         assert abs(mean - mu) < 1e-10
         assert abs(var - c) < 1e-10
 
     def test_unit_basis_contraction_matches_three_sums(self, rng, monkeypatch):
         # 750 positive counts over y in [1, 500], cavity means in [-20, 2y],
-        # three cavity variances, clipped and unclipped lower ends
+        # three cavity variances, clipped and unclipped lower ends; the
+        # reference is a 16,385-node Simpson rule on the same span, whose
+        # error is far below the tolerances
         for c1 in (0.1, 6.0, 1e4):
             y = np.rint(np.exp(rng.uniform(0.0, np.log(500.0), 247)))
             y = np.concatenate([[1.0, 2.0, 500.0], y])
             mu1 = rng.uniform(-20.0, 2.0 * y)
             mu1[:20] = rng.uniform(-20.0, 0.0, 20)
-            ref_lz, ref_mean, ref_var, clipped = three_sum_tilted(y, mu1, c1)
+            ref_lz, ref_mean, ref_var, clipped = three_sum_tilted(y, mu1, c1, 16_385)
             assert 0 < np.sum(clipped) < y.size
             for chunk in (1, 7, ep_poisson._CHUNK, 10_000):
                 monkeypatch.setattr(ep_poisson, "_CHUNK", chunk)

@@ -135,6 +135,21 @@ class TestRowForms:
         np.testing.assert_allclose(batch, [h[n] @ sigma @ h[n] for n in range(36)],
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("op", [Identity(6, 6),
+                                    Mask(6, 6, np.random.default_rng(4).random(36) < 0.6)],
+                             ids=["identity", "mask"])
+    def test_diagonal_operator_on_full_blocks_vs_dense_oracle(self, op):
+        # a diagonal H reads only the diagonal of S, whatever its blocks hold
+        h = dense_matrix(op)
+        rng = np.random.default_rng(7)
+        part = build_shifted_partitions(6, 6, 3)[4]
+        blocks = [random_spd(rng, len(b)) for b in part.blocks]
+        sigma = np.zeros((36, 36))
+        for j, idx in enumerate(part.blocks):
+            sigma[np.ix_(idx, idx)] = blocks[j]
+        np.testing.assert_allclose(all_row_quadratic_forms(op, part, stack_by_group(part, blocks)),
+                                   [h[n] @ sigma @ h[n] for n in range(36)], rtol=1e-12)
+
     def test_all_row_forms_isotropic_and_diagonal(self):
         rng = np.random.default_rng(8)
         op = Conv2D(5, 5, rng.standard_normal((3, 3)))
