@@ -27,8 +27,13 @@ iteration alternates
   probes are drawn afresh from EPConfig.seed on every update, so each
   iteration sees the same probes (common random numbers) and the update is a
   deterministic map that can reach a fixed point.  When H^T H is diagonal
-  the likelihood factor is set directly.  CG solves that stop at the
-  iteration cap are counted as warnings.
+  the likelihood factor is set directly.
+
+Nothing that goes wrong in an update is silent: each one counts as a warning
+under one of ``WARNING_CAUSES`` (a CG solve stopped at its iteration cap, a
+group whose tilted moments failed, counted per block, a block whose KL step
+failed or was rejected, or a Poisson precision escape), and the result
+reports the counts by cause.
 
 Factor updates are damped in natural parameters (precision and
 precision-mean).  The loop stops when the squared change of the joint mean
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +57,9 @@ from .kl_updates import PRECISION_FLOOR, block_kl_update, diag_kl_update, update
 from .operators import DegradationOperator
 from .partitions import Partition
 
-__all__ = ["EPConfig", "EPResult", "run_ep", "run_ep_gaussian"]
+__all__ = ["EPConfig", "EPResult", "WARNING_CAUSES", "run_ep", "run_ep_gaussian"]
+
+WARNING_CAUSES = ("cg_not_converged", "tilted_failed", "kl_rejected", "poisson_escapes")
 
 
 @dataclass
@@ -155,7 +163,12 @@ class EPResult:
     state: EPState = field(repr=False, default=None)
     u_mean: np.ndarray = None          # Poisson only
     u_var: np.ndarray = None
-    warnings: int = 0
+    warnings_by_cause: dict = field(default_factory=dict)   # cause -> count
+
+    @property
+    def warnings(self) -> int:
+        """All warnings of the run, the sum over their causes."""
+        return sum(self.warnings_by_cause.values())
 
 
 def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.ndarray,
@@ -198,11 +211,11 @@ def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
 
 def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     """Prior-side EP update; returns (tilted weights per group, warning
-    count).  A group whose tilted moments fail gets weights None and keeps
-    its old blocks."""
+    counts by cause).  A group whose tilted moments fail gets weights None
+    and keeps its old blocks."""
     part = state.partition
     weights = []
-    warnings = 0
+    warnings = Counter()
     target = state.q0.copy()
     for g, (group, cav_prec) in enumerate(zip(part.groups, state.q1.prec)):
         cav_eta = state.q1.eta[group.pixels]
@@ -212,10 +225,10 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
                 adapted.marginal(group.local), cav_means, cav_covs)
         except np.linalg.LinAlgError:
             weights.append(None)
-            warnings += len(group.ids)
+            warnings["tilted_failed"] += len(group.ids)
             continue
         weights.append(w)
-        warnings += _kl_step(target, g, t_means, t_covs, cav_prec, cav_eta)
+        warnings["kl_rejected"] += _kl_step(target, g, t_means, t_covs, cav_prec, cav_eta)
     state.q0.damp_from(target, config.damping)
     return weights, warnings
 
@@ -304,10 +317,9 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
 def update_q_x1(state: EPState, operator: DegradationOperator,
                 obs_weights: np.ndarray, obs_eta: np.ndarray,
                 config: EPConfig, warm_start: np.ndarray | None = None):
-    """Likelihood-side EP update; returns (cg iterations, warning count).
-
-    The warning count adds the CG solves that hit cg_max_iters and the KL
-    step's warnings (see :func:`_kl_step`).
+    """Likelihood-side EP update; returns (cg iterations, warning counts by
+    cause): the CG solves that hit cg_max_iters and the KL step's rejected
+    blocks (see :func:`_kl_step`).
     For diagonal H^T H the factor is set directly to the exact Gaussian
     likelihood term (precision W * diag(H^T H), floored where a pixel is
     unobserved); no damping is applied to that exact assignment.
@@ -317,14 +329,15 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
         prec = np.maximum(obs_weights * operator.diag_gram(), PRECISION_FLOOR)
         state.q1.prec = diag_stacks(part, prec)
         state.q1.eta = obs_eta.copy()
-        return 0, 0
+        return 0, Counter()
 
-    t_mean, t_covs, cg_iters, warnings = tilted_p1_moments(
+    t_mean, t_covs, cg_iters, not_converged = tilted_p1_moments(
         state.q0, operator, obs_weights, obs_eta, config, warm_start)
+    warnings = Counter(cg_not_converged=not_converged)
     target = state.q1.copy()
     for g, group in enumerate(part.groups):
-        warnings += _kl_step(target, g, t_mean[group.pixels], t_covs[g],
-                             state.q0.prec[g], state.q0.eta[group.pixels])
+        warnings["kl_rejected"] += _kl_step(target, g, t_mean[group.pixels], t_covs[g],
+                                            state.q0.prec[g], state.q0.eta[group.pixels])
     state.q1.damp_from(target, config.damping)
     return cg_iters, warnings
 
@@ -345,7 +358,8 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
 
     Both x-side factors start at (init_mean, init_var).  Each iteration calls
     ``step(state)``, which updates the factors, leaves the state synced
-    and returns (per-group tilted weights, warning count, trace fields).
+    and returns (per-group tilted weights, warning counts as a mapping from
+    names in ``WARNING_CAUSES`` to counts, trace fields).
     Iterations stop when the squared changes of the joint mean and joint
     marginal variances both drop below stop_tol * N, or at max_iterations.
     One trace record per iteration goes to ``trace`` (a list, or a text
@@ -361,14 +375,15 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     state.sync()
 
     weights = None
-    warnings = 0
+    warnings = dict.fromkeys(WARNING_CAUSES, 0)
     converged = False
     prev_mean = state.mean.copy()
     prev_var = state.marginal_var.copy()
     for iteration in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         weights, step_warnings, fields = step(state)
-        warnings += step_warnings
+        for cause, count in step_warnings.items():
+            warnings[cause] += count
         state.iteration = iteration
 
         dm2 = float(np.sum((state.mean - prev_mean) ** 2))
@@ -390,7 +405,7 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
         converged=converged,
         status="converged" if converged else "max_iterations",
         state=state,
-        warnings=warnings,
+        warnings_by_cause=warnings,
     )
 
 

@@ -267,7 +267,9 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
 
     All means start at y + 1 and all per-pixel variances at y + 1 (the
     isotropic q_u1 uses their mean).  The update order is q_u0, q_x1, q_u1,
-    q_x0; the stopping rule matches the Gaussian loop (x-side moments).
+    q_x0; the stopping rule matches the Gaussian loop (x-side moments).  The
+    escapes of the q_u0 update count as EP warnings of cause
+    ``poisson_escapes``.
     """
     config = config or EPConfig()
     y = np.asarray(y, dtype=float)
@@ -305,6 +307,7 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
 
         weights, w0 = update_q_x0(state, adapted, config)
         state.sync()
+        w0["poisson_escapes"] += escapes
         return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": 1.0 / factors.prec_u1,
                                   "negative_precision_escapes": escapes}
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln, logsumexp
 
-from patchep.gmm import AdaptedGMM
+from patchep.gmm import AdaptedGMM, PatchGMM
 from patchep.operators import DegradationOperator
 from patchep.partitions import Partition
 
@@ -23,6 +24,7 @@ __all__ = [
     "dense_operator",
     "dense_reference_moments",
     "sample_prior_image",
+    "epem_e_cost_reference",
     "naive_full_ep",
     "mcmc_poisson_reference",
 ]
@@ -157,6 +159,59 @@ def _tilted_gmm_block(prior: AdaptedGMM, cav_mean: np.ndarray, cav_cov: np.ndarr
     cov = np.einsum("k,kab->ab", w, covs) + np.einsum("k,ka,kb->ab", w, means, means)
     cov -= np.outer(mean, mean)
     return w, mean, 0.5 * (cov + cov.T)
+
+
+def _tilted_gmm_block_jittered(prior: AdaptedGMM, cav_mean: np.ndarray,
+                               cav_cov: np.ndarray):
+    """Inline tilted-GMM moments in the direct form, for a stack whose
+    S + C_k needs the 1e-10 * trace/dim jitter: with A_k = S + C_k + jitter
+    I, the log weights are log w_k + log N(m; mu_k, A_k), the component
+    means mu_k + C_k A_k^{-1}(m - mu_k) and covariances C_k A_k^{-1} S.
+    Singular S or C_k are allowed."""
+    k, b = prior.n_components, cav_mean.size
+    log_w = np.empty(k)
+    means = np.empty((k, b))
+    covs = np.empty((k, b, b))
+    for comp in range(k):
+        total = cav_cov + prior.covs[comp]
+        total = total + 1e-10 * np.trace(total) / b * np.eye(b)
+        log_w[comp] = np.log(prior.weights[comp]) + _gaussian_logpdf(
+            cav_mean, prior.means[comp], total)
+        means[comp] = prior.means[comp] + prior.covs[comp] @ np.linalg.solve(
+            total, cav_mean - prior.means[comp])
+        covs[comp] = prior.covs[comp] @ np.linalg.solve(total, cav_cov)
+    w = np.exp(log_w - logsumexp(log_w))
+    mean = w @ means
+    cov = np.einsum("k,kab->ab", w, covs) + np.einsum("k,ka,kb->ab", w, means, means)
+    cov -= np.outer(mean, mean)
+    return w, mean, 0.5 * (cov + cov.T)
+
+
+def epem_e_cost_reference(theta, weights, mean, cov, base: PatchGMM,
+                          partition: Partition) -> float:
+    """The EP-EM E-cost through scipy's ``cho_factor``/``cho_solve``, the
+    formula of ``pipeline.epem_e_cost`` before it called LAPACK directly;
+    the two must agree bit for bit."""
+    total = 0.0
+    for group, w, s in zip(partition.groups, weights, cov.stacks):
+        if w is None:
+            continue
+        idxs = group.local
+        m = mean[group.pixels]
+        b = idxs.size
+        mu = theta.offset + theta.scale * base.means[:, idxs]
+        sub = base.covs[:, idxs[:, None], idxs[None, :]]
+        cc = theta.mean_var * np.ones((b, b)) + theta.scale ** 2 * sub
+        for comp in range(base.n_components):
+            factor = cho_factor(cc[comp], lower=True)
+            logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+            wc = w[:, comp]
+            inv = cho_solve(factor, np.eye(b))
+            trace = np.einsum("ab,jab->j", inv, s)
+            diff = m - mu[comp]
+            maha = np.sum(diff * cho_solve(factor, diff.T).T, axis=1)
+            total += np.sum(wc * (-0.5 * (logdet + trace + maha + b * np.log(2 * np.pi))))
+    return float(total)
 
 
 def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -388,12 +390,14 @@ class TestUpdateQx1:
             _, warnings = update_q_x1(state, op, w, op.apply_adjoint(y) / sigma2, cfg)
             return warnings
 
-        assert warnings_with(EPConfig()) == 0
+        assert warnings_with(EPConfig()).total() == 0
         capped = EPConfig(cg_max_iters=1)
-        assert warnings_with(capped) == 1 + capped.rbmc_samples
+        assert warnings_with(capped) == Counter(cg_not_converged=1 + capped.rbmc_samples)
         res = run_ep_gaussian(y, op, sigma2, k1_adapted(rng, 9), part,
                               EPConfig(cg_max_iters=1, max_iterations=1))
         assert res.warnings >= 1 + capped.rbmc_samples
+        assert res.warnings_by_cause["cg_not_converged"] >= 1 + capped.rbmc_samples
+        assert res.warnings == sum(res.warnings_by_cause.values())
 
     def test_denoising_shortcut_sets_noise_variance(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]

@@ -358,3 +358,23 @@ class TestRunEpPoisson:
         run_ep_poisson(y, Identity(4, 4), adapted, part,
                        EPConfig(max_iterations=3), trace=trace)
         assert {"c1", "negative_precision_escapes"} <= set(trace[0])
+
+    def test_escapes_are_warnings(self, monkeypatch):
+        # every tilted variance above c1: each pixel escapes on every
+        # iteration, and the escapes reach the result as their own cause
+        part = build_shifted_partitions(4, 4, 2)[0]
+        adapted = adapt(PatchGMM(np.array([1.0]), np.full((1, 4), 3.0), np.eye(4)[None]),
+                        Adaptation())
+
+        def fake_tilted(y, mu1, c1):
+            n = y.size
+            return np.zeros(n), np.asarray(mu1, float), np.full(n, 2.0 * c1), 0
+
+        monkeypatch.setattr("patchep.ep_poisson.rectified_poisson_tilted_batch", fake_tilted)
+        trace = []
+        res = run_ep_poisson(np.full(16, 3.0), Identity(4, 4), adapted, part,
+                             EPConfig(max_iterations=3), trace=trace)
+        escapes = sum(record["negative_precision_escapes"] for record in trace)
+        assert escapes == 16 * res.iterations
+        assert res.warnings_by_cause["poisson_escapes"] == escapes
+        assert res.warnings == escapes

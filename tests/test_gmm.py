@@ -10,10 +10,10 @@ from patchep.gmm import (
     marginalize,
     train_em,
 )
-from patchep.gmm import _tilted_moments_stack
+from patchep.gmm import _lower_triangular_inverse, _tilted_moments_stack
 
 from conftest import random_spd, small_gmm
-from reference import _tilted_gmm_block
+from reference import _tilted_gmm_block, _tilted_gmm_block_jittered
 
 
 class TestPatchGMM:
@@ -201,6 +201,40 @@ class TestTiltedMoments:
             np.testing.assert_allclose(weights[j], w_ref, rtol=1e-9)
             np.testing.assert_allclose(means[j], mean_ref, rtol=1e-9)
             np.testing.assert_allclose(covs[j], cov_ref, rtol=1e-9)
+
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 16])
+    def test_triangular_inverse_matches_lu_inverse(self, rng, b):
+        # Cholesky factors of a (4, 3) stack of SPD matrices
+        a = rng.standard_normal((4, 3, b, b))
+        chol = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2) + b * np.eye(b))
+        inv = _lower_triangular_inverse(chol)
+        expected = np.linalg.inv(chol)
+        np.testing.assert_allclose(inv, expected, rtol=1e-12, atol=1e-15)
+        assert np.all(np.triu(inv, 1) == 0.0)
+
+    def test_jitter_retry_against_inline_oracle(self, rng):
+        # coordinate 1 is absent from both the prior and the cavities: S + C_k
+        # has a zero row, the plain Cholesky fails and the kernel retries with
+        # the 1e-10 * trace/dim jitter on the whole stack.  A cavity mean of
+        # 1e-5 on that coordinate puts the jitter into the weights at O(1)
+        covs = np.stack([random_spd(rng, 3, 0.2) for _ in range(2)])
+        covs[:, 1, :] = covs[:, :, 1] = 0.0
+        prior = adapt(PatchGMM(np.array([0.4, 0.6]), rng.standard_normal((2, 3)) * 0.5, covs),
+                      Adaptation())
+        prior.means[:, 1] = 0.0
+        cav_means = rng.standard_normal((3, 3))
+        cav_means[:, 1] = 1e-5
+        cav_covs = np.stack([random_spd(rng, 3, 0.1) for _ in range(3)])
+        cav_covs[:, 1, :] = cav_covs[:, :, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cav_covs[:, None] + prior.covs[None])
+        weights, means, covs_out = _tilted_moments_stack(prior, cav_means, cav_covs)
+        for j in range(3):
+            w_ref, mean_ref, cov_ref = _tilted_gmm_block_jittered(prior, cav_means[j], cav_covs[j])
+            np.testing.assert_allclose(weights[j], w_ref, rtol=1e-9)
+            np.testing.assert_allclose(means[j], mean_ref, rtol=1e-9, atol=1e-15)
+            np.testing.assert_allclose(covs_out[j], cov_ref, rtol=1e-9, atol=1e-15)
 
 
 class TestTrainEm:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from patchep.gaussians import diag_stacks
 from patchep.operators import (
@@ -39,7 +42,36 @@ def dense_matrix(op):
     return h
 
 
+@st.composite
+def operators_and_vectors(draw):
+    """An Identity, Mask or Conv2D operator on a small grid, with two
+    vectors x and y of matching length."""
+    width, height = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    n = width * height
+    kind = draw(st.sampled_from(["identity", "mask", "conv"]))
+    if kind == "identity":
+        op = Identity(width, height)
+    elif kind == "mask":
+        op = Mask(width, height, draw(hnp.arrays(np.bool_, n)))
+    else:
+        k = draw(st.sampled_from([1, 3]))
+        op = Conv2D(width, height, draw(hnp.arrays(np.float64, (k, k),
+                                                   elements=st.floats(-2, 2))))
+    vec = hnp.arrays(np.float64, n, elements=st.floats(-10, 10))
+    return op, draw(vec), draw(vec)
+
+
 class TestApplyAdjoint:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=operators_and_vectors())
+    def test_adjoint_inner_product_property(self, case):
+        # <Hx, y> = <x, H^T y> up to rounding of the two sums
+        op, x, y = case
+        lhs = float(op.apply(x) @ y)
+        rhs = float(x @ op.apply_adjoint(y))
+        scale = float(np.abs(x) @ (abs(op.matrix).T @ np.abs(y)))
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
     def test_identity_apply(self):
         op = Identity(4, 3)
         x = np.arange(12.0)

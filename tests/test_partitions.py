@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchep.partitions import build_shifted_partitions
 
@@ -106,3 +108,14 @@ class TestGroups:
                     np.testing.assert_array_equal(g.pixels[i], part.blocks[j])
                     np.testing.assert_array_equal(part.local_indices[j], g.local)
             assert part.groups is groups  # computed once
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(patch_size=st.integers(2, 5), extra_w=st.integers(0, 7), extra_h=st.integers(0, 7))
+def test_every_shifted_partition_covers_each_pixel_once(patch_size, extra_w, extra_h):
+    width, height = patch_size + extra_w, patch_size + extra_h
+    n = width * height
+    for part in build_shifted_partitions(width, height, patch_size):
+        assert np.all(np.bincount(np.concatenate(part.blocks), minlength=n) == 1)
+        grouped = np.concatenate([g.pixels.ravel() for g in part.groups])
+        assert np.all(np.bincount(grouped, minlength=n) == 1)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from patchep.ep_gaussian import EPConfig, run_ep_gaussian
+from patchep.ep_gaussian import WARNING_CAUSES, EPConfig, run_ep_gaussian
 from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import Conv2D, GaussianNoise, Identity, simulate
@@ -15,8 +18,8 @@ from patchep.pipeline import (
     run_pipeline,
 )
 
-from conftest import stack_by_group
-from reference import sample_prior_image
+from conftest import random_spd, stack_by_group
+from reference import epem_e_cost_reference, sample_prior_image
 
 
 def make_expert(index, mean, var):
@@ -49,6 +52,27 @@ class TestFusePoe:
         fused = fuse_poe(experts)
         expected = np.mean([1.0 / e.marginal_var for e in experts], axis=0)
         np.testing.assert_allclose(1.0 / fused.marginal_var, expected, rtol=1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data(), n_experts=st.integers(1, 5), n_pixels=st.integers(1, 6))
+    def test_order_invariance_and_lone_expert(self, data, n_experts, n_pixels):
+        means = data.draw(hnp.arrays(np.float64, (n_experts, n_pixels),
+                                     elements=st.floats(-100, 100)))
+        variances = data.draw(hnp.arrays(np.float64, (n_experts, n_pixels),
+                                         elements=st.floats(1e-3, 1e3)))
+        experts = [make_expert(i, m, v) for i, (m, v) in enumerate(zip(means, variances))]
+        order = data.draw(st.permutations(range(n_experts)))
+        fused = fuse_poe(experts)
+        shuffled = fuse_poe([experts[i] for i in order])
+        # the two averages add the same terms in another order
+        tol = 8 * n_experts * np.finfo(float).eps
+        np.testing.assert_allclose(shuffled.marginal_var, fused.marginal_var, rtol=tol)
+        np.testing.assert_allclose(shuffled.mean, fused.mean, rtol=tol,
+                                   atol=tol * np.max(np.abs(means)))
+        # one expert comes back as it is, up to the rounding of 1/(1/v)
+        lone = fuse_poe(experts[:1])
+        np.testing.assert_allclose(lone.mean, means[0], rtol=4 * np.finfo(float).eps)
+        np.testing.assert_allclose(lone.marginal_var, variances[0], rtol=4 * np.finfo(float).eps)
 
     def test_requires_experts(self):
         with pytest.raises(ValueError):
@@ -120,6 +144,42 @@ class TestEpemCost:
         for scale in [0.5, 2.0]:
             assert epem_e_cost(Adaptation(2.0, 0.3, scale), weights, mean, cov,
                                base, part) < best
+
+
+    @staticmethod
+    def cost_inputs(rng, base):
+        """Tilted weights, mean and block covariances on a 16x16 image with
+        4x4 patches, as EP would hand them to the M-step."""
+        part = build_shifted_partitions(16, 16, 4)[0]
+        k = base.n_components
+        weights = [rng.dirichlet(np.ones(k), size=len(g.ids)) for g in part.groups]
+        mean = rng.uniform(0.0, 20.0, part.n_pixels)
+        cov = BlockDiagonalCov(part, [np.stack([random_spd(rng, g.local.size, 0.05)
+                                                for _ in g.ids]) for g in part.groups])
+        return weights, mean, cov, part
+
+    def test_bit_identical_to_scipy_wrappers_well_conditioned(self, rng):
+        base = PatchGMM(np.full(3, 1.0 / 3.0), rng.standard_normal((3, 16)) * 0.3,
+                        np.stack([random_spd(rng, 16, 0.05) for _ in range(3)]))
+        weights, mean, cov, part = self.cost_inputs(rng, base)
+        for theta in (Adaptation(8.0, 2.0, 1.5), Adaptation(12.0, 0.3, 0.7)):
+            got = epem_e_cost(theta, weights, mean, cov, base, part)
+            assert got == epem_e_cost_reference(theta, weights, mean, cov, base, part)
+
+    def test_bit_identical_to_scipy_wrappers_ill_conditioned(self, rng):
+        # like the bench prior: every component has eigenvalues near 1e-8, so
+        # at scale 1 the adapted covariances have condition number ~1e10 and
+        # the cost sits near -1e10, where its rounding picks the M-step's theta
+        q = np.linalg.qr(rng.standard_normal((5, 16, 16)))[0]
+        evals = np.concatenate([np.full(4, 1e-8), np.logspace(-4, 1, 12)])
+        covs = (q * evals) @ np.swapaxes(q, 1, 2)
+        base = PatchGMM(np.full(5, 0.2), rng.standard_normal((5, 16)) * 0.3, covs)
+        weights, mean, cov, part = self.cost_inputs(rng, base)
+        theta = Adaptation(offset=10.0, mean_var=3.0, scale=1.0)
+        assert np.linalg.cond(adapt(base, theta).covs[0]) > 1e9
+        got = epem_e_cost(theta, weights, mean, cov, base, part)
+        assert got < -1e9
+        assert got == epem_e_cost_reference(theta, weights, mean, cov, base, part)
 
 
 class TestEpemMStep:
@@ -257,7 +317,8 @@ class TestRunPipeline:
         b = run_pipeline(y, Identity(8, 8), GaussianNoise(0.01), base, cfg)
         assert a.report == b.report
         np.testing.assert_array_equal(a.fused.mean, b.fused.mean)
-        assert {"n_experts", "experts", "failures", "patch_size", "warnings"} <= set(a.report)
+        assert {"n_experts", "experts", "failures", "patch_size", "warnings",
+                "warnings_by_cause"} <= set(a.report)
         assert "total_s" in a.timings
 
     def test_ep_warnings_reach_the_report(self, rng):
@@ -278,6 +339,11 @@ class TestRunPipeline:
         assert [e["outer_rounds"] for e in capped["experts"]] == [2, 2]
         assert all(w >= 2 * (1 + EPConfig().rbmc_samples) for w in per_expert)
         assert capped["warnings"] == sum(per_expert)
+        # every warning is a CG cap hit, per expert and in total
+        for entry in capped["experts"] + [capped]:
+            assert set(entry["warnings_by_cause"]) == set(WARNING_CAUSES)
+            assert entry["warnings_by_cause"]["cg_not_converged"] == entry["warnings"]
         default = report(EPConfig(max_iterations=1))
         assert default["warnings"] == 0
         assert [e["warnings"] for e in default["experts"]] == [0, 0]
+        assert default["warnings_by_cause"] == dict.fromkeys(WARNING_CAUSES, 0)
