@@ -18,19 +18,19 @@ iteration alternates
 * prior-side update: tilted GMM moments of each group against the
   likelihood factor as cavity, then the KL precision update and the
   matching precision-mean update;
-* likelihood-side update: the tilted precision Q = P0 + H^T W H is
-  assembled once per update as a sparse CSR matrix; the tilted mean and the
-  perturbation samples of Rao-Blackwellized Monte Carlo (RBMC) are solved by
-  conjugate gradients preconditioned with the inverses of the diagonal blocks
-  Q_jj (block Jacobi), which the RBMC estimate of the covariance blocks
-  needs anyway; then the same KL step runs with roles swapped.  The RBMC
-  probes are drawn afresh from EPConfig.seed on every update, so each
-  iteration sees the same probes (common random numbers) and the update is a
-  deterministic map that can reach a fixed point.  When H^T H is diagonal
-  the likelihood factor is set directly.
+* likelihood-side update: the tilted precision Q = P0 + H^T W H is one
+  sparse CSR matrix per update.  The tilted mean and the perturbation samples
+  of Rao-Blackwellized Monte Carlo (RBMC) are the columns of one lockstep
+  conjugate-gradient solve, preconditioned by the inverses of the diagonal
+  blocks Q_jj (block Jacobi, batched per group), which the RBMC estimate of
+  the covariance blocks needs anyway; then the same KL step runs with roles
+  swapped.  The RBMC probes are drawn afresh from EPConfig.seed on every
+  update, so each iteration sees the same probes (common random numbers) and
+  the update is a deterministic map that can reach a fixed point.  When
+  H^T H is diagonal the likelihood factor is set directly.
 
 Nothing that goes wrong in an update is silent: each one counts as a warning
-under one of ``WARNING_CAUSES`` (a CG solve stopped at its iteration cap, a
+under one of ``WARNING_CAUSES`` (a CG column stopped at its iteration cap, a
 group whose tilted moments failed, counted per block, a block whose KL step
 failed or was rejected, or a Poisson precision escape), and the result
 reports the counts by cause.
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .gaussians import BlockDiagonalCov, block_diag, diag_stack, diag_stacks, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
@@ -235,22 +234,46 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
 
 def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig,
              preconditioner=None):
-    """Conjugate gradients for q x = rhs, with q (and the preconditioner, an
-    approximation of q^{-1}) a sparse matrix or linear operator.
+    """Preconditioned conjugate gradients for q x = rhs, in lockstep on the
+    columns of an (N, s) rhs (or on one N-vector).  q, a sparse matrix, is
+    multiplied once per iteration by the block of search directions; the
+    preconditioner, an approximation of q^{-1}, is a matrix or a function of
+    an (N, s) block.
 
-    Returns (solution, iterations, residual norm, info) with scipy's info
-    flag: nonzero when cg_max_iters ran out before the relative residual
-    fell below cg_tol.
+    Each column keeps its own step sizes and stops by scipy's rule: when its
+    recursive residual norm falls below cg_tol * ||rhs_i||, checked before
+    each iteration.  A stopped column is frozen; a zero column of rhs gives
+    zeros.  Returns (solution shaped like rhs, lockstep iterations, largest
+    true residual norm over the columns, number of columns that did not
+    converge within cg_max_iters).
     """
-    counter = {"n": 0}
-
-    def count(_):
-        counter["n"] += 1
-
-    x, info = cg(q, rhs, x0=x0, rtol=config.cg_tol, atol=0.0,
-                 maxiter=config.cg_max_iters, M=preconditioner, callback=count)
-    residual = float(np.linalg.norm(rhs - q @ x))
-    return x, counter["n"], residual, info
+    b = np.asarray(rhs, dtype=float).reshape(len(rhs), -1)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float).reshape(b.shape)
+    tol = config.cg_tol * np.linalg.norm(b, axis=0)
+    x[:, tol == 0] = 0.0
+    r = b - q @ x if x.any() else b.copy()
+    precondition = (np.copy if preconditioner is None else
+                    preconditioner if callable(preconditioner) else preconditioner.__matmul__)
+    cols = np.flatnonzero((np.linalg.norm(r, axis=0) >= tol) & (tol > 0))
+    x_a, r_a, p, rho_prev, iterations = x[:, cols], r[:, cols], None, None, 0
+    while cols.size and iterations < config.cg_max_iters:
+        z = precondition(r_a)
+        rho = np.einsum("ij,ij->j", r_a, z)
+        p = z if p is None else z + (rho / rho_prev) * p
+        qp = q @ p
+        alpha = rho / np.einsum("ij,ij->j", p, qp)
+        x_a += alpha * p
+        r_a -= alpha * qp
+        rho_prev = rho
+        iterations += 1
+        keep = np.linalg.norm(r_a, axis=0) >= tol[cols]
+        if not keep.all():                      # freeze the converged columns
+            x[:, cols[~keep]] = x_a[:, ~keep]
+            cols, x_a, r_a, p, rho_prev = (cols[keep], x_a[:, keep], r_a[:, keep],
+                                           p[:, keep], rho[keep])
+    x[:, cols] = x_a
+    residual = float(np.max(np.linalg.norm(b - q @ x, axis=0)))
+    return x.reshape(np.shape(rhs)), iterations, residual, cols.size
 
 
 def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
@@ -265,60 +288,57 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     from exact samples x ~ N(0, Q^{-1}); they are exact when Q is
     block-diagonal.  The probes come from a new Philox(config.seed) stream
     on every call, so repeated calls use the same probes.  Q is assembled
-    as one sparse matrix and every solve is preconditioned by
-    blockdiag(Q_jj^{-1}).
+    as one sparse CSR matrix.  The mean (warm-started from ``warm_start``)
+    and the rbmc_samples probes are the columns of one lockstep
+    :func:`solve_cg`, preconditioned by blockdiag(Q_jj^{-1}) applied as
+    batched (J_g, b, b) @ (J_g, b, s) products over ``partition.groups``.
 
     Returns (mean, covariance stacks aligned with partition.groups, CG
-    iterations, number of CG solves that did not converge).
+    iterations, number of CG columns that did not converge).
     """
     part = q0.partition
-    rhs = q0.eta + obs_eta
+    n, s = part.n_pixels, config.rbmc_samples
     block_inv = []                      # Q_jj^{-1}, one stack per group
     for group, p0 in zip(part.groups, q0.prec):
         q_jj = np.stack([operator.gram_block(idx, obs_weights) for idx in group.pixels]) + p0
         block_inv.append(sym(np.linalg.inv(q_jj)))
     h = operator.matrix
     q = (block_diag(part, q0.prec) + h.T @ sparse.diags(obs_weights) @ h).tocsr()
-    jacobi = block_diag(part, block_inv)
 
-    mean, cg_iters, _, info = solve_cg(q, rhs, warm_start, config, jacobi)
-    not_converged = int(info != 0)
+    def jacobi(v):
+        z = np.empty_like(v)
+        for group, inv in zip(part.groups, block_inv):
+            z[group.pixels] = inv @ v[group.pixels]
+        return z
 
-    # RBMC correction from exact zero-mean samples of N(0, Q^{-1}):
-    # Q x = H^T W^{1/2} eps1 + L0 eps2 with P0 = L0 L0^T
-    n = part.n_pixels
-    s = config.rbmc_samples
+    # exact zero-mean samples of N(0, Q^{-1}) solve Q x = H^T W^{1/2} eps1 +
+    # L0 eps2 with P0 = L0 L0^T; eps1 and eps2 of each sample drawn in turn
+    eps = np.random.Generator(np.random.Philox(config.seed)).standard_normal((s, 2, n))
     chol0 = block_diag(part, [np.linalg.cholesky(p) for p in q0.prec])
-    sqrt_w = np.sqrt(obs_weights)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    x_samples = np.empty((n, s))
-    for t in range(s):
-        eps1 = rng.standard_normal(n)
-        eps2 = rng.standard_normal(n)
-        w_vec = operator.apply_adjoint(sqrt_w * eps1) + chol0 @ eps2
-        x_samples[:, t], it, _, info = solve_cg(q, w_vec, None, config, jacobi)
-        cg_iters += it
-        not_converged += int(info != 0)
+    probes = h.T @ (np.sqrt(obs_weights)[:, None] * eps[:, 0].T) + chol0 @ eps[:, 1].T
+    x0 = None if warm_start is None else np.column_stack([warm_start, np.zeros((n, s))])
+    x, cg_iters, _, not_converged = solve_cg(
+        q, np.column_stack([q0.eta + obs_eta, probes]), x0, config, jacobi)
     # (Q x)_j - Q_jj x_j for all blocks and samples: one product with the
     # off-block-diagonal part of Q
     coo = q.tocoo()
     off = part.block_of[coo.row] != part.block_of[coo.col]
     q_off = sparse.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=q.shape)
-    v_samples = q_off @ x_samples
+    v_samples = q_off @ x[:, 1:]
     covs = []
     for group, inv in zip(part.groups, block_inv):
         v = v_samples[group.pixels]                                   # (J, b, s)
         cov = sym(inv + inv @ (v @ np.swapaxes(v, 1, 2) / s) @ inv)
         evals, evecs = np.linalg.eigh(cov)
         covs.append(sym((evecs * np.maximum(evals, 1e-10)[:, None, :]) @ np.swapaxes(evecs, 1, 2)))
-    return mean, covs, cg_iters, not_converged
+    return x[:, 0], covs, cg_iters, not_converged
 
 
 def update_q_x1(state: EPState, operator: DegradationOperator,
                 obs_weights: np.ndarray, obs_eta: np.ndarray,
                 config: EPConfig, warm_start: np.ndarray | None = None):
     """Likelihood-side EP update; returns (cg iterations, warning counts by
-    cause): the CG solves that hit cg_max_iters and the KL step's rejected
+    cause): the CG columns that hit cg_max_iters and the KL step's rejected
     blocks (see :func:`_kl_step`).
     For diagonal H^T H the factor is set directly to the exact Gaussian
     likelihood term (precision W * diag(H^T H), floored where a pixel is

@@ -73,7 +73,7 @@ class PatchGMM:
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to one")
         try:
-            _jittered_cholesky(self.covs)
+            np.linalg.cholesky(0.5 * (self.covs + np.swapaxes(self.covs, -1, -2)))
         except np.linalg.LinAlgError as exc:
             raise ValueError("component covariance is not positive definite") from exc
 

@@ -346,9 +346,10 @@ class TestTiltedP1:
             np.testing.assert_array_equal(a, b)
             assert not np.allclose(a, c)
 
-    def test_block_jacobi_cg_matches_plain_cg(self, rng):
-        # the 16x16 RBMC system: preconditioning by blockdiag(Q_jj^{-1})
-        # changes the iteration count, not the solution
+    @staticmethod
+    def rbmc_system(rng):
+        """The 16x16 RBMC system Q = H^T H / 0.05 + blockdiag(P0) as CSR,
+        with its block-Jacobi preconditioner as a dense matrix."""
         part = build_shifted_partitions(16, 16, 4)[0]
         op = Conv2D(16, 16, np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0)
         h = dense_operator(op)
@@ -358,14 +359,64 @@ class TestTiltedP1:
         jacobi = np.zeros_like(q)
         for idx in part.blocks:
             jacobi[np.ix_(idx, idx)] = np.linalg.inv(q[np.ix_(idx, idx)])
+        return sparse.csr_matrix(q), sparse.csr_matrix(jacobi)
+
+    def test_block_jacobi_cg_matches_plain_cg(self, rng):
+        # preconditioning by blockdiag(Q_jj^{-1}) changes the iteration
+        # count, not the solution
+        q, jacobi = self.rbmc_system(rng)
         rhs = rng.standard_normal(256)
         cfg = EPConfig()
-        q = sparse.csr_matrix(q)
         x, iters, _, info = solve_cg(q, rhs, None, cfg)
-        x_pc, iters_pc, _, info_pc = solve_cg(q, rhs, None, cfg, sparse.csr_matrix(jacobi))
+        x_pc, iters_pc, _, info_pc = solve_cg(q, rhs, None, cfg, jacobi)
         assert info == 0 and info_pc == 0
         assert np.linalg.norm(x_pc - x) <= cfg.cg_tol * np.linalg.norm(x)
         assert iters_pc < iters
+
+    def test_lockstep_columns_match_dense_and_single_solves(self, rng):
+        # the (N, 1 + rbmc_samples) block of one likelihood update, solved
+        # in lockstep, against np.linalg.solve and against one 1-D solve per
+        # column
+        q, jacobi = self.rbmc_system(rng)
+        cfg = EPConfig()
+        rhs = rng.standard_normal((256, 1 + cfg.rbmc_samples))
+        x, iters, residual, info = solve_cg(q, rhs, None, cfg, jacobi)
+        assert x.shape == rhs.shape and info == 0
+        expected = np.linalg.solve(q.toarray(), rhs)
+        single_iters = []
+        for i in range(rhs.shape[1]):
+            np.testing.assert_allclose(x[:, i], expected[:, i], atol=1e-6)
+            x_i, it, _, info_i = solve_cg(q, rhs[:, i], None, cfg, jacobi)
+            assert x_i.shape == (256,) and info_i == 0
+            np.testing.assert_allclose(x[:, i], x_i, rtol=1e-12, atol=1e-15)
+            single_iters.append(it)
+        assert iters == max(single_iters)
+        rel = np.linalg.norm(rhs - q @ x, axis=0) / np.linalg.norm(rhs, axis=0)
+        assert np.all(rel <= cfg.cg_tol)
+        assert residual == pytest.approx(np.max(np.linalg.norm(rhs - q @ x, axis=0)))
+
+    def test_lockstep_zero_and_solved_columns_stay_put(self, rng):
+        # a zero right-hand side gives exact zeros whatever x0 holds, and a
+        # column started at its solution is returned bit-equal; neither one
+        # counts as unconverged
+        q, jacobi = self.rbmc_system(rng)
+        rhs = rng.standard_normal((256, 4))
+        rhs[:, 1] = 0.0
+        x0 = rng.standard_normal((256, 4))
+        x0[:, 2] = np.linalg.solve(q.toarray(), rhs[:, 2])
+        x, _, _, info = solve_cg(q, rhs, x0, EPConfig(), jacobi)
+        assert info == 0 and np.all(np.isfinite(x))
+        np.testing.assert_array_equal(x[:, 1], 0.0)
+        np.testing.assert_array_equal(x[:, 2], x0[:, 2])
+        only_zero, iters, _, info = solve_cg(q, np.zeros(256), None, EPConfig(), jacobi)
+        np.testing.assert_array_equal(only_zero, 0.0)
+        assert iters == 0 and info == 0
+
+    def test_lockstep_iteration_cap_counts_every_column(self, rng):
+        q, jacobi = self.rbmc_system(rng)
+        rhs = rng.standard_normal((256, 21))
+        _, iters, _, info = solve_cg(q, rhs, None, EPConfig(cg_max_iters=1), jacobi)
+        assert iters == 1 and info == 21
 
 
 class TestUpdateQx1:

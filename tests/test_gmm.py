@@ -27,6 +27,11 @@ class TestPatchGMM:
         with pytest.raises(ValueError):
             PatchGMM(np.array([1.0]), np.zeros((1, 2)), bad[None])
 
+    def test_singular_component_rejected(self):
+        # positive semidefinite but singular: no jitter may make it pass
+        with pytest.raises(ValueError, match="not positive definite"):
+            PatchGMM(np.array([1.0]), np.zeros((1, 3)), np.diag([1.0, 0.0, 1.0])[None])
+
 
 class TestAdapt:
     def test_identity_adaptation(self, gmm_2d):
@@ -219,9 +224,9 @@ class TestTiltedMoments:
         # the 1e-10 * trace/dim jitter on the whole stack.  A cavity mean of
         # 1e-5 on that coordinate puts the jitter into the weights at O(1)
         covs = np.stack([random_spd(rng, 3, 0.2) for _ in range(2)])
-        covs[:, 1, :] = covs[:, :, 1] = 0.0
         prior = adapt(PatchGMM(np.array([0.4, 0.6]), rng.standard_normal((2, 3)) * 0.5, covs),
                       Adaptation())
+        prior.covs[:, 1, :] = prior.covs[:, :, 1] = 0.0
         prior.means[:, 1] = 0.0
         cav_means = rng.standard_normal((3, 3))
         cav_means[:, 1] = 1e-5
