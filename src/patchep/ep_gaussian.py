@@ -18,12 +18,15 @@ iteration alternates
 * prior-side update: tilted GMM moments of each group against the
   likelihood factor as cavity, then the KL precision update and the
   matching precision-mean update;
-* likelihood-side update: the tilted precision Q = P0 + H^T W H is one
-  sparse CSR matrix per update.  The tilted mean and the perturbation samples
+* likelihood-side update: the tilted precision is Q = P0 + G with
+  G = H^T W H, and one split of G per update, a sparse CSR matrix plus its
+  diagonal blocks on the partition, gives the rest: the diagonal blocks
+  Q_jj = P0_j + G_jj and, since P0 is block-diagonal, the off-block part
+  (G x)_j - G_jj x_j of Q x.  The tilted mean and the perturbation samples
   of Rao-Blackwellized Monte Carlo (RBMC) are the columns of one lockstep
-  conjugate-gradient solve, preconditioned by the inverses of the diagonal
-  blocks Q_jj (block Jacobi, batched per group), which the RBMC estimate of
-  the covariance blocks needs anyway; then the same KL step runs with roles
+  conjugate-gradient solve, preconditioned by the inverses of the Q_jj
+  (block Jacobi, batched per group), which the RBMC estimate of the
+  covariance blocks needs anyway; then the same KL step runs with roles
   swapped.  The RBMC probes are drawn afresh from EPConfig.seed on every
   update, so each iteration sees the same probes (common random numbers) and
   the update is a deterministic map that can reach a fixed point.  When
@@ -48,7 +51,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .gaussians import BlockDiagonalCov, block_diag, diag_stack, diag_stacks, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
@@ -232,32 +234,28 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     return weights, warnings
 
 
-def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig,
-             preconditioner=None):
+def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig, preconditioner):
     """Preconditioned conjugate gradients for q x = rhs, in lockstep on the
-    columns of an (N, s) rhs (or on one N-vector).  q, a sparse matrix, is
-    multiplied once per iteration by the block of search directions; the
-    preconditioner, an approximation of q^{-1}, is a matrix or a function of
-    an (N, s) block.
+    columns of an (N, s) rhs.  q, a sparse matrix, is multiplied once per
+    iteration by the block of search directions; the preconditioner, an
+    approximation of q^{-1}, is a function that maps an (N, s) block to a new
+    array.
 
     Each column keeps its own step sizes and stops by scipy's rule: when its
     recursive residual norm falls below cg_tol * ||rhs_i||, checked before
     each iteration.  A stopped column is frozen; a zero column of rhs gives
-    zeros.  Returns (solution shaped like rhs, lockstep iterations, largest
-    true residual norm over the columns, number of columns that did not
-    converge within cg_max_iters).
+    zeros.  Returns (solution (N, s), lockstep iterations, largest true
+    residual norm over the columns, number of columns that did not converge
+    within cg_max_iters).
     """
-    b = np.asarray(rhs, dtype=float).reshape(len(rhs), -1)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float).reshape(b.shape)
-    tol = config.cg_tol * np.linalg.norm(b, axis=0)
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    tol = config.cg_tol * np.linalg.norm(rhs, axis=0)
     x[:, tol == 0] = 0.0
-    r = b - q @ x if x.any() else b.copy()
-    precondition = (np.copy if preconditioner is None else
-                    preconditioner if callable(preconditioner) else preconditioner.__matmul__)
+    r = rhs - q @ x if x.any() else rhs.copy()
     cols = np.flatnonzero((np.linalg.norm(r, axis=0) >= tol) & (tol > 0))
     x_a, r_a, p, rho_prev, iterations = x[:, cols], r[:, cols], None, None, 0
     while cols.size and iterations < config.cg_max_iters:
-        z = precondition(r_a)
+        z = preconditioner(r_a)
         rho = np.einsum("ij,ij->j", r_a, z)
         p = z if p is None else z + (rho / rho_prev) * p
         qp = q @ p
@@ -272,8 +270,17 @@ def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig,
             cols, x_a, r_a, p, rho_prev = (cols[keep], x_a[:, keep], r_a[:, keep],
                                            p[:, keep], rho[keep])
     x[:, cols] = x_a
-    residual = float(np.max(np.linalg.norm(b - q @ x, axis=0)))
-    return x.reshape(np.shape(rhs)), iterations, residual, cols.size
+    residual = float(np.max(np.linalg.norm(rhs - q @ x, axis=0)))
+    return x, iterations, residual, cols.size
+
+
+def _block_times(partition: Partition, stacks, v: np.ndarray) -> np.ndarray:
+    """blockdiag(stacks) @ v for an (N, s) block v, as one batched
+    (J_g, b, b) @ (J_g, b, s) product per group."""
+    out = np.empty_like(v)
+    for group, stack in zip(partition.groups, stacks):
+        out[group.pixels] = stack @ v[group.pixels]
+    return out
 
 
 def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
@@ -281,50 +288,44 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
                       config: EPConfig, warm_start: np.ndarray | None = None):
     """Moments of the likelihood-side tilted distribution.
 
-    The tilted precision is Q = P0 + H^T W H with W = diag(obs_weights) and
-    the tilted mean solves Q z = eta0 + obs_eta (obs_eta = H^T W m_obs).
-    The marginal covariance blocks are RBMC estimates
-    Q_jj^{-1} + Q_jj^{-1} SampleCov((Q x)_j - Q_jj x_j) Q_jj^{-1}
-    from exact samples x ~ N(0, Q^{-1}); they are exact when Q is
+    The tilted precision is Q = P0 + G with G = H^T W H, W = diag(obs_weights),
+    and the tilted mean solves Q z = eta0 + obs_eta (obs_eta = H^T W m_obs).
+    One ``operator.gram_block`` call splits G into a sparse matrix and its
+    diagonal blocks G_jj; as P0 is block-diagonal, everything else follows:
+    the diagonal blocks Q_jj = P0_j + G_jj, and the off-block part of Q x,
+    (Q x)_j - Q_jj x_j = (G x)_j - G_jj x_j.  The marginal covariance blocks
+    are RBMC estimates
+    Q_jj^{-1} + Q_jj^{-1} SampleCov((G x)_j - G_jj x_j) Q_jj^{-1}
+    from exact samples x ~ N(0, Q^{-1}); they are exact when G is
     block-diagonal.  The probes come from a new Philox(config.seed) stream
-    on every call, so repeated calls use the same probes.  Q is assembled
-    as one sparse CSR matrix.  The mean (warm-started from ``warm_start``)
-    and the rbmc_samples probes are the columns of one lockstep
-    :func:`solve_cg`, preconditioned by blockdiag(Q_jj^{-1}) applied as
-    batched (J_g, b, b) @ (J_g, b, s) products over ``partition.groups``.
+    on every call, so repeated calls use the same probes.  The mean
+    (warm-started from ``warm_start``) and the rbmc_samples probes are the
+    columns of one lockstep :func:`solve_cg` with Q as one sparse CSR matrix,
+    preconditioned by blockdiag(Q_jj^{-1}).  The preconditioner, the prior's
+    Cholesky factors in the probes and G_jj x_j are batched
+    (J_g, b, b) @ (J_g, b, s) products over ``partition.groups``.
 
     Returns (mean, covariance stacks aligned with partition.groups, CG
     iterations, number of CG columns that did not converge).
     """
     part = q0.partition
     n, s = part.n_pixels, config.rbmc_samples
-    block_inv = []                      # Q_jj^{-1}, one stack per group
-    for group, p0 in zip(part.groups, q0.prec):
-        q_jj = np.stack([operator.gram_block(idx, obs_weights) for idx in group.pixels]) + p0
-        block_inv.append(sym(np.linalg.inv(q_jj)))
-    h = operator.matrix
-    q = (block_diag(part, q0.prec) + h.T @ sparse.diags(obs_weights) @ h).tocsr()
-
-    def jacobi(v):
-        z = np.empty_like(v)
-        for group, inv in zip(part.groups, block_inv):
-            z[group.pixels] = inv @ v[group.pixels]
-        return z
+    gram, gram_blocks = operator.gram_block(part, obs_weights)
+    block_inv = [sym(np.linalg.inv(p0 + g_jj)) for p0, g_jj in zip(q0.prec, gram_blocks)]
+    q = gram + block_diag(part, q0.prec)
 
     # exact zero-mean samples of N(0, Q^{-1}) solve Q x = H^T W^{1/2} eps1 +
     # L0 eps2 with P0 = L0 L0^T; eps1 and eps2 of each sample drawn in turn
     eps = np.random.Generator(np.random.Philox(config.seed)).standard_normal((s, 2, n))
-    chol0 = block_diag(part, [np.linalg.cholesky(p) for p in q0.prec])
-    probes = h.T @ (np.sqrt(obs_weights)[:, None] * eps[:, 0].T) + chol0 @ eps[:, 1].T
+    chol0 = [np.linalg.cholesky(p) for p in q0.prec]
+    probes = (operator.matrix.T @ (np.sqrt(obs_weights)[:, None] * eps[:, 0].T)
+              + _block_times(part, chol0, eps[:, 1].T))
     x0 = None if warm_start is None else np.column_stack([warm_start, np.zeros((n, s))])
     x, cg_iters, _, not_converged = solve_cg(
-        q, np.column_stack([q0.eta + obs_eta, probes]), x0, config, jacobi)
-    # (Q x)_j - Q_jj x_j for all blocks and samples: one product with the
-    # off-block-diagonal part of Q
-    coo = q.tocoo()
-    off = part.block_of[coo.row] != part.block_of[coo.col]
-    q_off = sparse.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=q.shape)
-    v_samples = q_off @ x[:, 1:]
+        q, np.column_stack([q0.eta + obs_eta, probes]), x0, config,
+        lambda v: _block_times(part, block_inv, v))
+    samples = x[:, 1:]
+    v_samples = gram @ samples - _block_times(part, gram_blocks, samples)
     covs = []
     for group, inv in zip(part.groups, block_inv):
         v = v_samples[group.pixels]                                   # (J, b, s)

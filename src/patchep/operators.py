@@ -4,9 +4,11 @@ The linear degradation ``H`` is one of: identity (denoising), a 0/1 pixel
 mask (inpainting), or circular 2D convolution (deconvolution).  Every
 operator holds ``H`` as a CSR ``matrix`` built once at construction; it is
 the only representation of ``H``.  ``apply`` and ``apply_adjoint`` are
-products with it, ``gram_block`` reads its columns, and the quadratic forms
-``h_n S h_n^T`` of a block-diagonal covariance S are the diagonal of the
-sparse product ``H S H^T``, or ``diag(H^T H) * S_nn`` when H is diagonal.
+products with it, ``is_diagonal`` reads its sparsity pattern, ``gram_block``
+forms the sparse product ``H^T W H`` and gathers its diagonal blocks on a
+partition, and the quadratic forms ``h_n S h_n^T`` of a block-diagonal
+covariance S are the diagonal of the sparse product ``H S H^T``, or
+``diag(H^T H) * S_nn`` when H is diagonal.
 
 Noise simulation uses a counter-based (Philox) generator so runs are
 reproducible regardless of scheduling.
@@ -36,8 +38,8 @@ __all__ = [
 
 class DegradationOperator:
     """Common interface: ``apply``, ``apply_adjoint``, H as a CSR ``matrix``
-    (set by each operator), and a dense ``gram_block`` of ``H^T W H``
-    restricted to a pixel subset."""
+    (set by each operator), and ``gram_block``, the split of ``H^T W H``
+    into a sparse matrix and its diagonal blocks on a partition."""
 
     width: int
     height: int
@@ -47,19 +49,17 @@ class DegradationOperator:
     def n_pixels(self) -> int:
         return self.width * self.height
 
-    @property
+    @cached_property
     def is_diagonal(self) -> bool:
-        raise NotImplementedError
+        """True when every stored nonzero of ``matrix`` lies on the diagonal."""
+        coo = self.matrix.tocoo()
+        return bool(np.all(coo.row == coo.col))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @cached_property
-    def _columns(self) -> sparse.csc_matrix:
-        return self.matrix.tocsc()
 
     @cached_property
     def _diag_gram(self) -> np.ndarray:
@@ -75,15 +75,19 @@ class DegradationOperator:
             raise ValueError(f"expected a length-{self.n_pixels} vector")
         return x
 
-    def gram_block(self, indices: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Dense (H^T W H)[indices, indices] with diagonal W (default identity)."""
-        indices = np.asarray(indices)
-        cols = self._columns[:, indices]
-        rows, local = np.unique(cols.indices, return_inverse=True)
-        a = np.zeros((rows.size, indices.size))
-        a[local, np.repeat(np.arange(indices.size), np.diff(cols.indptr))] = cols.data
-        w_diag = np.ones(rows.size) if weights is None else np.asarray(weights, dtype=float)[rows]
-        return a.T @ (w_diag[:, None] * a)
+    def gram_block(self, partition: Partition, weights: np.ndarray):
+        """G = H^T W H with W = diag(weights), as CSR, and G's diagonal blocks
+        on ``partition``: one (J_g, b, b) stack per group of
+        ``partition.groups``, each gathered from G in one vectorized lookup."""
+        h = self.matrix
+        gram = (h.T @ sparse.diags(weights) @ h).tocsr()
+        stacks = []
+        for group in partition.groups:
+            n_blocks, b = group.pixels.shape
+            rows = np.repeat(group.pixels, b, axis=1).ravel()
+            cols = np.tile(group.pixels, (1, b)).ravel()
+            stacks.append(np.asarray(gram[rows, cols]).reshape(n_blocks, b, b))
+        return gram, stacks
 
 
 @dataclass
@@ -93,10 +97,6 @@ class Identity(DegradationOperator):
 
     def __post_init__(self):
         self.matrix = sparse.identity(self.n_pixels, format="csr")
-
-    @property
-    def is_diagonal(self) -> bool:
-        return True
 
     def apply(self, x):
         return self._check_len(x).copy()
@@ -120,10 +120,6 @@ class Mask(DegradationOperator):
         self.kept = kept.astype(bool)
         self.matrix = sparse.diags(self.kept.astype(float), format="csr")
         self.matrix.eliminate_zeros()
-
-    @property
-    def is_diagonal(self) -> bool:
-        return True
 
     def apply(self, x):
         return self._check_len(x) * self.kept
@@ -167,10 +163,6 @@ class Conv2D(DegradationOperator):
         vals = np.broadcast_to(kernel.reshape(-1, 1), cols.shape)
         self.matrix = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
         self.matrix.eliminate_zeros()
-
-    @property
-    def is_diagonal(self) -> bool:
-        return False
 
     def apply(self, x):
         return self.matrix @ self._check_len(x)

@@ -11,7 +11,7 @@ matrices are stored and processed as one stack per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,8 +59,6 @@ class Partition:
     shift: tuple[int, int]
     blocks: list[np.ndarray]
     local_indices: list[np.ndarray]
-    # pixel -> owning block; filled in __post_init__
-    block_of: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         n = self.width * self.height
@@ -71,7 +69,6 @@ class Partition:
             block_of[idx] = j
         if np.any(block_of < 0):
             raise ValueError("partition blocks do not cover the image")
-        object.__setattr__(self, "block_of", block_of)
 
     @property
     def n_pixels(self) -> int:

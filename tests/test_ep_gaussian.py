@@ -66,13 +66,14 @@ class TestConfig:
             EPConfig(**{field: value})
 
     def test_structure_resolution(self, rng):
-        # the factors are diagonal exactly when the operator is
+        # the factors are diagonal exactly when H is, whatever its class
         part = build_shifted_partitions(4, 4, 2)[0]
         adapted = k1_adapted(rng, 4)
         y = rng.standard_normal(16)
         cfg = EPConfig(max_iterations=1)
         for op, structure in ((Identity(4, 4), "diagonal"), (Mask(4, 4, y > 0), "diagonal"),
-                              (Conv2D(4, 4, np.ones((1, 1))), "block")):
+                              (Conv2D(4, 4, np.ones((1, 1))), "diagonal"),
+                              (Conv2D(4, 4, np.full((3, 3), 1.0 / 9.0)), "block")):
             state = run_ep_gaussian(y, op, 0.1, adapted, part, cfg).state
             assert state.q0.structure == state.q1.structure == structure
 
@@ -279,8 +280,10 @@ class TestTiltedP1:
                                           EPConfig())
         np.testing.assert_allclose(mean, y, atol=1e-6)
 
-    def test_cg_mean_matches_dense_solve(self, rng):
-        part = build_shifted_partitions(6, 6, 3)[0]
+    @pytest.mark.parametrize("shift", [0, 4], ids=["aligned", "shifted"])
+    def test_cg_mean_matches_dense_solve(self, rng, shift):
+        # the shifted partition has truncated boundary blocks in 9 groups
+        part = build_shifted_partitions(6, 6, 3)[shift]
         op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
         sigma2 = 0.25
         y = rng.standard_normal(36)
@@ -346,10 +349,25 @@ class TestTiltedP1:
             np.testing.assert_array_equal(a, b)
             assert not np.allclose(a, c)
 
+    def test_rbmc_exact_when_gram_is_block_diagonal(self, rng):
+        # a mask makes G = H^T W H diagonal, so (G x)_j - G_jj x_j vanishes
+        # and the RBMC covariances are Q_jj^{-1} whatever the probes
+        part = build_shifted_partitions(6, 6, 3)[4]
+        op = Mask(6, 6, rng.random(36) < 0.6)
+        blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
+        q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
+        w = np.full(36, 4.0)
+        _, covs, _, _ = tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig())
+        kept = op.kept.astype(float)
+        for j, (idx, cov) in enumerate(zip(part.blocks, per_block(part, covs))):
+            expected = np.linalg.inv(blocks[j] + np.diag(4.0 * kept[idx]))
+            np.testing.assert_allclose(cov, expected, rtol=1e-10)
+
     @staticmethod
     def rbmc_system(rng):
         """The 16x16 RBMC system Q = H^T H / 0.05 + blockdiag(P0) as CSR,
-        with its block-Jacobi preconditioner as a dense matrix."""
+        with its block-Jacobi preconditioner as a function of an (N, s)
+        block."""
         part = build_shifted_partitions(16, 16, 4)[0]
         op = Conv2D(16, 16, np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0)
         h = dense_operator(op)
@@ -359,15 +377,15 @@ class TestTiltedP1:
         jacobi = np.zeros_like(q)
         for idx in part.blocks:
             jacobi[np.ix_(idx, idx)] = np.linalg.inv(q[np.ix_(idx, idx)])
-        return sparse.csr_matrix(q), sparse.csr_matrix(jacobi)
+        return sparse.csr_matrix(q), sparse.csr_matrix(jacobi).__matmul__
 
     def test_block_jacobi_cg_matches_plain_cg(self, rng):
         # preconditioning by blockdiag(Q_jj^{-1}) changes the iteration
         # count, not the solution
         q, jacobi = self.rbmc_system(rng)
-        rhs = rng.standard_normal(256)
+        rhs = rng.standard_normal((256, 1))
         cfg = EPConfig()
-        x, iters, _, info = solve_cg(q, rhs, None, cfg)
+        x, iters, _, info = solve_cg(q, rhs, None, cfg, np.copy)
         x_pc, iters_pc, _, info_pc = solve_cg(q, rhs, None, cfg, jacobi)
         assert info == 0 and info_pc == 0
         assert np.linalg.norm(x_pc - x) <= cfg.cg_tol * np.linalg.norm(x)
@@ -375,8 +393,8 @@ class TestTiltedP1:
 
     def test_lockstep_columns_match_dense_and_single_solves(self, rng):
         # the (N, 1 + rbmc_samples) block of one likelihood update, solved
-        # in lockstep, against np.linalg.solve and against one 1-D solve per
-        # column
+        # in lockstep, against np.linalg.solve and against one single-column
+        # solve per column
         q, jacobi = self.rbmc_system(rng)
         cfg = EPConfig()
         rhs = rng.standard_normal((256, 1 + cfg.rbmc_samples))
@@ -386,9 +404,9 @@ class TestTiltedP1:
         single_iters = []
         for i in range(rhs.shape[1]):
             np.testing.assert_allclose(x[:, i], expected[:, i], atol=1e-6)
-            x_i, it, _, info_i = solve_cg(q, rhs[:, i], None, cfg, jacobi)
-            assert x_i.shape == (256,) and info_i == 0
-            np.testing.assert_allclose(x[:, i], x_i, rtol=1e-12, atol=1e-15)
+            x_i, it, _, info_i = solve_cg(q, rhs[:, [i]], None, cfg, jacobi)
+            assert x_i.shape == (256, 1) and info_i == 0
+            np.testing.assert_allclose(x[:, [i]], x_i, rtol=1e-12, atol=1e-15)
             single_iters.append(it)
         assert iters == max(single_iters)
         rel = np.linalg.norm(rhs - q @ x, axis=0) / np.linalg.norm(rhs, axis=0)
@@ -408,7 +426,7 @@ class TestTiltedP1:
         assert info == 0 and np.all(np.isfinite(x))
         np.testing.assert_array_equal(x[:, 1], 0.0)
         np.testing.assert_array_equal(x[:, 2], x0[:, 2])
-        only_zero, iters, _, info = solve_cg(q, np.zeros(256), None, EPConfig(), jacobi)
+        only_zero, iters, _, info = solve_cg(q, np.zeros((256, 1)), None, EPConfig(), jacobi)
         np.testing.assert_array_equal(only_zero, 0.0)
         assert iters == 0 and info == 0
 
@@ -507,6 +525,19 @@ class TestRunEpGaussian:
         res = run_ep_gaussian(y, Identity(4, 4), 1e-12, adapted, part,
                               EPConfig(damping=1.0))
         np.testing.assert_allclose(res.mean, y, atol=1e-5)
+
+    def test_unit_kernel_convolution_matches_identity(self, rng):
+        # a 1x1 unit kernel stores H as the identity, so it takes the
+        # diagonal path and restores exactly as Identity does
+        part = build_shifted_partitions(6, 6, 3)[4]
+        adapted = adapt(small_gmm(rng, 2, 9), Adaptation())
+        y = rng.standard_normal(36)
+        cfg = EPConfig(max_iterations=5)
+        conv = run_ep_gaussian(y, Conv2D(6, 6, [[1.0]]), 0.1, adapted, part, cfg)
+        ident = run_ep_gaussian(y, Identity(6, 6), 0.1, adapted, part, cfg)
+        np.testing.assert_array_equal(conv.mean, ident.mean)
+        np.testing.assert_array_equal(conv.marginal_var, ident.marginal_var)
+        assert conv.iterations == ident.iterations
 
     def test_single_pixel_patches_match_grid_oracle(self, rng):
         # r=1 blocks, K=2 scalar GMM: per-pixel posterior against quadrature

@@ -241,6 +241,30 @@ class TestTiltedMoments:
             np.testing.assert_allclose(means[j], mean_ref, rtol=1e-9, atol=1e-15)
             np.testing.assert_allclose(covs_out[j], cov_ref, rtol=1e-9, atol=1e-15)
 
+    def test_jitter_only_on_the_failing_block(self, rng):
+        # a prior that is singular on coordinate 1: S + C_k is positive
+        # definite for the full-rank cavities and singular for block 2, whose
+        # cavity is singular there too.  Only block 2 is jittered; the others
+        # come out as in a call made on them alone, bit for bit
+        covs = np.stack([random_spd(rng, 3, 0.2) for _ in range(2)])
+        prior = adapt(PatchGMM(np.array([0.4, 0.6]), rng.standard_normal((2, 3)) * 0.5, covs),
+                      Adaptation())
+        prior.covs[:, 1, :] = prior.covs[:, :, 1] = 0.0
+        prior.means[:, 1] = 0.0
+        cav_means = rng.standard_normal((4, 3))
+        cav_means[2, 1] = 1e-5
+        cav_covs = np.stack([random_spd(rng, 3, 0.1) for _ in range(4)])
+        cav_covs[2, 1, :] = cav_covs[2, :, 1] = 0.0
+        weights, means, covs_out = _tilted_moments_stack(prior, cav_means, cav_covs)
+        ok = [0, 1, 3]
+        for got, alone in zip((weights, means, covs_out),
+                              _tilted_moments_stack(prior, cav_means[ok], cav_covs[ok])):
+            np.testing.assert_array_equal(got[ok], alone)
+        w_ref, mean_ref, cov_ref = _tilted_gmm_block_jittered(prior, cav_means[2], cav_covs[2])
+        np.testing.assert_allclose(weights[2], w_ref, rtol=1e-9)
+        np.testing.assert_allclose(means[2], mean_ref, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(covs_out[2], cov_ref, rtol=1e-9, atol=1e-15)
+
 
 class TestTrainEm:
     def test_single_gaussian_recovers_empirical_moments(self, rng):

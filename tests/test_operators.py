@@ -16,7 +16,7 @@ from patchep.operators import (
 )
 from patchep.partitions import build_shifted_partitions
 
-from conftest import random_spd, stack_by_group
+from conftest import per_block, random_spd, stack_by_group
 
 
 def conv_dense_from_formula(width, height, kernel):
@@ -123,9 +123,12 @@ class TestApplyAdjoint:
         h = conv_dense_from_formula(7, 5, kernel)
         np.testing.assert_allclose(op.matrix.toarray(), h, rtol=0, atol=1e-15)
         w = rng.uniform(0.5, 2.0, 35)
-        idx = np.array([0, 6, 7, 13, 34])
-        np.testing.assert_allclose(op.gram_block(idx, w), (h.T @ np.diag(w) @ h)[np.ix_(idx, idx)],
-                                   atol=1e-12)
+        part = build_shifted_partitions(7, 5, 3)[4]
+        gram, stacks = op.gram_block(part, w)
+        expected = h.T @ np.diag(w) @ h
+        np.testing.assert_allclose(gram.toarray(), expected, atol=1e-12)
+        for idx, block in zip(part.blocks, per_block(part, stacks)):
+            np.testing.assert_allclose(block, expected[np.ix_(idx, idx)], atol=1e-12)
         np.testing.assert_allclose(op.diag_gram(), np.diag(h.T @ h), rtol=1e-12)
         for _ in range(5):
             x = rng.standard_normal(35)
@@ -198,15 +201,22 @@ class TestRowForms:
             [1.7 * h[n] @ h[n] for n in range(25)], rtol=1e-12)
 
     def test_gram_block_matches_dense(self):
+        # G = H^T W H and its diagonal blocks on a shifted partition, whose
+        # truncated boundary blocks fall into 9 groups; the mask leaves
+        # pixels unobserved, so some blocks have zero rows
         rng = np.random.default_rng(5)
-        op = Conv2D(6, 6, rng.standard_normal((3, 3)))
-        h = dense_matrix(op)
+        part = build_shifted_partitions(6, 6, 3)[4]
         w = rng.uniform(0.5, 2.0, 36)
-        idx = np.array([0, 1, 7, 8, 20])
-        expected = (h.T @ np.diag(w) @ h)[np.ix_(idx, idx)]
-        np.testing.assert_allclose(op.gram_block(idx, w), expected, atol=1e-12)
-        expected_unweighted = (h.T @ h)[np.ix_(idx, idx)]
-        np.testing.assert_allclose(op.gram_block(idx), expected_unweighted, atol=1e-12)
+        for op in (Conv2D(6, 6, rng.standard_normal((3, 3))), Mask(6, 6, rng.random(36) < 0.6)):
+            h = dense_matrix(op)
+            expected = h.T @ np.diag(w) @ h
+            gram, stacks = op.gram_block(part, w)
+            assert gram.format == "csr" and len(stacks) == len(part.groups) == 9
+            np.testing.assert_allclose(gram.toarray(), expected, atol=1e-12)
+            for group, stack in zip(part.groups, stacks):
+                assert stack.shape == (len(group.ids),) + (group.pixels.shape[1],) * 2
+            for idx, block in zip(part.blocks, per_block(part, stacks)):
+                np.testing.assert_allclose(block, expected[np.ix_(idx, idx)], atol=1e-12)
 
     def test_diag_gram(self):
         rng = np.random.default_rng(6)
