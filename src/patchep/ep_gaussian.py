@@ -41,6 +41,11 @@ reports the counts by cause.
 Factor updates are damped in natural parameters (precision and
 precision-mean).  The loop stops when the squared change of the joint mean
 and of the joint marginal variances both fall below tol * N.
+
+A run can resume from an earlier result on the same partition: both factors
+start as copies of its factors (the earlier result is left as it was) and
+the first CG solve starts from its mean.  EP-EM resumes every round after
+the first this way, since an M-step moves the prior only a little.
 """
 
 from __future__ import annotations
@@ -164,6 +169,7 @@ class EPResult:
     state: EPState = field(repr=False, default=None)
     u_mean: np.ndarray = None          # Poisson only
     u_var: np.ndarray = None
+    u_factors: object = field(repr=False, default=None)   # Poisson only: PoissonFactors
     warnings_by_cause: dict = field(default_factory=dict)   # cause -> count
 
     @property
@@ -176,15 +182,15 @@ def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
              cav_prec: np.ndarray, cav_eta: np.ndarray) -> int:
     """Set group g of ``target`` so that its product with the cavity
     (precisions cav_prec, precision-means cav_eta) matches the tilted
-    moments.  Returns the warning count: blocks whose update failed or was
-    rejected; they keep their old parameters."""
+    moments: means (J, b) and covariances (J, b, b), or variances (J, b) for
+    a diagonal target.  Returns the warning count: blocks whose update
+    failed or was rejected; they keep their old parameters."""
     pixels = target.partition.groups[g].pixels
     stack = target.prec[g]
     if target.structure == "diagonal":
-        d = np.diagonal(t_covs, axis1=1, axis2=2)
         p_cav = np.diagonal(cav_prec, axis1=1, axis2=2)
-        ok = np.all(d > 0, axis=1)
-        p_new = diag_kl_update(d[ok], p_cav[ok])
+        ok = np.all(t_covs > 0, axis=1)
+        p_new = diag_kl_update(t_covs[ok], p_cav[ok])
         stack[ok] = diag_stack(p_new)
         target.eta[pixels[ok]] = (p_new + p_cav[ok]) * t_means[ok] - cav_eta[ok]
         return int(np.sum(~ok))
@@ -213,14 +219,19 @@ def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
 def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     """Prior-side EP update; returns (tilted weights per group, warning
     counts by cause).  A group whose tilted moments fail gets weights None
-    and keeps its old blocks."""
+    and keeps its old blocks.  A diagonal cavity goes to the tilted kernel
+    as (J, b) variances, and its tilted variances come back per pixel."""
     part = state.partition
     weights = []
     warnings = Counter()
     target = state.q0.copy()
     for g, (group, cav_prec) in enumerate(zip(part.groups, state.q1.prec)):
         cav_eta = state.q1.eta[group.pixels]
-        cav_means, cav_covs = _stack_moments(cav_prec, cav_eta, state.q1.structure)
+        if state.q1.structure == "diagonal":
+            cav_covs = 1.0 / np.diagonal(cav_prec, axis1=1, axis2=2)
+            cav_means = cav_covs * cav_eta
+        else:
+            cav_means, cav_covs = _stack_moments(cav_prec, cav_eta, "block")
         try:
             w, t_means, t_covs = _tilted_moments_stack(
                 adapted.marginal(group.local), cav_means, cav_covs)
@@ -374,10 +385,11 @@ def _write_trace(trace, record: dict) -> None:
 
 def run_ep(step, operator: DegradationOperator, partition: Partition,
            init_mean: np.ndarray, init_var: np.ndarray, config: EPConfig,
-           trace=None) -> EPResult:
+           trace=None, init_state: EPState | None = None) -> EPResult:
     """The EP outer loop shared by the Gaussian and the Poisson model.
 
-    Both x-side factors start at (init_mean, init_var).  Each iteration calls
+    Both x-side factors start at (init_mean, init_var), or at copies of the
+    factors of ``init_state`` when one is given.  Each iteration calls
     ``step(state)``, which updates the factors, leaves the state synced
     and returns (per-group tilted weights, warning counts as a mapping from
     names in ``WARNING_CAUSES`` to counts, trace fields).
@@ -388,11 +400,14 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     """
     n = partition.n_pixels
     structure = "diagonal" if operator.is_diagonal else "block"
-    state = EPState(
-        q0=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
-        q1=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
-        partition=partition,
-    )
+    if init_state is None:
+        state = EPState(
+            q0=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
+            q1=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
+            partition=partition,
+        )
+    else:
+        state = EPState(q0=init_state.q0.copy(), q1=init_state.q1.copy(), partition=partition)
     state.sync()
 
     weights = None
@@ -432,11 +447,14 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
 
 def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
                     adapted: AdaptedGMM, partition: Partition,
-                    config: EPConfig | None = None, trace=None) -> EPResult:
+                    config: EPConfig | None = None, trace=None,
+                    init: EPResult | None = None) -> EPResult:
     """EP for  y = Hx + Gaussian noise  with a GMM patch prior.
 
-    Both factors start at mean y and covariance sigma2 * I; one iteration
-    updates q_x0, then q_x1 (see :func:`run_ep` for the stopping rule).
+    Both factors start at mean y and covariance sigma2 * I, or resume from
+    the factors of ``init``, a result on the same partition, whose mean then
+    also starts the first CG solve.  One iteration updates q_x0, then q_x1
+    (see :func:`run_ep` for the stopping rule).
     """
     config = config or EPConfig()
     y = np.asarray(y, dtype=float)
@@ -448,7 +466,7 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
 
     obs_weights = np.full(n, 1.0 / sigma2)
     obs_eta = operator.apply_adjoint(y) / sigma2
-    warm = None
+    warm = None if init is None else init.mean.copy()
 
     def step(state):
         nonlocal warm
@@ -459,4 +477,5 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
         warm = state.mean.copy()
         return weights, w0 + w1, {"cg_iterations": cg_iters}
 
-    return run_ep(step, operator, partition, y, np.full(n, float(sigma2)), config, trace)
+    return run_ep(step, operator, partition, y, np.full(n, float(sigma2)), config, trace,
+                  None if init is None else init.state)

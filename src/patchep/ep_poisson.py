@@ -8,8 +8,9 @@ posterior is approximated with four Gaussian factors:
 * q_u0 (diagonal) for the count likelihood, refined by the diagonal KL
   step of :mod:`patchep.kl_updates` from per-pixel 1D tilted moments: a
   two-piece truncated-Gaussian closed form when the count is zero,
-  mode-centered 48-node Gauss-Legendre quadrature otherwise (Golub & Welsch
-  1969; 48 nodes is the floor, see :func:`_tilted_positive_counts`).  The
+  mode-centered 48-node Gauss-Legendre quadrature otherwise (nodes by
+  Newton's method on the Legendre recurrence, see :func:`_gauss_legendre`;
+  48 nodes is the floor, see :func:`_tilted_positive_counts`).  The
   quadrature maps every pixel's nodes onto one fixed unit grid, so its
   three weighted sums are a single matrix product with a fixed (48, 3)
   basis; pixels are processed in cache-sized chunks of 256;
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, logsumexp
+from scipy.special import gammaln, log_ndtr
 
 from .ep_gaussian import EPConfig, EPResult, EPState, run_ep, update_q_x0, update_q_x1
 from .gmm import AdaptedGMM
@@ -40,10 +41,37 @@ __all__ = ["rectified_poisson_tilted_batch", "run_ep_poisson"]
 
 _GL_POINTS = 48
 _SPAN_STD = 10.0
+
+
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton's
+    method on P_n from the guesses cos(pi (i - 1/4) / (n + 1/2)), with P_n
+    from the three-term recurrence (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}
+    and P_n' = n (P_{n-1} - x P_n) / (1 - x^2); the weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the final nodes.  1 - x^2 is formed as
+    (1 - x)(1 + x), exact near the ends.  No eigenvalue solve, so importing
+    the module calls no LAPACK routine."""
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-16:
+            break
+    _, dp = legendre(x)
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+
+
 # Gauss-Legendre nodes on [0, 1] (t = (x + 1) / 2, weights w / 2) and the
 # basis w * [1, t, t^2]: one contraction gives the zeroth to second moments
 # on the unit interval
-_UNIT_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
+_UNIT_NODES, _GL_WEIGHTS = _gauss_legendre(_GL_POINTS)
 _UNIT_NODES = 0.5 * (_UNIT_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 _GL_BASIS = _GL_WEIGHTS[:, None] * np.stack(
@@ -86,7 +114,7 @@ def _tilted_zero_counts(mu1: np.ndarray, c1: float):
     log_wa = 0.5 * c1 - mu1 + log_mass_a
     mean_b, var_b, log_wb = _truncated_normal_moments(mu1, c1, lower=False)
 
-    log_z = logsumexp(np.stack([log_wa, log_wb]), axis=0)
+    log_z = np.logaddexp(log_wa, log_wb)
     wa = np.exp(log_wa - log_z)
     wb = np.exp(log_wb - log_z)
     mean = wa * mean_a + wb * mean_b
@@ -190,6 +218,10 @@ class PoissonFactors:
         c1 = 1.0 / self.prec_u1
         return self.eta_u1 * c1, c1
 
+    def copy(self) -> "PoissonFactors":
+        return PoissonFactors(self.prec_u0.copy(), self.eta_u0.copy(), self.prec_u1,
+                              self.eta_u1.copy())
+
     def joint_u_moments(self):
         prec = self.prec_u0 + self.prec_u1
         mean = (self.eta_u0 + self.eta_u1) / prec
@@ -262,11 +294,15 @@ def update_q_u1(factors: PoissonFactors, state: EPState,
 
 def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
                    adapted: AdaptedGMM, partition: Partition,
-                   config: EPConfig | None = None, trace=None) -> EPResult:
+                   config: EPConfig | None = None, trace=None,
+                   init: EPResult | None = None) -> EPResult:
     """Data-augmented EP for  y ~ Poisson(Hx)  with a GMM patch prior.
 
     All means start at y + 1 and all per-pixel variances at y + 1 (the
-    isotropic q_u1 uses their mean).  The update order is q_u0, q_x1, q_u1,
+    isotropic q_u1 uses their mean), unless the run resumes from ``init``, a
+    Poisson result on the same partition: then all four factors start from
+    its factors and the first CG solve from its mean.  The result carries
+    its u-side factors as ``u_factors``.  The update order is q_u0, q_x1, q_u1,
     q_x0; the stopping rule matches the Gaussian loop (x-side moments).  The
     escapes of the q_u0 update count as EP warnings of cause
     ``poisson_escapes``.
@@ -283,13 +319,17 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
 
     init_mean = y + 1.0
     init_var = y + 1.0
-    factors = PoissonFactors(
-        prec_u0=1.0 / init_var,
-        eta_u0=init_mean / init_var,
-        prec_u1=1.0 / float(np.mean(init_var)),
-        eta_u1=init_mean / float(np.mean(init_var)),
-    )
-    warm = None
+    if init is None:
+        factors = PoissonFactors(
+            prec_u0=1.0 / init_var,
+            eta_u0=init_mean / init_var,
+            prec_u1=1.0 / float(np.mean(init_var)),
+            eta_u1=init_mean / float(np.mean(init_var)),
+        )
+        warm = None
+    else:
+        factors = init.u_factors.copy()
+        warm = init.mean.copy()
 
     def step(state):
         nonlocal warm
@@ -311,6 +351,8 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
         return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": 1.0 / factors.prec_u1,
                                   "negative_precision_escapes": escapes}
 
-    result = run_ep(step, operator, partition, init_mean, init_var, config, trace)
+    result = run_ep(step, operator, partition, init_mean, init_var, config, trace,
+                    None if init is None else init.state)
     result.u_mean, result.u_var = factors.joint_u_moments()
+    result.u_factors = factors
     return result

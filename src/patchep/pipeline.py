@@ -10,14 +10,17 @@ Each expert may alternate EP with a variational M-step that re-estimates the
 prior adaptation (offset, patch-mean variance, scale) from the EP moments:
 the offset maximizer is closed-form, the two variances are found by
 golden-section search (log-scale for the patch-mean variance), repeated
-until the triple stabilizes.
+until the triple stabilizes.  An M-step moves the adaptation only a little,
+so every EM round after the first resumes EP from the factors of the round
+before (a warm-started E-step, Neal & Hinton 1998) instead of restarting
+from the observation.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -54,6 +57,9 @@ class ExpertResult:
     status: str
     # EP warnings by cause (see ep_gaussian.WARNING_CAUSES), summed over EM rounds
     warnings_by_cause: dict = field(default_factory=dict)
+    # one record per EM round: its EP iterations, convergence and the
+    # adaptation the round ran under
+    rounds: list = field(default_factory=list)
 
     def __post_init__(self):
         if np.any(self.marginal_var <= 0):
@@ -270,21 +276,21 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
                 theta: Adaptation, em_enabled: bool):
     ep_config = replace(config.ep, seed=int(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(index,)).generate_state(1)[0]))
-    total_iters = 0
     warnings = Counter(dict.fromkeys(WARNING_CAUSES, 0))
-    outer = 0
+    rounds = []
     result: EPResult | None = None
-    for outer in range(1, config.outer_rounds + 1):
+    for _ in range(config.outer_rounds):
         adapted = adapt(base, theta)
         if isinstance(noise, GaussianNoise):
             result = run_ep_gaussian(y, operator, noise.variance, adapted,
-                                     partition, ep_config)
+                                     partition, ep_config, init=result)
         elif isinstance(noise, PoissonNoise):
-            result = run_ep_poisson(y, operator, adapted, partition, ep_config)
+            result = run_ep_poisson(y, operator, adapted, partition, ep_config, init=result)
         else:
             raise TypeError(f"unknown noise model {noise!r}")
-        total_iters += result.iterations
         warnings.update(result.warnings_by_cause)
+        rounds.append({"iterations": result.iterations, "converged": result.converged,
+                       "theta": asdict(theta)})
         if not em_enabled:
             break
         new_theta = epem_m_step(result.weights, result.mean, result.cov, base,
@@ -299,11 +305,12 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
         marginal_var=result.marginal_var,
         theta=theta,
         weights=result.weights,
-        iterations=total_iters,
-        outer_rounds=outer,
+        iterations=sum(r["iterations"] for r in rounds),
+        outer_rounds=len(rounds),
         converged=result.converged,
         status=result.status,
         warnings_by_cause=dict(warnings),
+        rounds=rounds,
     )
 
 
@@ -315,7 +322,10 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
     expert's EP warnings, summed over its EM rounds, as a total and by cause
     (unconverged CG solves, failed tilted groups, failed or rejected KL
     blocks, Poisson precision escapes; see ``ep_gaussian.WARNING_CAUSES``),
-    and the same over all experts."""
+    and the same over all experts; each expert's EM rounds (EP iterations,
+    convergence and adaptation per round); and a run-level ``verdict``, the
+    number of experts whose last EP run converged, did not converge, or
+    failed."""
     config = config or PipelineConfig()
     y = np.asarray(y, dtype=float)
     partitions = build_shifted_partitions(operator.width, operator.height,
@@ -351,13 +361,13 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
         "experts": [
             {
                 "index": e.index,
-                "theta": {"offset": e.theta.offset, "mean_var": e.theta.mean_var,
-                          "scale": e.theta.scale},
+                "theta": asdict(e.theta),
                 "iterations": e.iterations,
                 "outer_rounds": e.outer_rounds,
                 "status": e.status,
                 "warnings": e.warnings,
                 "warnings_by_cause": dict(e.warnings_by_cause),
+                "rounds": e.rounds,
             }
             for e in experts
         ],
@@ -365,6 +375,9 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
         "warnings_by_cause": {cause: sum(e.warnings_by_cause[cause] for e in experts)
                               for cause in WARNING_CAUSES},
         "failures": failures,
+        "verdict": {"converged": sum(e.converged for e in experts),
+                    "not_converged": sum(not e.converged for e in experts),
+                    "failed": len(failures)},
     }
     timings["total_s"] = float(sum(timings.values()))
     return PipelineResult(fused=fused, experts=experts, report=report, timings=timings)

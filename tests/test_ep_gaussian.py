@@ -671,3 +671,62 @@ class TestRunEpGaussian:
         res = run_ep_gaussian(y, Identity(4, 4), 0.1, adapted, part,
                               EPConfig(max_iterations=1))
         assert res.status == "max_iterations" and not res.converged
+
+
+class TestResume:
+    """Runs that start from an earlier result's factors (EP-EM rounds)."""
+
+    @staticmethod
+    def problem(op):
+        from patchep.phantoms import extract_patches, make_phantom
+
+        base = train_em(extract_patches(make_phantom(32, 32, seed=0), 4), 3,
+                        max_iters=20, seed=0)
+        sigma2 = (10 / 255) ** 2
+        y = simulate(op, make_phantom(12, 12, seed=0).ravel(), GaussianNoise(sigma2), seed=100)
+        theta = Adaptation(offset=float(np.mean(y)), mean_var=float(np.var(y)) - sigma2)
+        return base, sigma2, y, theta
+
+    def test_resumed_converged_run_stops_at_once(self):
+        # block path (CG, RBMC, block KL) on a shifted partition: resumed
+        # from its own converged result, EP starts at its fixed point and
+        # stops within two iterations, having moved less than the stop rule
+        # allows; the earlier result is left as it was
+        op = Conv2D(12, 12, np.full((3, 3), 1.0 / 9.0))
+        base, sigma2, y, theta = self.problem(op)
+        part = build_shifted_partitions(12, 12, 4)[5]
+        cfg = EPConfig(max_iterations=100, stop_tol=1e-12)
+        first = run_ep_gaussian(y, op, sigma2, adapt(base, theta), part, cfg)
+        assert first.converged
+        kept = first.mean.copy(), [p.copy() for p in first.state.q1.prec]
+        again = run_ep_gaussian(y, op, sigma2, adapt(base, theta), part, cfg, init=first)
+        assert again.converged and again.iterations <= 2
+        assert np.sum((again.mean - first.mean) ** 2) < cfg.stop_tol * 144
+        assert np.sum((again.marginal_var - first.marginal_var) ** 2) < cfg.stop_tol * 144
+        np.testing.assert_array_equal(first.mean, kept[0])
+        for p, p_kept in zip(first.state.q1.prec, kept[1]):
+            np.testing.assert_array_equal(p, p_kept)
+
+    def test_resume_at_new_theta_matches_cold_run(self):
+        # denoising at an adaptation moved as by one M-step: the run resumed
+        # from the old result reaches the cold run's fixed point in fewer
+        # iterations.  Each run stops once a step moves the mean and the
+        # variances by less than sqrt(stop_tol * N) in 2-norm; at a
+        # contraction rate of at most 0.9 it then lies within 9 such steps
+        # of the fixed point, so the two agree to 20 sqrt(stop_tol * N).
+        # Under the 3x3 box blur the cold and the resumed run can settle on
+        # different fixed points (0.005 apart in mean on this scene), so the
+        # comparison is made on denoising
+        op = Identity(12, 12)
+        base, sigma2, y, theta = self.problem(op)
+        part = build_shifted_partitions(12, 12, 4)[5]
+        cfg = EPConfig(max_iterations=100, stop_tol=1e-12)
+        moved = Adaptation(offset=theta.offset + 0.02, mean_var=0.8 * theta.mean_var)
+        first = run_ep_gaussian(y, op, sigma2, adapt(base, theta), part, cfg)
+        cold = run_ep_gaussian(y, op, sigma2, adapt(base, moved), part, cfg)
+        warm = run_ep_gaussian(y, op, sigma2, adapt(base, moved), part, cfg, init=first)
+        assert cold.converged and warm.converged
+        assert warm.iterations < cold.iterations
+        bound = 20 * np.sqrt(cfg.stop_tol * 144)
+        assert np.linalg.norm(warm.mean - cold.mean) < bound
+        assert np.linalg.norm(warm.marginal_var - cold.marginal_var) < bound

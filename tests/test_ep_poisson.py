@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from patchep import ep_poisson
 from patchep.ep_gaussian import EPConfig, EPState, GaussianFactor, update_q_x1
@@ -118,6 +118,46 @@ class TestRectifiedPoissonTilted:
             assert abs(z[0] - z_ref) / z_ref < 1e-8
             assert abs(mean[0] - mean_ref) / max(abs(mean_ref), 1e-3) < 1e-8
             assert abs(var[0] - var_ref) / var_ref < 1e-8
+
+    def test_gauss_legendre_nodes_match_numpy(self):
+        # Newton on the Legendre recurrence against numpy's eigenvalue rule.
+        # numpy's own weights are off by up to 1.3e-12 relative from 50-digit
+        # values (the Newton weights by 2e-14), so the weights compare at
+        # 2e-12; exactness on every monomial of degree < 96 checks them more
+        # closely
+        x, w = ep_poisson._gauss_legendre(48)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(48)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=2e-12)
+        for degree in range(96):
+            exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+            assert abs(w @ x ** degree - exact) < 1e-15
+        np.testing.assert_array_equal(ep_poisson._UNIT_NODES, 0.5 * (x + 1.0))
+        np.testing.assert_array_equal(ep_poisson._GL_WEIGHTS, 0.5 * w)
+
+    def test_zero_count_normaliser_matches_scipy(self, monkeypatch):
+        # the two truncated pieces get fixed log masses near -700 and -inf
+        # (never both -inf): log Z, mean and variance against the same
+        # mixture normalised by scipy's logsumexp
+        log_mass_a = np.array([0.0, -700.0, -np.inf, -3.0, -745.0, -699.0])
+        log_mass_b = np.array([-700.0, -700.5, -3.0, -np.inf, -1.0, -0.5])
+        mean_a, var_a = np.linspace(0.1, 2.0, 6), np.linspace(0.5, 1.5, 6)
+        mean_b, var_b = -np.linspace(0.2, 1.0, 6), np.linspace(0.3, 0.9, 6)
+
+        def fake_pieces(mu, sigma2, lower):
+            return (mean_a, var_a, log_mass_a) if lower else (mean_b, var_b, log_mass_b)
+
+        monkeypatch.setattr(ep_poisson, "_truncated_normal_moments", fake_pieces)
+        mu1, c1 = np.linspace(-1.0, 1.0, 6), 0.8
+        log_z, mean, var = ep_poisson._tilted_zero_counts(mu1, c1)
+        log_wa = 0.5 * c1 - mu1 + log_mass_a
+        ref_log_z = logsumexp(np.stack([log_wa, log_mass_b]), axis=0)
+        wa, wb = np.exp(log_wa - ref_log_z), np.exp(log_mass_b - ref_log_z)
+        ref_mean = wa * mean_a + wb * mean_b
+        ref_var = wa * (var_a + mean_a ** 2) + wb * (var_b + mean_b ** 2) - ref_mean ** 2
+        np.testing.assert_allclose(log_z, ref_log_z, rtol=1e-14)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-14)
+        np.testing.assert_allclose(var, ref_var, rtol=1e-14)
 
     def test_mode_centered_rule_recovers_pure_gaussian(self):
         # quadrature-scheme invariant: the module's unit nodes and basis,
@@ -378,3 +418,51 @@ class TestRunEpPoisson:
         assert escapes == 16 * res.iterations
         assert res.warnings_by_cause["poisson_escapes"] == escapes
         assert res.warnings == escapes
+
+
+class TestResumePoisson:
+    """Poisson runs that start from an earlier result's four factors."""
+
+    @staticmethod
+    def problem():
+        from patchep.phantoms import extract_patches, make_phantom
+
+        base = train_em(extract_patches(make_phantom(64, 64, seed=0), 4), 3,
+                        max_iters=30, seed=0)
+        truth = 10.0 * make_phantom(16, 16, seed=3).ravel()
+        y = simulate(Identity(16, 16), truth, PoissonNoise(), seed=9)
+        theta = Adaptation(offset=float(np.mean(y)), mean_var=float(np.var(y)), scale=10.0)
+        return base, y, theta, build_shifted_partitions(16, 16, 4)[0]
+
+    def test_resumed_converged_run_stops_at_once(self):
+        base, y, theta, part = self.problem()
+        cfg = EPConfig(max_iterations=200, stop_tol=1e-12)
+        first = run_ep_poisson(y, Identity(16, 16), adapt(base, theta), part, cfg)
+        assert first.converged
+        kept = first.u_factors.copy()
+        again = run_ep_poisson(y, Identity(16, 16), adapt(base, theta), part, cfg, init=first)
+        assert again.converged and again.iterations <= 2
+        assert np.sum((again.mean - first.mean) ** 2) < cfg.stop_tol * 256
+        assert np.sum((again.marginal_var - first.marginal_var) ** 2) < cfg.stop_tol * 256
+        assert again.u_factors is not first.u_factors
+        np.testing.assert_array_equal(first.u_factors.eta_u0, kept.eta_u0)
+        assert first.u_factors.prec_u1 == kept.prec_u1
+
+    def test_resume_at_new_theta_matches_cold_run(self):
+        # the adaptation moved as by one M-step, intensities up to about 9:
+        # with the stop rule's bound of sqrt(stop_tol * N) per step in
+        # 2-norm and a contraction rate of at most 0.9, the resumed and the
+        # cold run agree to 20 sqrt(stop_tol * N)
+        base, y, theta, part = self.problem()
+        cfg = EPConfig(max_iterations=200, stop_tol=1e-12)
+        moved = Adaptation(offset=1.05 * theta.offset, mean_var=0.8 * theta.mean_var,
+                           scale=theta.scale)
+        first = run_ep_poisson(y, Identity(16, 16), adapt(base, theta), part, cfg)
+        cold = run_ep_poisson(y, Identity(16, 16), adapt(base, moved), part, cfg)
+        warm = run_ep_poisson(y, Identity(16, 16), adapt(base, moved), part, cfg, init=first)
+        assert cold.converged and warm.converged
+        assert warm.iterations < cold.iterations
+        bound = 20 * np.sqrt(cfg.stop_tol * 256)
+        assert np.linalg.norm(warm.mean - cold.mean) < bound
+        assert np.linalg.norm(warm.marginal_var - cold.marginal_var) < bound
+        assert np.linalg.norm(warm.u_mean - cold.u_mean) < bound

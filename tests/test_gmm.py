@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 from scipy.stats import multivariate_normal, norm
 
 from patchep.gmm import (
@@ -11,6 +11,8 @@ from patchep.gmm import (
     train_em,
 )
 from patchep.gmm import _lower_triangular_inverse, _tilted_moments_stack
+from patchep.gaussians import diag_stack
+from patchep.partitions import build_shifted_partitions
 
 from conftest import random_spd, small_gmm
 from reference import _tilted_gmm_block, _tilted_gmm_block_jittered
@@ -264,6 +266,86 @@ class TestTiltedMoments:
         np.testing.assert_allclose(weights[2], w_ref, rtol=1e-9)
         np.testing.assert_allclose(means[2], mean_ref, rtol=1e-9, atol=1e-15)
         np.testing.assert_allclose(covs_out[2], cov_ref, rtol=1e-9, atol=1e-15)
+
+
+class TestDiagonalCavities:
+    """The per-pixel tail of the kernel against the full kernel on the same
+    cavities given as ``diag_stack`` matrices."""
+
+    @staticmethod
+    def assert_matches_full(prior, cav_means, cav_vars):
+        weights, means, variances = _tilted_moments_stack(prior, cav_means, cav_vars)
+        w_ref, mean_ref, cov_ref = _tilted_moments_stack(prior, cav_means, diag_stack(cav_vars))
+        assert variances.shape == cav_vars.shape
+        np.testing.assert_allclose(weights, w_ref, rtol=1e-12)
+        np.testing.assert_allclose(means, mean_ref, rtol=1e-12)
+        np.testing.assert_allclose(variances, np.diagonal(cov_ref, axis1=1, axis2=2), rtol=1e-11)
+
+    @pytest.mark.parametrize("cell", ["full", "truncated"])
+    def test_matches_full_kernel(self, rng, cell):
+        # a K=4 prior at Poisson-bench intensities (offset 10, scale 3) on
+        # the full 3x3 cell or on the two-column marginal of a boundary
+        # group of the shift-(1, 1) partition; cavity variances span 0.1 to
+        # 1e4, so some components dominate their cavities and some not
+        part = build_shifted_partitions(6, 6, 3)[4]
+        local = next(g.local for g in part.groups if g.local.size == (9 if cell == "full" else 6))
+        gmm = small_gmm(rng, 4, 9, mean_scale=0.8, cov_scale=0.6)
+        prior = adapt(gmm, Adaptation(offset=10.0, mean_var=0.5, scale=3.0)).marginal(local)
+        cav_means = 10.0 + 3.0 * rng.standard_normal((7, local.size))
+        cav_vars = 10.0 ** rng.uniform(-1.0, 4.0, (7, local.size))
+        self.assert_matches_full(prior, cav_means, cav_vars)
+
+    def test_matches_full_kernel_under_jitter(self, rng):
+        # coordinate 1 is absent from the prior and, in block 2 only, from
+        # the cavity: that block's S + C_k is singular and gets the jitter
+        covs = np.stack([random_spd(rng, 3, 0.2) for _ in range(2)])
+        prior = adapt(PatchGMM(np.array([0.4, 0.6]), rng.standard_normal((2, 3)) * 0.5, covs),
+                      Adaptation())
+        prior.covs[:, 1, :] = prior.covs[:, :, 1] = 0.0
+        prior.means[:, 1] = 0.0
+        cav_means = rng.standard_normal((4, 3))
+        cav_means[2, 1] = 1e-5
+        cav_vars = rng.uniform(0.1, 2.0, (4, 3))
+        cav_vars[2, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(diag_stack(cav_vars)[:, None] + prior.covs[None])
+        self.assert_matches_full(prior, cav_means, cav_vars)
+
+
+class TestLogSumExp:
+    def test_tilted_weights_match_scipy(self):
+        # one pixel with S + C_k = 0.5 + 0.5 = 1 exactly, so L = 1, z = d
+        # and the log-weights below are the kernel's to the bit; relative
+        # to the largest they are 0, -50, -699.4 and -701.3
+        d = np.array([0.0, 10.0, 37.4, 37.45])
+        prior = adapt(PatchGMM(np.array([0.1, 0.2, 0.3, 0.4]), -d[:, None],
+                               np.full((4, 1, 1), 0.5)), Adaptation())
+        log_w = np.log(prior.weights) - 0.5 * (np.log(2 * np.pi) + 0.0 + d ** 2)
+        for cavity in (np.full((1, 1), 0.5), np.full((1, 1, 1), 0.5)):
+            weights, _, _ = _tilted_moments_stack(prior, np.zeros((1, 1)), cavity)
+            np.testing.assert_allclose(weights[0], softmax(log_w), rtol=1e-14)
+            np.testing.assert_allclose(weights[0], np.exp(log_w - logsumexp(log_w)), rtol=1e-14)
+
+    def test_train_em_responsibilities_match_scipy(self, rng, monkeypatch):
+        # fixed component log-densities with entries near -700 and -inf
+        # (every row keeps one finite entry): one EM iteration against its
+        # M-step from scipy's logsumexp
+        table = np.array([[0.0, -700.0, -np.inf],
+                          [-700.0, -699.5, -701.0],
+                          [-np.inf, -3.0, -745.0],
+                          [-1.0, -np.inf, -np.inf],
+                          [-2.0, -2.5, -0.5],
+                          [-720.0, -np.inf, -710.0]])
+        samples = rng.standard_normal((6, 2))
+        calls = iter(range(3))
+        monkeypatch.setattr("patchep.gmm._mvn_logpdf_chol",
+                            lambda x, mean, chol: table[:, next(calls)])
+        gmm = train_em(samples, 3, max_iters=1, seed=0)
+        log_resp = np.log(np.full(3, 1.0 / 3.0)) + table
+        resp = np.exp(log_resp - logsumexp(log_resp, axis=1, keepdims=True))
+        counts = resp.sum(axis=0) + 1e-300
+        np.testing.assert_allclose(gmm.weights, counts / counts.sum(), rtol=1e-14)
+        np.testing.assert_allclose(gmm.means, (resp.T @ samples) / counts[:, None], rtol=1e-14)
 
 
 class TestTrainEm:

@@ -347,3 +347,46 @@ class TestRunPipeline:
         assert default["warnings"] == 0
         assert [e["warnings"] for e in default["experts"]] == [0, 0]
         assert default["warnings_by_cause"] == dict.fromkeys(WARNING_CAUSES, 0)
+
+
+class TestVerdictAndRounds:
+    def test_failed_and_capped_experts(self, rng, monkeypatch):
+        # expert 1 raises inside EP, expert 0 is capped at one EP iteration
+        # per round for two EM rounds: the verdict counts one expert that did
+        # not converge and one that failed, and expert 0's report lists its
+        # rounds with the adaptation each ran under
+        import patchep.pipeline as pipeline
+
+        base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
+        y = simulate(Identity(8, 8), np.full(64, 0.4), GaussianNoise(0.01), seed=8)
+        theta0 = Adaptation(offset=0.3, mean_var=0.02, scale=1.0)
+        real_ep = pipeline.run_ep_gaussian
+
+        def failing_second_expert(y, operator, sigma2, adapted, partition, config, init=None):
+            if partition.shift != (0, 0):
+                raise np.linalg.LinAlgError("forced failure")
+            return real_ep(y, operator, sigma2, adapted, partition, config, init=init)
+
+        monkeypatch.setattr(pipeline, "run_ep_gaussian", failing_second_expert)
+        cfg = PipelineConfig(ep=EPConfig(max_iterations=1), patch_size=2, n_experts=2,
+                             outer_rounds=2, theta_tol=0.0, theta_init=theta0, seed=4)
+        out = run_pipeline(y, Identity(8, 8), GaussianNoise(0.01), base, cfg)
+        assert out.report["verdict"] == {"converged": 0, "not_converged": 1, "failed": 1}
+        (entry,) = out.report["experts"]
+        assert [r["iterations"] for r in entry["rounds"]] == [1, 1]
+        assert [r["converged"] for r in entry["rounds"]] == [False, False]
+        assert entry["iterations"] == 2 and entry["outer_rounds"] == 2
+        assert entry["rounds"][0]["theta"] == {"offset": 0.3, "mean_var": 0.02, "scale": 1.0}
+        assert entry["rounds"][1]["theta"] != entry["rounds"][0]["theta"]
+        assert entry["theta"] != entry["rounds"][1]["theta"]
+
+    def test_converged_experts_in_verdict(self):
+        base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
+        y = simulate(Identity(8, 8), np.full(64, 0.4), GaussianNoise(0.01), seed=8)
+        cfg = PipelineConfig(ep=EPConfig(damping=1.0), patch_size=2, n_experts=2, seed=11)
+        report = run_pipeline(y, Identity(8, 8), GaussianNoise(0.01), base, cfg).report
+        assert report["verdict"] == {"converged": 2, "not_converged": 0, "failed": 0}
+        for entry in report["experts"]:
+            assert len(entry["rounds"]) == entry["outer_rounds"]
+            assert sum(r["iterations"] for r in entry["rounds"]) == entry["iterations"]
+            assert all(r["converged"] for r in entry["rounds"])
