@@ -306,16 +306,8 @@ def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
         log_resp = np.empty((n, n_components))
         for k in range(n_components):
             log_resp[:, k] = np.log(gmm.weights[k]) + _mvn_logpdf_chol(samples, gmm.means[k], chols[k])
-        # log-sum-exp rounded as scipy's logsumexp (>= 1.15) rounds it: the
-        # maxima stay out of the shifted sum and come back through log1p and
-        # log(count).  A trained prior that differed at 1e-12 moved the
-        # EP-EM bench quality by 1%, through M-step picks that rounding
-        # decides at the prior's ill-conditioned covariances
         log_max = np.max(log_resp, axis=1, keepdims=True)
-        at_max = log_resp == log_max
-        count = np.sum(at_max, axis=1, keepdims=True)
-        rest = np.sum(np.exp(np.where(at_max, -np.inf, log_resp - log_max)), axis=1, keepdims=True)
-        log_norm = np.log1p(rest / count) + np.log(count) + log_max
+        log_norm = np.log(np.sum(np.exp(log_resp - log_max), axis=1, keepdims=True)) + log_max
         resp = np.exp(log_resp - log_norm)
 
         counts = resp.sum(axis=0) + 1e-300

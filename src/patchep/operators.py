@@ -5,7 +5,7 @@ mask (inpainting), or circular 2D convolution (deconvolution).  Every
 operator holds ``H`` as a CSR ``matrix`` built once at construction; it is
 the only representation of ``H``.  ``apply`` and ``apply_adjoint`` are
 products with it, ``is_diagonal`` reads its sparsity pattern, ``gram_block``
-forms the sparse product ``H^T W H`` and gathers its diagonal blocks on a
+forms the sparse product ``H^T W H`` and scatters its diagonal blocks on a
 partition, and the quadratic forms ``h_n S h_n^T`` of a block-diagonal
 covariance S are the diagonal of the sparse product ``H S H^T``, or
 ``diag(H^T H) * S_nn`` when H is diagonal.
@@ -78,16 +78,23 @@ class DegradationOperator:
     def gram_block(self, partition: Partition, weights: np.ndarray):
         """G = H^T W H with W = diag(weights), as CSR, and G's diagonal blocks
         on ``partition``: one (J_g, b, b) stack per group of
-        ``partition.groups``, each gathered from G in one vectorized lookup."""
+        ``partition.groups``, all filled by one scatter of G's entries."""
         h = self.matrix
         gram = (h.T @ sparse.diags(weights) @ h).tocsr()
-        stacks = []
+        block, pos, row_slot = (np.empty(self.n_pixels, dtype=np.intp) for _ in range(3))
+        spans = [0]
         for group in partition.groups:
             n_blocks, b = group.pixels.shape
-            rows = np.repeat(group.pixels, b, axis=1).ravel()
-            cols = np.tile(group.pixels, (1, b)).ravel()
-            stacks.append(np.asarray(gram[rows, cols]).reshape(n_blocks, b, b))
-        return gram, stacks
+            block[group.pixels], pos[group.pixels] = group.ids[:, None], np.arange(b)
+            row_slot[group.pixels] = spans[-1] + b * np.arange(n_blocks * b).reshape(n_blocks, b)
+            spans.append(spans[-1] + n_blocks * b * b)
+        counts, cols = np.diff(gram.indptr), gram.indices
+        target = np.repeat(row_slot, counts) + pos[cols]
+        target[np.repeat(block, counts) != block[cols]] = spans[-1]   # off-block: a spare slot
+        flat = np.zeros(spans[-1] + 1)
+        flat[target] = gram.data
+        return gram, [flat[start:stop].reshape(group.pixels.shape + group.pixels.shape[1:])
+                      for group, start, stop in zip(partition.groups, spans, spans[1:])]
 
 
 @dataclass

@@ -7,13 +7,14 @@ fused precision is the arithmetic mean of expert precisions and the fused
 mean the matching precision-weighted average.
 
 Each expert may alternate EP with a variational M-step that re-estimates the
-prior adaptation (offset, patch-mean variance, scale) from the EP moments:
-the offset maximizer is closed-form, the two variances are found by
-golden-section search (log-scale for the patch-mean variance), repeated
-until the triple stabilizes.  An M-step moves the adaptation only a little,
-so every EM round after the first resumes EP from the factors of the round
-before (a warm-started E-step, Neal & Hinton 1998) instead of restarting
-from the observation.
+prior adaptation (offset, patch-mean variance, scale) from sufficient
+statistics of the EP moments, so each E-cost evaluation is scalar
+arithmetic: closed-form offset, golden-section searches for the two
+variances (log-scale for the patch-mean variance), repeated until the triple
+stabilizes; picks that end on a search bound are reported.  An M-step moves
+the adaptation only a little, so every EM round after the first resumes EP
+from the factors of the round before (a warm-started E-step, Neal & Hinton
+1998) instead of restarting from the observation.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .ep_gaussian import WARNING_CAUSES, EPConfig, EPResult, run_ep_gaussian
 from .ep_poisson import run_ep_poisson
 from .gaussians import BlockDiagonalCov
-from .gmm import Adaptation, PatchGMM, adapt
+from .gmm import Adaptation, PatchGMM, _lower_triangular_inverse, adapt
 from .operators import DegradationOperator, GaussianNoise, PoissonNoise
 from .partitions import Partition, build_shifted_partitions
 
@@ -38,6 +39,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "fuse_poe",
+    "estep_statistics",
     "epem_e_cost",
     "epem_m_step",
     "run_pipeline",
@@ -57,8 +59,8 @@ class ExpertResult:
     status: str
     # EP warnings by cause (see ep_gaussian.WARNING_CAUSES), summed over EM rounds
     warnings_by_cause: dict = field(default_factory=dict)
-    # one record per EM round: its EP iterations, convergence and the
-    # adaptation the round ran under
+    # one record per EM round: its EP iterations, convergence, the adaptation
+    # it ran under and the parameters the M-step after it left on a bound
     rounds: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -92,91 +94,99 @@ def fuse_poe(experts: list) -> FusedPosterior:
     return FusedPosterior(mean=mean, marginal_var=1.0 / prec)
 
 
-def _grouped_estep_terms(weights, mean: np.ndarray, cov: BlockDiagonalCov,
-                         partition: Partition):
-    """E-step quantities per partition group: local indices, weights (J, K),
-    means (J, b) and covariances (J, b, b).  Groups without weights (their
-    tilted moments failed) are left out."""
-    return [(group.local, w, mean[group.pixels], s)
-            for group, w, s in zip(partition.groups, weights, cov.stacks) if w is not None]
+class EStepStatistics(NamedTuple):
+    """Sufficient statistics of the E-cost, one entry per (group, component):
+    B and mu are the base covariance and mean on the group's local indices,
+    g = B^{-1} 1, and sums run over blocks j (weights w_j, moments m_j, S_j)."""
+    size: np.ndarray          # b, the block size
+    weight: np.ndarray        # sum w_j
+    ones: np.ndarray          # c = 1^T B^{-1} 1
+    ones_mu: np.ndarray       # 1^T B^{-1} mu
+    mu_mu: np.ndarray         # mu^T B^{-1} mu
+    logdet: np.ndarray        # log det B
+    trace: np.ndarray         # sum w_j tr(B^{-1} S_j)
+    ones_s_ones: np.ndarray   # sum w_j g^T S_j g
+    m_m: np.ndarray           # sum w_j m_j^T B^{-1} m_j
+    ones_m: np.ndarray        # sum w_j g^T m_j
+    ones_m_sq: np.ndarray     # sum w_j (g^T m_j)^2
+    mu_m: np.ndarray          # sum w_j mu^T B^{-1} m_j
 
 
-def _theta_cov(base: PatchGMM, idxs: np.ndarray, theta: Adaptation) -> np.ndarray:
-    sub = base.covs[:, idxs[:, None], idxs[None, :]]
-    b = idxs.size
-    return theta.mean_var * np.ones((b, b)) + theta.scale ** 2 * sub
+def estep_statistics(weights, mean: np.ndarray, cov: BlockDiagonalCov,
+                     base: PatchGMM, partition: Partition) -> EStepStatistics:
+    """The E-cost's sufficient statistics from the EP moments, through one
+    Cholesky factor L per (group, component) of the base covariance B.
+    Groups without weights (failed tilted moments) are left out; one must
+    have weights."""
+    cells = []
+    for group, w, s in zip(partition.groups, weights, cov.stacks):
+        if w is None:
+            continue
+        chol = np.linalg.cholesky(base.covs[:, group.local[:, None], group.local])  # (K, b, b)
+        chol_inv = _lower_triangular_inverse(chol)
+        z_one = chol_inv.sum(axis=2)                                  # L^{-1} 1
+        z_mu = (chol_inv @ base.means[:, group.local, None])[..., 0]  # L^{-1} mu
+        z_m = np.einsum("kab,jb->jka", chol_inv, mean[group.pixels])  # L^{-1} m_j
+        z_s = chol_inv @ np.einsum("jk,jab->kab", w, s) @ np.swapaxes(chol_inv, 1, 2)
+        g_m = np.einsum("ka,jka->jk", z_one, z_m)
+        cells.append([
+            np.full(len(z_one), float(group.local.size)), w.sum(axis=0), np.sum(z_one * z_one, axis=1),
+            np.sum(z_one * z_mu, axis=1), np.sum(z_mu * z_mu, axis=1),
+            2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1),
+            np.trace(z_s, axis1=1, axis2=2), np.einsum("ka,kab,kb->k", z_one, z_s, z_one),
+            np.einsum("jk,jka,jka->k", w, z_m, z_m), np.sum(w * g_m, axis=0),
+            np.sum(w * g_m ** 2, axis=0), np.einsum("jk,jka,ka->k", w, z_m, z_mu)])
+    return EStepStatistics(*map(np.concatenate, zip(*cells)))
 
 
-def epem_e_cost(theta: Adaptation, weights, mean, cov, base: PatchGMM,
-                partition: Partition) -> float:
-    """Expected log prior under the EP moments, as a function of the
-    adaptation parameters (the variational EM surrogate objective).
-
-    Each component covariance is factored by LAPACK ``dpotrf`` and solved
-    with ``dpotrs``, called directly: these are the routines that
-    ``cho_factor``/``cho_solve`` call, on the same arrays, so the cost is
-    bit-identical to theirs without their per-call argument checks: 0.49
-    against 0.85 ms per evaluation on the inputs of a seed-1
-    ``denoise_poisson`` bench restore (2-vCPU x86 VM).  Bit-identity
-    matters: at a scale that leaves the component covariances
-    ill-conditioned the cost is about -1e10, and its rounding decides the
-    golden-section search of :func:`epem_m_step`.
-    Raises LinAlgError when a covariance is not positive definite and
-    ValueError when the cost is not finite.
-    """
-    total = 0.0
-    for idxs, w, m, s in _grouped_estep_terms(weights, mean, cov, partition):
-        b = idxs.size
-        mu = theta.offset + theta.scale * base.means[:, idxs]     # (K, b)
-        cc = _theta_cov(base, idxs, theta)                        # (K, b, b)
-        eye = np.eye(b)
-        for comp in range(base.n_components):
-            chol, info = dpotrf(cc[comp], lower=1, clean=0)
-            if info > 0:
-                raise np.linalg.LinAlgError(
-                    f"{info}-th leading minor of the adapted covariance is not positive definite")
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            wc = w[:, comp]
-            inv = dpotrs(chol, eye, lower=1)[0]
-            trace = np.einsum("ab,jab->j", inv, s)
-            diff = m - mu[comp]
-            maha = np.sum(diff * dpotrs(chol, diff.T, lower=1)[0].T, axis=1)
-            total += np.sum(wc * (-0.5 * (logdet + trace + maha + b * np.log(2 * np.pi))))
+def epem_e_cost(theta: Adaptation, *estep) -> float:
+    """Expected log prior under the EP moments as a function of the adaptation
+    (the variational EM surrogate); ``estep`` is one :class:`EStepStatistics`
+    or the arguments of :func:`estep_statistics`.  For C = v 11^T + a^2 B
+    (v = mean_var, a = scale), Sherman-Morrison and the determinant lemma give
+    C^{-1} = B^{-1}/a^2 - beta g g^T, beta = v / (a^2 (a^2 + v c)), and log det
+    C = b log a^2 + log det B + log1p(v c / a^2).  The large sum w tr(B^{-1} S)
+    / a^2 is free of v and the offset, so the M-step's searches see a smooth
+    function.  Raises ValueError when the cost is not finite."""
+    st = estep[0] if len(estep) == 1 else estep_statistics(*estep)
+    offset, a, v, a2 = theta.offset, theta.scale, theta.mean_var, theta.scale ** 2
+    beta = v / (a2 * (a2 + v * st.ones))
+    # (m - mu_theta)^T B^{-1} (m - mu_theta) and g^T (m - mu_theta), mu_theta = offset 1 + a mu
+    shift = offset * st.ones + a * st.ones_mu
+    maha = (st.m_m - 2.0 * (offset * st.ones_m + a * st.mu_m)
+            + st.weight * (offset * (shift + a * st.ones_mu) + a2 * st.mu_mu))
+    ones_d_sq = st.ones_m_sq - 2.0 * shift * st.ones_m + st.weight * shift * shift
+    logdet = st.size * np.log(2 * np.pi * a2) + st.logdet + np.log1p(v * st.ones / a2)
+    total = -0.5 * float(np.sum(st.weight * logdet + (st.trace + maha) / a2
+                                - beta * (st.ones_s_ones + ones_d_sq)))
     if not np.isfinite(total):
         raise ValueError("the E-cost is not finite")
-    return float(total)
+    return total
 
 
-def _closed_form_offset(theta: Adaptation, terms, base: PatchGMM) -> float:
-    """Exact maximizer of the E-cost over the offset at fixed variances."""
-    num = 0.0
-    den = 0.0
-    for idxs, w, m, _ in terms:
-        b = idxs.size
-        ones = np.ones(b)
-        cc = _theta_cov(base, idxs, theta)
-        for comp in range(base.n_components):
-            w1 = np.linalg.solve(cc[comp], ones)
-            shifted = m - theta.scale * base.means[comp, idxs]
-            num += np.sum(w[:, comp] * (shifted @ w1))
-            den += np.sum(w[:, comp]) * (ones @ w1)
-    return num / den
+def _closed_form_offset(theta: Adaptation, st: EStepStatistics) -> float:
+    """Exact maximizer of the E-cost over the offset at fixed variances,
+    from C^{-1} 1 = g / (a^2 + v c)."""
+    denom = theta.scale ** 2 + theta.mean_var * st.ones
+    return float(np.sum((st.ones_m - theta.scale * st.weight * st.ones_mu) / denom)
+                 / np.sum(st.weight * st.ones / denom))
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-5, log_scale: bool = False) -> float:
-    if log_scale:
-        glo, ghi = np.log(lo), np.log(hi)
-        g = lambda t: f(np.exp(t))  # noqa: E731
-    else:
-        glo, ghi = lo, hi
-        g = f
+GOLDEN_TOL = 1e-5
+MEAN_VAR_BOUNDS = (1e-8, 10.0)
+SCALE_BOUNDS = (1e-3, 1e3)
+
+
+def _golden_min(f, lo: float, hi: float, log_scale: bool = False) -> float:
+    to_search, back = (np.log, np.exp) if log_scale else (float, float)
+    g = lambda t: f(back(t))  # noqa: E731
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = glo, ghi
+    a, b = to_search(lo), to_search(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = g(c), g(d)
     for _ in range(200):
-        if abs(b - a) < tol * (1.0 + abs(a) + abs(b)):
+        if abs(b - a) < GOLDEN_TOL * (1.0 + abs(a) + abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -186,8 +196,7 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-5, log_scale: bool = Fa
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = g(d)
-    best = 0.5 * (a + b)
-    return float(np.exp(best)) if log_scale else float(best)
+    return float(back(0.5 * (a + b)))
 
 
 def _rel_change(new: Adaptation, old: Adaptation) -> float:
@@ -199,25 +208,35 @@ def _rel_change(new: Adaptation, old: Adaptation) -> float:
     )
 
 
+def _at_bound(theta: Adaptation, estimate_scale: bool) -> list:
+    """The searched parameters that ended within the golden-section
+    tolerance of a search bound, as a bracket that keeps one end does: the
+    E-cost's maximum may lie beyond it."""
+    searches = [("mean_var", np.log(MEAN_VAR_BOUNDS), np.log(theta.mean_var)),
+                ("scale", np.asarray(SCALE_BOUNDS), theta.scale)][:1 + estimate_scale]
+    return [name for name, bounds, t in searches
+            if np.any(np.abs(t - bounds) <= GOLDEN_TOL * (1.0 + np.abs(bounds) + abs(t)))]
+
+
 def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
                 theta_prev: Adaptation, estimate_scale: bool = True,
                 max_rounds: int = 20, tol: float = 1e-4,
-                mean_var_bounds: tuple = (1e-8, 10.0),
-                scale_bounds: tuple = (1e-3, 1e3)) -> Adaptation:
+                mean_var_bounds: tuple = MEAN_VAR_BOUNDS,
+                scale_bounds: tuple = SCALE_BOUNDS) -> Adaptation:
     """Coordinate maximization of the E-cost: closed-form offset, then
     golden-section searches for the patch-mean variance (log-scale) and the
     scale, repeated until all three stabilize."""
-    terms = _grouped_estep_terms(weights, mean, cov, partition)
-    if not terms:
+    if all(w is None for w in weights):
         return theta_prev
+    stats = estep_statistics(weights, mean, cov, base, partition)
     theta = theta_prev
 
     def cost_with(**kw):
-        return epem_e_cost(replace(theta, **kw), weights, mean, cov, base, partition)
+        return epem_e_cost(replace(theta, **kw), stats)
 
     for _ in range(max_rounds):
         prev = theta
-        offset = _closed_form_offset(theta, terms, base)
+        offset = _closed_form_offset(theta, stats)
         theta = replace(theta, offset=offset)
         mean_var = _golden_min(lambda v: -cost_with(mean_var=v),
                                mean_var_bounds[0], mean_var_bounds[1], log_scale=True)
@@ -290,11 +309,12 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
             raise TypeError(f"unknown noise model {noise!r}")
         warnings.update(result.warnings_by_cause)
         rounds.append({"iterations": result.iterations, "converged": result.converged,
-                       "theta": asdict(theta)})
+                       "theta": asdict(theta), "at_bound": []})
         if not em_enabled:
             break
         new_theta = epem_m_step(result.weights, result.mean, result.cov, base,
                                 partition, theta, estimate_scale=config.estimate_scale)
+        rounds[-1]["at_bound"] = _at_bound(new_theta, config.estimate_scale)
         rel = _rel_change(new_theta, theta)
         theta = new_theta
         if rel < config.theta_tol:
@@ -323,9 +343,9 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
     (unconverged CG solves, failed tilted groups, failed or rejected KL
     blocks, Poisson precision escapes; see ``ep_gaussian.WARNING_CAUSES``),
     and the same over all experts; each expert's EM rounds (EP iterations,
-    convergence and adaptation per round); and a run-level ``verdict``, the
-    number of experts whose last EP run converged, did not converge, or
-    failed."""
+    convergence and adaptation per round, and the M-step picks that ended
+    on a search bound); and a run-level ``verdict``, the number of experts
+    whose last EP run converged, did not converge, or failed."""
     config = config or PipelineConfig()
     y = np.asarray(y, dtype=float)
     partitions = build_shifted_partitions(operator.width, operator.height,

@@ -8,7 +8,9 @@ as ``from reference import ...``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -25,6 +27,8 @@ __all__ = [
     "dense_reference_moments",
     "sample_prior_image",
     "epem_e_cost_reference",
+    "epem_offset_reference",
+    "epem_e_cost_differences_exact",
     "naive_full_ep",
     "mcmc_poisson_reference",
 ]
@@ -187,21 +191,28 @@ def _tilted_gmm_block_jittered(prior: AdaptedGMM, cav_mean: np.ndarray,
     return w, mean, 0.5 * (cov + cov.T)
 
 
-def epem_e_cost_reference(theta, weights, mean, cov, base: PatchGMM,
-                          partition: Partition) -> float:
-    """The EP-EM E-cost through scipy's ``cho_factor``/``cho_solve``, the
-    formula of ``pipeline.epem_e_cost`` before it called LAPACK directly;
-    the two must agree bit for bit."""
-    total = 0.0
+def _adapted_block_terms(theta, weights, mean, cov, base: PatchGMM,
+                         partition: Partition):
+    """Per group with weights: its local indices, tilted weights (J, K),
+    means (J, b) and covariances (J, b, b), and the adapted component
+    covariances (K, b, b) on its local indices."""
     for group, w, s in zip(partition.groups, weights, cov.stacks):
         if w is None:
             continue
         idxs = group.local
-        m = mean[group.pixels]
+        sub = base.covs[:, idxs[:, None], idxs[None, :]]
+        cc = theta.mean_var * np.ones((idxs.size, idxs.size)) + theta.scale ** 2 * sub
+        yield idxs, w, mean[group.pixels], s, cc
+
+
+def epem_e_cost_reference(theta, weights, mean, cov, base: PatchGMM,
+                          partition: Partition) -> float:
+    """The EP-EM E-cost with every adapted component covariance factored by
+    scipy's ``cho_factor`` at the given adaptation."""
+    total = 0.0
+    for idxs, w, m, s, cc in _adapted_block_terms(theta, weights, mean, cov, base, partition):
         b = idxs.size
         mu = theta.offset + theta.scale * base.means[:, idxs]
-        sub = base.covs[:, idxs[:, None], idxs[None, :]]
-        cc = theta.mean_var * np.ones((b, b)) + theta.scale ** 2 * sub
         for comp in range(base.n_components):
             factor = cho_factor(cc[comp], lower=True)
             logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
@@ -212,6 +223,83 @@ def epem_e_cost_reference(theta, weights, mean, cov, base: PatchGMM,
             maha = np.sum(diff * cho_solve(factor, diff.T).T, axis=1)
             total += np.sum(wc * (-0.5 * (logdet + trace + maha + b * np.log(2 * np.pi))))
     return float(total)
+
+
+def epem_offset_reference(theta, weights, mean, cov, base: PatchGMM,
+                          partition: Partition) -> float:
+    """The E-cost's maximizer over the offset at fixed variances, with
+    C^{-1} 1 solved at each adapted component covariance C."""
+    num = 0.0
+    den = 0.0
+    for idxs, w, m, _, cc in _adapted_block_terms(theta, weights, mean, cov, base, partition):
+        ones = np.ones(idxs.size)
+        for comp in range(base.n_components):
+            w1 = np.linalg.solve(cc[comp], ones)
+            shifted = m - theta.scale * base.means[comp, idxs]
+            num += np.sum(w[:, comp] * (shifted @ w1))
+            den += np.sum(w[:, comp]) * (ones @ w1)
+    return num / den
+
+
+def _exact_inverse_and_det(matrix):
+    """Inverse and determinant of a square matrix of Fractions by
+    Gauss-Jordan elimination, in exact arithmetic."""
+    n = len(matrix)
+    rows = [list(row) + [Fraction(int(i == r)) for i in range(n)] for r, row in enumerate(matrix)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows], det
+
+
+def epem_e_cost_differences_exact(theta, mean_vars, weights, mean, cov,
+                                  base: PatchGMM, partition: Partition) -> np.ndarray:
+    """E-cost(theta with mean_var = v) - E-cost(theta) for each v of
+    ``mean_vars``, from the float inputs taken as exact rationals: the trace
+    and Mahalanobis terms are rational and summed exactly, and each
+    log-determinant difference is the logarithm of an exact determinant
+    ratio.  Only the final conversions round.  Meant for small blocks."""
+    f = Fraction
+    offset, scale2 = f(theta.offset), f(theta.scale) ** 2
+    # per (group, component): sum_j w_j, sum_j w_j (S_j + d_j d_j^T), B
+    cells = []
+    for idxs, w, m, s, _ in _adapted_block_terms(theta, weights, mean, cov, base, partition):
+        for comp in range(base.n_components):
+            mu = [offset + f(theta.scale) * f(x) for x in base.means[comp, idxs]]
+            moment = [[f(0)] * idxs.size for _ in idxs]
+            for wj, mj, sj in zip(w[:, comp], m, s):
+                d = [f(x) - y for x, y in zip(mj, mu)]
+                for a in range(idxs.size):
+                    for b in range(idxs.size):
+                        moment[a][b] += f(wj) * (f(sj[a, b]) + d[a] * d[b])
+            cells.append((sum(map(f, w[:, comp])), moment,
+                          [[f(x) for x in row] for row in base.covs[comp][np.ix_(idxs, idxs)]]))
+
+    def inverses(v):
+        return [_exact_inverse_and_det([[f(v) + scale2 * x for x in row] for row in cov_b])
+                for _, _, cov_b in cells]
+
+    start = inverses(theta.mean_var)
+    out = []
+    for v in mean_vars:
+        logdet = 0.0
+        quad = f(0)
+        for (weight, moment, _), (inv, det), (inv0, det0) in zip(cells, inverses(v), start):
+            logdet += float(weight) * math.log(det / det0)
+            quad += sum((inv[a][b] - inv0[a][b]) * moment[b][a]
+                        for a in range(len(inv)) for b in range(len(inv)))
+        out.append(-0.5 * logdet - 0.5 * float(quad))
+    return np.array(out)
 
 
 def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,

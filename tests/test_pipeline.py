@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,21 @@ from patchep.partitions import build_shifted_partitions
 from patchep.pipeline import (
     ExpertResult,
     PipelineConfig,
+    _closed_form_offset,
     epem_e_cost,
     epem_m_step,
+    estep_statistics,
     fuse_poe,
     run_pipeline,
 )
 
 from conftest import random_spd, stack_by_group
-from reference import epem_e_cost_reference, sample_prior_image
+from reference import (
+    epem_e_cost_differences_exact,
+    epem_e_cost_reference,
+    epem_offset_reference,
+    sample_prior_image,
+)
 
 
 def make_expert(index, mean, var):
@@ -147,39 +156,82 @@ class TestEpemCost:
 
 
     @staticmethod
-    def cost_inputs(rng, base):
-        """Tilted weights, mean and block covariances on a 16x16 image with
-        4x4 patches, as EP would hand them to the M-step."""
-        part = build_shifted_partitions(16, 16, 4)[0]
+    def cost_inputs(rng, base, partition):
+        """Tilted weights, mean and block covariances on ``partition``, as EP
+        would hand them to the M-step."""
         k = base.n_components
-        weights = [rng.dirichlet(np.ones(k), size=len(g.ids)) for g in part.groups]
-        mean = rng.uniform(0.0, 20.0, part.n_pixels)
-        cov = BlockDiagonalCov(part, [np.stack([random_spd(rng, g.local.size, 0.05)
-                                                for _ in g.ids]) for g in part.groups])
-        return weights, mean, cov, part
+        weights = [rng.dirichlet(np.ones(k), size=len(g.ids)) for g in partition.groups]
+        mean = rng.uniform(0.0, 20.0, partition.n_pixels)
+        cov = BlockDiagonalCov(partition, [np.stack([random_spd(rng, g.local.size, 0.05)
+                                                     for _ in g.ids]) for g in partition.groups])
+        return weights, mean, cov
 
-    def test_bit_identical_to_scipy_wrappers_well_conditioned(self, rng):
+    @staticmethod
+    def ill_conditioned_base(rng, dim, n_small):
+        """Like the bench prior: every component has ``n_small`` eigenvalues
+        at 1e-8, so at scale 1 the adapted covariances, which lift at most
+        one of them, have condition number ~1e9 or more."""
+        q = np.linalg.qr(rng.standard_normal((5, dim, dim)))[0]
+        evals = np.concatenate([np.full(n_small, 1e-8), np.logspace(-4, 1, dim - n_small)])
+        return PatchGMM(np.full(5, 0.2), rng.standard_normal((5, dim)) * 0.3,
+                        (q * evals) @ np.swapaxes(q, 1, 2))
+
+    @pytest.mark.parametrize("shift_index", [0, 5])
+    def test_matches_reference_well_conditioned(self, rng, shift_index):
+        # shift (1, 1) truncates the boundary blocks into 9 groups
+        part = build_shifted_partitions(16, 16, 4)[shift_index]
         base = PatchGMM(np.full(3, 1.0 / 3.0), rng.standard_normal((3, 16)) * 0.3,
                         np.stack([random_spd(rng, 16, 0.05) for _ in range(3)]))
-        weights, mean, cov, part = self.cost_inputs(rng, base)
-        for theta in (Adaptation(8.0, 2.0, 1.5), Adaptation(12.0, 0.3, 0.7)):
+        weights, mean, cov = self.cost_inputs(rng, base, part)
+        for theta in (Adaptation(8.0, 2.0, 1.5), Adaptation(12.0, 0.3, 0.7),
+                      Adaptation(10.0, 1e-6, 1.0), Adaptation(-3.0, 5.0, 3.0)):
             got = epem_e_cost(theta, weights, mean, cov, base, part)
-            assert got == epem_e_cost_reference(theta, weights, mean, cov, base, part)
+            want = epem_e_cost_reference(theta, weights, mean, cov, base, part)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got == epem_e_cost(theta, estep_statistics(weights, mean, cov, base, part))
 
-    def test_bit_identical_to_scipy_wrappers_ill_conditioned(self, rng):
-        # like the bench prior: every component has eigenvalues near 1e-8, so
-        # at scale 1 the adapted covariances have condition number ~1e10 and
-        # the cost sits near -1e10, where its rounding picks the M-step's theta
-        q = np.linalg.qr(rng.standard_normal((5, 16, 16)))[0]
-        evals = np.concatenate([np.full(4, 1e-8), np.logspace(-4, 1, 12)])
-        covs = (q * evals) @ np.swapaxes(q, 1, 2)
-        base = PatchGMM(np.full(5, 0.2), rng.standard_normal((5, 16)) * 0.3, covs)
-        weights, mean, cov, part = self.cost_inputs(rng, base)
-        theta = Adaptation(offset=10.0, mean_var=3.0, scale=1.0)
-        assert np.linalg.cond(adapt(base, theta).covs[0]) > 1e9
-        got = epem_e_cost(theta, weights, mean, cov, base, part)
-        assert got < -1e9
-        assert got == epem_e_cost_reference(theta, weights, mean, cov, base, part)
+    def test_matches_reference_ill_conditioned(self, rng):
+        # the reference factors the adapted covariances (condition ~1e10), so
+        # it is itself accurate only to about 1e10 * eps relative
+        base = self.ill_conditioned_base(rng, 16, 4)
+        assert np.linalg.cond(adapt(base, Adaptation(10.0, 3.0, 1.0)).covs[0]) > 1e9
+        for part in (build_shifted_partitions(16, 16, 4)[0], build_shifted_partitions(16, 16, 4)[5]):
+            weights, mean, cov = self.cost_inputs(rng, base, part)
+            for theta in (Adaptation(10.0, 3.0, 1.0), Adaptation(10.0, 0.5, 2.0)):
+                got = epem_e_cost(theta, weights, mean, cov, base, part)
+                assert got < -1e9
+                want = epem_e_cost_reference(theta, weights, mean, cov, base, part)
+                assert got == pytest.approx(want, rel=1e-6)
+
+    def test_mean_var_differences_match_exact_arithmetic(self, rng):
+        # the same kind of prior at b = 4: as a function of mean_var the cost
+        # is smooth, its differences agree with exact rational arithmetic to
+        # a few ulps of the cost itself (a factorization of each adapted
+        # covariance misses them by 2e-8 to 9e-8 of the cost, more than
+        # the differences themselves)
+        base = self.ill_conditioned_base(rng, 4, 2)
+        part = build_shifted_partitions(8, 8, 2)[0]
+        weights, mean, cov = self.cost_inputs(rng, base, part)
+        theta0 = Adaptation(offset=10.0, mean_var=0.5, scale=1.0)
+        grid = np.geomspace(0.5, 10.0, 9)
+        stats = estep_statistics(weights, mean, cov, base, part)
+        cost0 = epem_e_cost(theta0, stats)
+        assert np.linalg.cond(adapt(base, theta0).covs[0]) > 1e9
+        got = [epem_e_cost(replace(theta0, mean_var=v), stats) - cost0 for v in grid]
+        want = epem_e_cost_differences_exact(theta0, grid, weights, mean, cov, base, part)
+        assert np.all(np.diff(want) > 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=64 * np.finfo(float).eps * abs(cost0))
+
+    @pytest.mark.parametrize("shift_index", [0, 5])
+    def test_offset_matches_reference(self, rng, shift_index):
+        part = build_shifted_partitions(16, 16, 4)[shift_index]
+        base = PatchGMM(np.full(3, 1.0 / 3.0), rng.standard_normal((3, 16)) * 0.3,
+                        np.stack([random_spd(rng, 16, 0.05) for _ in range(3)]))
+        weights, mean, cov = self.cost_inputs(rng, base, part)
+        stats = estep_statistics(weights, mean, cov, base, part)
+        for theta in (Adaptation(8.0, 2.0, 1.5), Adaptation(0.0, 1e-6, 0.7)):
+            want = epem_offset_reference(theta, weights, mean, cov, base, part)
+            assert _closed_form_offset(theta, stats) == pytest.approx(want, rel=1e-12)
 
 
 class TestEpemMStep:
@@ -390,3 +442,26 @@ class TestVerdictAndRounds:
             assert len(entry["rounds"]) == entry["outer_rounds"]
             assert sum(r["iterations"] for r in entry["rounds"]) == entry["iterations"]
             assert all(r["converged"] for r in entry["rounds"])
+
+    @pytest.mark.parametrize("spread, at_bound", [(30.0, ["mean_var"]), (0.3, [])],
+                             ids=["outside", "inside"])
+    def test_m_step_pick_on_a_search_bound_is_reported(self, spread, at_bound):
+        # 2x2 blocks whose means spread with variance spread^2: at 900 the
+        # E-cost's mean_var maximum lies far above the search's upper bound
+        # of 10, so the pick ends on that bound and every EM round says so;
+        # at 0.09 it lies inside the bounds and no round reports a bound
+        rng = np.random.default_rng(0)
+        block_means = rng.normal(0.0, spread, (4, 4))
+        truth = np.kron(block_means, np.ones((2, 2))).ravel()
+        y = simulate(Identity(8, 8), truth, GaussianNoise(0.01), seed=1)
+        base = PatchGMM(np.array([1.0]), np.zeros((1, 4)), (0.05 * np.eye(4))[None])
+        cfg = PipelineConfig(ep=EPConfig(damping=1.0), patch_size=2, n_experts=1,
+                             outer_rounds=2, theta_tol=0.0, seed=0)
+        out = run_pipeline(y, Identity(8, 8), GaussianNoise(0.01), base, cfg)
+        (expert,) = out.experts
+        assert [r["at_bound"] for r in expert.rounds] == [at_bound, at_bound]
+        assert [r["at_bound"] for r in out.report["experts"][0]["rounds"]] == [at_bound] * 2
+        if at_bound:
+            assert expert.theta.mean_var == pytest.approx(10.0, rel=1e-4)
+        else:
+            assert 1e-3 < expert.theta.mean_var < 1.0
