@@ -10,10 +10,8 @@ operation is batched over a group's stack.  The structure is diagonal (zero
 off-diagonal entries) exactly when H is diagonal and a full block otherwise.
 Diagonal stacks get their moments per pixel, without a batched inverse.  The
 KL step (see :mod:`patchep.kl_updates`) is closed-form either way: per pixel
-for the diagonal structure, and for full blocks in one batched step over a
-group's stack, with the exact constrained minimizer computed block by block
-where the unconstrained optimum falls below the precision floor.  Each
-iteration alternates
+for the diagonal structure, and for full blocks one batched call of the
+exact constrained minimizer per group's stack.  Each iteration alternates
 
 * prior-side update: tilted GMM moments of each group against the
   likelihood factor as cavity, then the KL precision update and the
@@ -42,8 +40,9 @@ Factor updates are damped in natural parameters (precision and
 precision-mean).  The loop stops when the squared change of the joint mean
 and of the joint marginal variances both fall below tol * N.
 
+Every CG solve of the tilted mean starts from the last synced joint mean.
 A run can resume from an earlier result on the same partition: both factors
-start as copies of its factors (the earlier result is left as it was) and
+start as copies of its factors (the earlier result is left as it was), so
 the first CG solve starts from its mean.  EP-EM resumes every round after
 the first this way, since an M-step moves the prior only a little.
 """
@@ -59,7 +58,7 @@ import numpy as np
 
 from .gaussians import BlockDiagonalCov, block_diag, diag_stack, diag_stacks, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
-from .kl_updates import PRECISION_FLOOR, block_kl_update, diag_kl_update, update_block_precision
+from .kl_updates import PRECISION_FLOOR, diag_kl_update, update_block_precision
 from .operators import DegradationOperator
 from .partitions import Partition
 
@@ -194,26 +193,11 @@ def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
         stack[ok] = diag_stack(p_new)
         target.eta[pixels[ok]] = (p_new + p_cav[ok]) * t_means[ok] - cav_eta[ok]
         return int(np.sum(~ok))
-    try:
-        p_star, cov_inv, interior = block_kl_update(t_covs, cav_prec)
-    except np.linalg.LinAlgError:
-        interior = np.zeros(len(stack), dtype=bool)
-    else:
-        stack[interior] = p_star[interior]
-        target.eta[pixels[interior]] = ((cov_inv[interior] @ t_means[interior, :, None])[..., 0]
-                                        - cav_eta[interior])
-    warnings = 0
-    for i in np.flatnonzero(~interior):
-        try:
-            p_new, ok = update_block_precision(t_covs[i], cav_prec[i], stack[i])
-        except np.linalg.LinAlgError:
-            ok = False
-        if not ok:
-            warnings += 1
-            continue
-        stack[i] = p_new
-        target.eta[pixels[i]] = (p_new + cav_prec[i]) @ t_means[i] - cav_eta[i]
-    return warnings
+    p_new, ok = update_block_precision(t_covs, cav_prec, stack)
+    stack[ok] = p_new[ok]
+    target.eta[pixels[ok]] = (((p_new[ok] + cav_prec[ok]) @ t_means[ok, :, None])[..., 0]
+                              - cav_eta[ok])
+    return int(np.sum(~ok))
 
 
 def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
@@ -308,8 +292,9 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     are RBMC estimates
     Q_jj^{-1} + Q_jj^{-1} SampleCov((G x)_j - G_jj x_j) Q_jj^{-1}
     from exact samples x ~ N(0, Q^{-1}); they are exact when G is
-    block-diagonal.  The probes come from a new Philox(config.seed) stream
-    on every call, so repeated calls use the same probes.  The mean
+    block-diagonal, and positive definite up to rounding (an SPD term plus
+    a PSD one).  The probes come from a new Philox(config.seed) stream on
+    every call, so repeated calls use the same probes.  The mean
     (warm-started from ``warm_start``) and the rbmc_samples probes are the
     columns of one lockstep :func:`solve_cg` with Q as one sparse CSR matrix,
     preconditioned by blockdiag(Q_jj^{-1}).  The preconditioner, the prior's
@@ -340,18 +325,16 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     covs = []
     for group, inv in zip(part.groups, block_inv):
         v = v_samples[group.pixels]                                   # (J, b, s)
-        cov = sym(inv + inv @ (v @ np.swapaxes(v, 1, 2) / s) @ inv)
-        evals, evecs = np.linalg.eigh(cov)
-        covs.append(sym((evecs * np.maximum(evals, 1e-10)[:, None, :]) @ np.swapaxes(evecs, 1, 2)))
+        covs.append(sym(inv + inv @ (v @ np.swapaxes(v, 1, 2) / s) @ inv))
     return x[:, 0], covs, cg_iters, not_converged
 
 
 def update_q_x1(state: EPState, operator: DegradationOperator,
-                obs_weights: np.ndarray, obs_eta: np.ndarray,
-                config: EPConfig, warm_start: np.ndarray | None = None):
+                obs_weights: np.ndarray, obs_eta: np.ndarray, config: EPConfig):
     """Likelihood-side EP update; returns (cg iterations, warning counts by
     cause): the CG columns that hit cg_max_iters and the KL step's rejected
-    blocks (see :func:`_kl_step`).
+    blocks (see :func:`_kl_step`).  The CG solve of the tilted mean starts
+    from the joint mean of the last ``state.sync``.
     For diagonal H^T H the factor is set directly to the exact Gaussian
     likelihood term (precision W * diag(H^T H), floored where a pixel is
     unobserved); no damping is applied to that exact assignment.
@@ -364,7 +347,7 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
         return 0, Counter()
 
     t_mean, t_covs, cg_iters, not_converged = tilted_p1_moments(
-        state.q0, operator, obs_weights, obs_eta, config, warm_start)
+        state.q0, operator, obs_weights, obs_eta, config, state.mean)
     warnings = Counter(cg_not_converged=not_converged)
     target = state.q1.copy()
     for g, group in enumerate(part.groups):
@@ -452,9 +435,8 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     """EP for  y = Hx + Gaussian noise  with a GMM patch prior.
 
     Both factors start at mean y and covariance sigma2 * I, or resume from
-    the factors of ``init``, a result on the same partition, whose mean then
-    also starts the first CG solve.  One iteration updates q_x0, then q_x1
-    (see :func:`run_ep` for the stopping rule).
+    the factors of ``init``, a result on the same partition.  One iteration
+    updates q_x0, then q_x1 (see :func:`run_ep` for the stopping rule).
     """
     config = config or EPConfig()
     y = np.asarray(y, dtype=float)
@@ -466,15 +448,11 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
 
     obs_weights = np.full(n, 1.0 / sigma2)
     obs_eta = operator.apply_adjoint(y) / sigma2
-    warm = None if init is None else init.mean.copy()
 
     def step(state):
-        nonlocal warm
         weights, w0 = update_q_x0(state, adapted, config)
-        cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta,
-                                   config, warm_start=warm)
+        cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta, config)
         state.sync()
-        warm = state.mean.copy()
         return weights, w0 + w1, {"cg_iterations": cg_iters}
 
     return run_ep(step, operator, partition, y, np.full(n, float(sigma2)), config, trace,

@@ -314,8 +314,8 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
         raise ValueError("observation length does not match the partition")
     if np.any(y < 0) or np.any(y != np.rint(y)):
         raise ValueError("Poisson observations must be nonnegative integers")
-    if isinstance(getattr(operator, "kernel", None), np.ndarray) and np.any(operator.kernel < 0):
-        raise ValueError("Poisson models require nonnegative kernel entries")
+    if np.any(operator.matrix.data < 0):
+        raise ValueError("Poisson models require a nonnegative H")
 
     init_mean = y + 1.0
     init_var = y + 1.0
@@ -326,22 +326,17 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
             prec_u1=1.0 / float(np.mean(init_var)),
             eta_u1=init_mean / float(np.mean(init_var)),
         )
-        warm = None
     else:
         factors = init.u_factors.copy()
-        warm = init.mean.copy()
 
     def step(state):
-        nonlocal warm
         escapes = update_q_u0(factors, y, config)
 
         mu0, _ = factors.u0_moments()
         obs_weights = factors.prec_u0
         obs_eta = operator.apply_adjoint(obs_weights * mu0)
-        cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta,
-                                   config, warm_start=warm)
+        cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta, config)
         state.sync()
-        warm = state.mean.copy()
 
         update_q_u1(factors, state, operator, config)
 

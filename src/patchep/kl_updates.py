@@ -10,12 +10,12 @@ over factor precisions P >= PRECISION_FLOOR * I, where C is the tilted
 covariance block and P_cav the cavity precision block.  The loss is convex
 and its unconstrained minimizer is P* = C^{-1} - P_cav.
 
-* Full blocks: :func:`block_kl_update` computes P* for a whole stack of
-  blocks at once.  Where lambda_min(P*) > PRECISION_FLOOR (an *interior*
-  block) P* is the exact answer and the factor matches C exactly.  The
-  remaining *boundary* blocks go to :func:`update_block_precision`, the
-  exact constrained minimizer from one Cholesky factor and one symmetric
-  eigendecomposition.
+* Full blocks: :func:`update_block_precision`, the exact constrained
+  minimizer for a whole (J, b, b) stack.  Where lambda_min(P*) exceeds the
+  floor (an *interior* block) it is P* and the factor matches C exactly;
+  only the remaining *boundary* blocks pay for a Cholesky factor and a
+  symmetric eigendecomposition.  A block whose C is not positive definite
+  is flagged and keeps its old precision.
 * Diagonal factors: :func:`diag_kl_update`, the same closed form per pixel,
   clipped at the floor.
 * Isotropic factors: :func:`iso_kl_update`, Newton steps on one scalar.
@@ -30,7 +30,6 @@ from .gaussians import sym
 __all__ = [
     "kl_block_loss",
     "update_block_precision",
-    "block_kl_update",
     "diag_kl_update",
     "iso_kl_update",
 ]
@@ -39,71 +38,77 @@ PRECISION_FLOOR = 1e-8
 
 
 def kl_block_loss(precision: np.ndarray, cavity_precision: np.ndarray,
-                  tilted_cov: np.ndarray) -> float:
+                  tilted_cov: np.ndarray) -> np.ndarray:
     """-log det(P + P_cav) + trace((P + P_cav) C); the variable part of the
-    block KL divergence at the matched mean."""
+    block KL divergence at the matched mean.  Stacks (..., b, b) broadcast
+    against each other and give losses (...).  Raises LinAlgError unless
+    every P + P_cav is positive definite."""
     total = sym(np.asarray(precision) + np.asarray(cavity_precision))
-    logdet = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(total))))
-    return float(-logdet + np.trace(total @ tilted_cov))
+    diag = np.diagonal(np.linalg.cholesky(total), axis1=-2, axis2=-1)
+    return -2.0 * np.sum(np.log(diag), axis=-1) + np.einsum("...ij,...ji->...", total, tilted_cov)
 
 
-def update_block_precision(tilted_cov: np.ndarray, cavity_precision: np.ndarray,
-                           init_precision: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Exact minimizer of the block KL loss over P >= eps I with
-    eps = PRECISION_FLOOR (the symmetric parts of all three matrices are
-    used).
+def update_block_precision(tilted_covs: np.ndarray, cavity_precisions: np.ndarray,
+                           init_precisions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimizer of the block KL loss over P >= eps I, with
+    eps = PRECISION_FLOOR, for every block of a (J, b, b) stack (the
+    symmetric parts of C and P_cav are used).
 
-    With X = P + P_cav the constraint reads X >= B = P_cav + eps I.  Factor
-    B = L L^T and write X = L Y L^T: the loss becomes, up to a constant,
-    -log det Y + <Y, M> over Y >= I, with M = L^T C L = U diag(mu) U^T.  For
-    fixed eigenvalues of Y, <Y, M> is smallest when Y shares the eigenvectors
-    of M with its eigenvalues in the opposite order (von Neumann's trace
-    inequality), so Y = U diag(y) U^T and each y_i minimizes
-    -log y + mu_i y over y >= 1: y_i = max(1/mu_i, 1).  Back in P,
+    An interior block, lambda_min(P*) > eps for P* = sym(C^{-1}) - P_cav,
+    takes P*.  One batched ``eigvalsh`` tells interior from boundary blocks:
+    eigenvectors cost more, and only the boundary blocks need them.
+
+    On the boundary blocks, with X = P + P_cav the constraint reads
+    X >= B = P_cav + eps I.  Factor B = L L^T and write X = L Y L^T: the
+    loss becomes, up to a constant, -log det Y + <Y, M> over Y >= I, with
+    M = L^T C L = U diag(mu) U^T.  For fixed eigenvalues of Y, <Y, M> is
+    smallest when Y shares the eigenvectors of M with its eigenvalues in the
+    opposite order (von Neumann's trace inequality), so Y = U diag(y) U^T
+    and each y_i minimizes -log y + mu_i y over y >= 1: y_i = max(1/mu_i, 1).
+    Back in P,
 
         P = eps I + (L U) diag(max(1/mu - 1, 0)) (L U)^T.
 
     The KKT conditions hold: the gradient G = C - X^{-1} equals
     L^{-T} U diag(max(mu - 1, 0)) U^T L^{-1} >= 0, and G (P - eps I) = 0
     because no index has both mu_i > 1 and 1/mu_i > 1.  When every
-    mu_i < 1 the result is C^{-1} - P_cav; for 1x1 blocks it is
-    :func:`diag_kl_update`.
+    mu_i < 1 the result is P*; for 1x1 blocks it is :func:`diag_kl_update`.
 
-    Returns (P, True), or (init_precision, False) when the loss of P is
-    above that of init_precision by more than rounding (1e-12 relative),
-    which the caller counts as a warning.  Raises LinAlgError unless C,
-    P_cav + eps I and init_precision + P_cav are positive definite.
+    Returns (P, ok), ok a (J,) mask; a flagged block keeps its init
+    precision and the caller counts a warning.  A boundary block is flagged
+    when its C is not positive definite (mu_min <= 0; a singular C sends the
+    whole stack to the boundary form) or when its loss, evaluated once on
+    the stacked (init, result) pair, is above that of the init by more than
+    rounding (1e-12 relative).  Raises LinAlgError unless P_cav + eps I and,
+    on boundary blocks, init + P_cav are positive definite (as sums of EP
+    factor precisions are).
     """
-    cov = sym(np.asarray(tilted_cov, dtype=float))
-    cav = sym(np.asarray(cavity_precision, dtype=float))
-    init = sym(np.asarray(init_precision, dtype=float))
-    eye = np.eye(len(cav))
-    init_loss = kl_block_loss(init, cav, cov)
+    cov = sym(np.asarray(tilted_covs, dtype=float))
+    cav = sym(np.asarray(cavity_precisions, dtype=float))
+    precision = np.array(init_precisions, dtype=float)
+    try:
+        p_star = sym(np.linalg.inv(cov)) - cav
+    except np.linalg.LinAlgError:       # a singular C, which the eigen form flags
+        boundary = np.ones(len(cov), dtype=bool)
+    else:
+        boundary = np.linalg.eigvalsh(p_star)[:, 0] <= PRECISION_FLOOR
+        precision[~boundary] = p_star[~boundary]
+
+    cov, cav = cov[boundary], cav[boundary]
+    eye = np.eye(cov.shape[-1])
     low = np.linalg.cholesky(cav + PRECISION_FLOOR * eye)
-    mu, u = np.linalg.eigh(sym(low.T @ cov @ low))
-    if mu[0] <= 0:
-        raise np.linalg.LinAlgError("tilted covariance is not positive definite")
+    mu, u = np.linalg.eigh(sym(np.swapaxes(low, 1, 2) @ cov @ low))
+    pd = mu[:, 0] > 0
+    mu[~pd] = 1.0                       # flagged; keeps the result finite
     lu = low @ u
-    precision = sym(PRECISION_FLOOR * eye + (lu * np.maximum(1.0 / mu - 1.0, 0.0)) @ lu.T)
-    if kl_block_loss(precision, cav, cov) > init_loss + 1e-12 * abs(init_loss):
-        return init, False
-    return precision, True
-
-
-def block_kl_update(tilted_covs: np.ndarray, cavity_precisions: np.ndarray):
-    """Closed-form full-block update of a (J, b, b) stack.
-
-    Returns (P*, C^{-1}, interior): the unconstrained minimizers
-    P* = sym(C^{-1}) - P_cav, the inverses sym(C^{-1}) they were formed
-    from, and the mask of interior blocks, lambda_min(P*) > PRECISION_FLOOR.
-    On interior blocks P* is the exact minimizer and P* + P_cav = C^{-1};
-    boundary blocks need :func:`update_block_precision`.  Raises
-    LinAlgError if a tilted covariance is singular.
-    """
-    cov_inv = sym(np.linalg.inv(tilted_covs))
-    p_star = cov_inv - sym(np.asarray(cavity_precisions, dtype=float))
-    interior = np.linalg.eigvalsh(p_star)[:, 0] > PRECISION_FLOOR
-    return p_star, cov_inv, interior
+    result = sym(PRECISION_FLOOR * eye
+                 + (lu * np.maximum(1.0 / mu - 1.0, 0.0)[:, None, :]) @ np.swapaxes(lu, 1, 2))
+    init_loss, loss = kl_block_loss(np.stack([precision[boundary], result]), cav, cov)
+    accept = pd & (loss <= init_loss + 1e-12 * np.abs(init_loss))
+    precision[np.flatnonzero(boundary)[accept]] = result[accept]
+    ok = ~boundary
+    ok[boundary] = accept
+    return precision, ok
 
 
 def diag_kl_update(tilted_vars, cavity_precisions):

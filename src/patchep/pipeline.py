@@ -139,16 +139,15 @@ def estep_statistics(weights, mean: np.ndarray, cov: BlockDiagonalCov,
     return EStepStatistics(*map(np.concatenate, zip(*cells)))
 
 
-def epem_e_cost(theta: Adaptation, *estep) -> float:
+def epem_e_cost(theta: Adaptation, st: EStepStatistics) -> float:
     """Expected log prior under the EP moments as a function of the adaptation
-    (the variational EM surrogate); ``estep`` is one :class:`EStepStatistics`
-    or the arguments of :func:`estep_statistics`.  For C = v 11^T + a^2 B
+    (the variational EM surrogate), from the statistics of
+    :func:`estep_statistics`.  For C = v 11^T + a^2 B
     (v = mean_var, a = scale), Sherman-Morrison and the determinant lemma give
     C^{-1} = B^{-1}/a^2 - beta g g^T, beta = v / (a^2 (a^2 + v c)), and log det
     C = b log a^2 + log det B + log1p(v c / a^2).  The large sum w tr(B^{-1} S)
     / a^2 is free of v and the offset, so the M-step's searches see a smooth
     function.  Raises ValueError when the cost is not finite."""
-    st = estep[0] if len(estep) == 1 else estep_statistics(*estep)
     offset, a, v, a2 = theta.offset, theta.scale, theta.mean_var, theta.scale ** 2
     beta = v / (a2 * (a2 + v * st.ones))
     # (m - mu_theta)^T B^{-1} (m - mu_theta) and g^T (m - mu_theta), mu_theta = offset 1 + a mu
@@ -219,13 +218,11 @@ def _at_bound(theta: Adaptation, estimate_scale: bool) -> list:
 
 
 def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
-                theta_prev: Adaptation, estimate_scale: bool = True,
-                max_rounds: int = 20, tol: float = 1e-4,
-                mean_var_bounds: tuple = MEAN_VAR_BOUNDS,
-                scale_bounds: tuple = SCALE_BOUNDS) -> Adaptation:
+                theta_prev: Adaptation, estimate_scale: bool = True) -> Adaptation:
     """Coordinate maximization of the E-cost: closed-form offset, then
-    golden-section searches for the patch-mean variance (log-scale) and the
-    scale, repeated until all three stabilize."""
+    golden-section searches for the patch-mean variance (log-scale, within
+    MEAN_VAR_BOUNDS) and the scale (within SCALE_BOUNDS), repeated until
+    all three change by less than 1e-4 relative, or for 20 rounds."""
     if all(w is None for w in weights):
         return theta_prev
     stats = estep_statistics(weights, mean, cov, base, partition)
@@ -234,18 +231,17 @@ def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
     def cost_with(**kw):
         return epem_e_cost(replace(theta, **kw), stats)
 
-    for _ in range(max_rounds):
+    for _ in range(20):
         prev = theta
         offset = _closed_form_offset(theta, stats)
         theta = replace(theta, offset=offset)
         mean_var = _golden_min(lambda v: -cost_with(mean_var=v),
-                               mean_var_bounds[0], mean_var_bounds[1], log_scale=True)
+                               *MEAN_VAR_BOUNDS, log_scale=True)
         theta = replace(theta, mean_var=mean_var)
         if estimate_scale:
-            scale = _golden_min(lambda a: -cost_with(scale=a),
-                                scale_bounds[0], scale_bounds[1])
+            scale = _golden_min(lambda a: -cost_with(scale=a), *SCALE_BOUNDS)
             theta = replace(theta, scale=scale)
-        if _rel_change(theta, prev) < tol:
+        if _rel_change(theta, prev) < 1e-4:
             break
     return theta
 

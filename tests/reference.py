@@ -311,8 +311,8 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     The Gaussian likelihood factor is exact and set once; the J patch-prior
     factors are refined sequentially, each against the full-covariance
     cavity.  Each refinement is the exact minimizer of the KL loss over
-    N x N factor precisions P >= PRECISION_FLOOR * I, the closed form the
-    scalable algorithm uses on its boundary blocks, here at full image size.
+    N x N factor precisions P >= PRECISION_FLOOR * I, the step the scalable
+    algorithm applies to its block stacks, here on one full-image block.
     """
     from patchep.kl_updates import update_block_precision
 
@@ -364,7 +364,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
                                          + gain @ t_cov_j @ gain.T)
             t_cov = 0.5 * (t_cov + t_cov.T)
 
-            new_prec, _ = update_block_precision(t_cov, cav_prec, prec[j])
+            new_prec = update_block_precision(t_cov[None], cav_prec[None], prec[j][None])[0][0]
             new_eta = (new_prec + cav_prec) @ t_mean - cav_eta
             prec[j] = damping * new_prec + (1 - damping) * prec[j]
             eta[j] = damping * new_eta + (1 - damping) * eta[j]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from patchep import ep_gaussian
 from patchep.ep_gaussian import (
     EPConfig,
     EPState,
@@ -167,19 +166,6 @@ def kl_target(stack):
     return GaussianFactor("block", part, [stack.copy()], np.zeros(4 * n_blocks))
 
 
-def counting_solver(monkeypatch):
-    """Route ep_gaussian.update_block_precision through a call counter."""
-    calls = []
-    solver = ep_gaussian.update_block_precision
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solver(*args, **kwargs)
-
-    monkeypatch.setattr(ep_gaussian, "update_block_precision", counted)
-    return calls
-
-
 class TestKlStep:
     def mixed_problem(self, rng):
         # four 4x4 blocks with SPD optima p_opt; blocks 1 and 3 then get a
@@ -193,12 +179,10 @@ class TestKlStep:
         cav_eta = rng.standard_normal((4, 4))
         return means, covs, cav, cav_eta
 
-    def test_only_boundary_blocks_reach_the_solver(self, rng, monkeypatch):
+    def test_mixed_stack_updates_every_block(self, rng):
         means, covs, cav, cav_eta = self.mixed_problem(rng)
-        calls = counting_solver(monkeypatch)
         target = kl_target(np.stack([np.eye(4)] * 4))
         assert _kl_step(target, 0, means, covs, cav, cav_eta) == 0
-        assert len(calls) == 2
         pixels = target.partition.groups[0].pixels
         for i in (0, 2):
             cov_inv = np.linalg.inv(covs[i])
@@ -206,7 +190,10 @@ class TestKlStep:
             np.testing.assert_allclose(target.eta[pixels[i]], cov_inv @ means[i] - cav_eta[i],
                                        rtol=1e-10, atol=1e-12)
         for i in (1, 3):
-            assert np.linalg.eigvalsh(target.prec[0][i])[0] >= PRECISION_FLOOR
+            prec = target.prec[0][i]
+            assert np.linalg.eigvalsh(prec)[0] >= PRECISION_FLOOR
+            np.testing.assert_allclose(target.eta[pixels[i]], (prec + cav[i]) @ means[i] - cav_eta[i],
+                                       rtol=1e-12, atol=1e-12)
 
     def test_rejected_solver_step_is_a_warning(self, rng):
         # boundary blocks 1 and 3 start at P = 0, below the floor, where the
@@ -223,14 +210,19 @@ class TestKlStep:
             np.testing.assert_allclose(target.prec[0][i], np.linalg.inv(covs[i]) - cav[i],
                                        rtol=1e-12, atol=1e-12)
 
-    def test_singular_tilted_covariance_falls_back_per_block(self, rng, monkeypatch):
+    def test_singular_tilted_covariance_falls_back_per_block(self, rng):
+        # block 2's loss is unbounded below: it is flagged and keeps its old
+        # parameters, while the other blocks update
         means, covs, cav, cav_eta = self.mixed_problem(rng)
         covs[2] = 0.0
-        calls = counting_solver(monkeypatch)
         target = kl_target(np.stack([np.eye(4)] * 4))
-        warnings = _kl_step(target, 0, means, covs, cav, cav_eta)
-        assert len(calls) == 4
-        assert warnings == 1         # block 2 raises: its loss is unbounded below
+        assert _kl_step(target, 0, means, covs, cav, cav_eta) == 1
+        np.testing.assert_array_equal(target.prec[0][2], np.eye(4))
+        np.testing.assert_array_equal(target.eta[target.partition.groups[0].pixels[2]], 0.0)
+        np.testing.assert_allclose(target.prec[0][0], np.linalg.inv(covs[0]) - cav[0],
+                                   rtol=1e-8, atol=1e-10)
+        for i in (1, 3):
+            assert np.linalg.eigvalsh(target.prec[0][i])[0] >= PRECISION_FLOOR
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),

@@ -389,6 +389,15 @@ class TestRunEpPoisson:
         with pytest.raises(ValueError):
             run_ep_poisson(np.full(16, 0.5), Identity(4, 4), adapted, part)
 
+    def test_rejects_negative_kernel_entry(self):
+        part = build_shifted_partitions(4, 4, 2)[0]
+        adapted = adapt(PatchGMM(np.array([1.0]), np.zeros((1, 4)), np.eye(4)[None]),
+                        Adaptation())
+        kernel = np.full((3, 3), 0.2)
+        kernel[0, 1] = -0.1
+        with pytest.raises(ValueError, match="nonnegative H"):
+            run_ep_poisson(np.ones(16), Conv2D(4, 4, kernel), adapted, part)
+
     def test_trace_includes_poisson_extras(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]
         base = PatchGMM(np.array([1.0]), np.full((1, 4), 3.0), np.eye(4)[None])

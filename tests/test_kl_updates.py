@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from patchep.kl_updates import (
     PRECISION_FLOOR,
-    block_kl_update,
     diag_kl_update,
     iso_kl_update,
     kl_block_loss,
@@ -46,6 +45,16 @@ class TestBlockLoss:
                 fd = (kl_block_loss(omega + e, cav, cov)
                       - kl_block_loss(omega - e, cav, cov)) / (2 * h)
                 assert abs(fd - grad[i, j]) < 1e-5
+
+    def test_stack_matches_per_block(self, rng):
+        prec = np.stack([random_spd(rng, 3) for _ in range(4)]).reshape(2, 2, 3, 3)
+        cav = np.stack([random_spd(rng, 3, 0.2) for _ in range(2)])
+        cov = np.stack([random_spd(rng, 3) for _ in range(2)])
+        got = kl_block_loss(prec, cav, cov)
+        assert got.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert got[i, j] == pytest.approx(kl_block_loss(prec[i, j], cav[j], cov[j]), rel=1e-14)
 
     def test_non_pd_sum_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
@@ -91,69 +100,72 @@ def boundary_problem(a, b, w, shift, cav_scale):
 
 class TestUpdateBlockPrecision:
     def test_unconstrained_optimum(self):
-        out, ok = update_block_precision(np.diag([2.0, 2.0]), EPS_I(2), np.eye(2))
-        assert ok
-        np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-7)
+        out, ok = update_block_precision(np.diag([2.0, 2.0])[None], EPS_I(2)[None], np.eye(2)[None])
+        assert ok.all()
+        np.testing.assert_allclose(out[0], np.diag([0.5, 0.5]), atol=1e-7)
 
     def test_matches_long_run_oracle(self, rng):
-        # interior optimum: Cov_P^{-1} - Omega_cav is SPD by construction
-        for _ in range(5):
-            inv_opt = random_spd(rng, 2)
-            cav = random_spd(rng, 2, 0.1)
-            cov = np.linalg.inv(inv_opt + cav)
-            init = random_spd(rng, 2)
-            got, _ = update_block_precision(cov, cav, init)
-            oracle = chol_param_oracle(cov, cav, init)
-            assert np.linalg.norm(got - oracle) < 1e-6
-            assert np.linalg.norm(got - inv_opt) < 1e-6
+        # interior optima: Cov_P^{-1} - Omega_cav is SPD by construction
+        inv_opt = np.stack([random_spd(rng, 2) for _ in range(5)])
+        cav = np.stack([random_spd(rng, 2, 0.1) for _ in range(5)])
+        cov = np.linalg.inv(inv_opt + cav)
+        init = np.stack([random_spd(rng, 2) for _ in range(5)])
+        got, _ = update_block_precision(cov, cav, init)
+        for j in range(5):
+            oracle = chol_param_oracle(cov[j], cav[j], init[j])
+            assert np.linalg.norm(got[j] - oracle) < 1e-6
+            assert np.linalg.norm(got[j] - inv_opt[j]) < 1e-6
 
     def test_loss_monotone_and_spd(self, rng):
         # the step never raises the loss above that of its start
-        for _ in range(10):
-            cov, cav, init = random_spd(rng, 4), random_spd(rng, 4, 0.2), random_spd(rng, 4)
-            out, ok = update_block_precision(cov, cav, init)
-            assert ok
-            np.linalg.cholesky(out)  # SPD or raises
-            start = kl_block_loss(init, cav, cov)
-            assert kl_block_loss(out, cav, cov) <= start + 1e-12 * abs(start)
+        cov = np.stack([random_spd(rng, 4) for _ in range(10)])
+        cav = np.stack([random_spd(rng, 4, 0.2) for _ in range(10)])
+        init = np.stack([random_spd(rng, 4) for _ in range(10)])
+        out, ok = update_block_precision(cov, cav, init)
+        assert ok.all()
+        np.linalg.cholesky(out)  # SPD or raises
+        start = kl_block_loss(init, cav, cov)
+        assert np.all(kl_block_loss(out, cav, cov) <= start + 1e-12 * np.abs(start))
 
     def test_moment_matching_at_fixed_point(self, rng):
         inv_opt = random_spd(rng, 3)
         cav = random_spd(rng, 3, 0.05)
         cov = np.linalg.inv(inv_opt + cav)
-        out, _ = update_block_precision(cov, cav, np.eye(3))
-        np.testing.assert_allclose(np.linalg.inv(out + cav), cov, atol=1e-6)
+        out, _ = update_block_precision(cov[None], cav[None], np.eye(3)[None])
+        np.testing.assert_allclose(np.linalg.inv(out[0] + cav), cov, atol=1e-6)
 
     def test_boundary_block_stays_above_floor(self):
         # P* = C^{-1} - P_cav has negative eigenvalues: the solver drives some
         # eigenvalues of P down to the floor, and a damped mix of two such
         # results must still factor (a block just above 0 can round below it)
+        cov, cav = [], []
         for seed in range(5):
             r = np.random.default_rng(seed)
-            cov = random_spd(r, 4, 0.25) + 0.5 * np.eye(4)
-            cav = random_spd(r, 4, 0.25) + 0.2 * np.eye(4) + 2 * np.linalg.inv(cov)
-            assert np.linalg.eigvalsh(np.linalg.inv(cov) - cav)[0] < 0
-            outs = [update_block_precision(cov, cav, init)[0] for init in (np.eye(4), 3 * np.eye(4))]
-            for out in outs:
-                assert np.linalg.eigvalsh(out)[0] >= PRECISION_FLOOR
-            np.linalg.cholesky(0.7 * outs[0] + 0.3 * outs[1])
+            cov.append(random_spd(r, 4, 0.25) + 0.5 * np.eye(4))
+            cav.append(random_spd(r, 4, 0.25) + 0.2 * np.eye(4) + 2 * np.linalg.inv(cov[-1]))
+        cov, cav = np.stack(cov), np.stack(cav)
+        assert np.all(np.linalg.eigvalsh(np.linalg.inv(cov) - cav)[:, 0] < 0)
+        outs = [update_block_precision(cov, cav, np.broadcast_to(init, cov.shape))[0]
+                for init in (np.eye(4), 3 * np.eye(4))]
+        for out in outs:
+            assert np.all(np.linalg.eigvalsh(out)[:, 0] >= PRECISION_FLOOR)
+        np.linalg.cholesky(0.7 * outs[0] + 0.3 * outs[1])
 
     def test_reports_rejected_step(self, rng):
         # P* is negative definite, so the constrained optimum is eps I; a
         # start at P = 0, below the floor, has the lower loss and is kept
         cov = random_spd(rng, 3)
         cav = 2.0 * np.linalg.inv(cov)
-        out, ok = update_block_precision(cov, cav, np.zeros((3, 3)))
-        assert not ok
-        np.testing.assert_array_equal(out, 0.0)
-        out, ok = update_block_precision(cov, cav, np.eye(3))
-        assert ok
-        np.testing.assert_allclose(out, PRECISION_FLOOR * np.eye(3), rtol=1e-12, atol=1e-20)
+        out, ok = update_block_precision(np.stack([cov, cov]), np.stack([cav, cav]),
+                                         np.stack([np.zeros((3, 3)), np.eye(3)]))
+        np.testing.assert_array_equal(ok, [False, True])
+        np.testing.assert_array_equal(out[0], 0.0)
+        np.testing.assert_allclose(out[1], PRECISION_FLOOR * np.eye(3), rtol=1e-12, atol=1e-20)
 
     def test_one_by_one_blocks_match_diagonal_update(self, rng):
-        for d, p_cav in zip(rng.uniform(0.05, 3.0, 20), rng.uniform(0.0, 4.0, 20)):
-            out, _ = update_block_precision([[d]], [[p_cav]], [[1.0]])
-            assert out[0, 0] == pytest.approx(diag_kl_update(d, p_cav), rel=1e-12)
+        d, p_cav = rng.uniform(0.05, 3.0, 20), rng.uniform(0.0, 4.0, 20)
+        out, _ = update_block_precision(d[:, None, None], p_cav[:, None, None], np.ones((20, 1, 1)))
+        np.testing.assert_allclose(out[:, 0, 0], diag_kl_update(d, p_cav), rtol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),
@@ -165,23 +177,25 @@ class TestUpdateBlockPrecision:
         # constraint P - eps I >= 0: at the optimum it is PSD and
         # complementary to P - eps I
         eye = np.eye(4)
+        cov, cav = map(np.stack, zip(*(boundary_problem(a[j], b[j], w[j], shift, cav_scale)
+                                       for j in range(3))))
+        out, _ = update_block_precision(cov, cav, np.stack([eye] * 3))
         for j in range(3):
-            cov, cav = boundary_problem(a[j], b[j], w[j], shift, cav_scale)
-            out, _ = update_block_precision(cov, cav, eye)
-            grad = cov - np.linalg.inv(out + cav)
-            scale = np.linalg.norm(cov)
+            grad = cov[j] - np.linalg.inv(out[j] + cav[j])
+            scale = np.linalg.norm(cov[j])
             assert np.linalg.eigvalsh(grad)[0] >= -1e-10 * scale
-            assert np.linalg.norm(grad @ (out - PRECISION_FLOOR * eye)) <= 1e-10 * scale
+            assert np.linalg.norm(grad @ (out[j] - PRECISION_FLOOR * eye)) <= 1e-10 * scale
 
     def test_boundary_loss_not_above_nelder_mead(self, rng):
-        for _ in range(5):
-            cov, cav = boundary_problem(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)),
-                                        rng.uniform(0.1, 1, 3), 0.2, 0.5)
-            assert np.linalg.eigvalsh(np.linalg.inv(cov) - cav)[0] < 0
-            got, _ = update_block_precision(cov, cav, np.eye(3))
-            oracle = chol_param_oracle(cov, cav, np.eye(3), PRECISION_FLOOR)
-            best = kl_block_loss(oracle, cav, cov)
-            assert kl_block_loss(got, cav, cov) <= best + 1e-12 * abs(best)
+        cov, cav = map(np.stack, zip(*(boundary_problem(
+            rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)), rng.uniform(0.1, 1, 3), 0.2, 0.5)
+            for _ in range(5))))
+        assert np.all(np.linalg.eigvalsh(np.linalg.inv(cov) - cav)[:, 0] < 0)
+        got, _ = update_block_precision(cov, cav, np.stack([np.eye(3)] * 5))
+        for j in range(5):
+            oracle = chol_param_oracle(cov[j], cav[j], np.eye(3), PRECISION_FLOOR)
+            best = kl_block_loss(oracle, cav[j], cov[j])
+            assert kl_block_loss(got[j], cav[j], cov[j]) <= best + 1e-12 * abs(best)
 
 
 def interior_stack(rng, n_blocks, dim):
@@ -193,39 +207,65 @@ def interior_stack(rng, n_blocks, dim):
 
 
 class TestBlockKlUpdate:
+    """The block KL step on stacks that mix interior and boundary blocks."""
+
     def test_matches_iterative_solver_on_interior_stacks(self, rng):
         cov, cav, p_opt = interior_stack(rng, 6, 3)
-        p_star, cov_inv, interior = block_kl_update(cov, cav)
-        assert interior.all()
-        np.testing.assert_allclose(cov_inv, np.linalg.inv(cov), rtol=1e-12, atol=1e-12)
-        for c, q, p in zip(cov, cav, p_star):
+        out, ok = update_block_precision(cov, cav, np.stack([np.eye(3)] * 6))
+        assert ok.all()
+        for c, q, p in zip(cov, cav, out):
             assert np.linalg.norm(p - chol_param_oracle(c, q, np.eye(3))) < 1e-6
-        np.testing.assert_allclose(p_star, p_opt, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(out, p_opt, rtol=1e-10, atol=1e-10)
 
     def test_ill_conditioned_interior_block_matched_exactly(self):
-        # cond(C) = 1e5: both closed forms match C
+        # cond(C) = 1e5: both closed forms match C; a singular second block
+        # sends the first one to the eigen form too
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         cov = (q * np.geomspace(1e-5, 1.0, 6)) @ q.T
         cav = 0.1 * np.eye(6)
-        p_star, _, interior = block_kl_update(cov[None], cav[None])
-        assert interior[0]
         rel = lambda p: np.linalg.norm(np.linalg.inv(p + cav) - cov) / np.linalg.norm(cov)  # noqa: E731
-        assert rel(p_star[0]) < 1e-10
-        solved, ok = update_block_precision(cov, cav, np.eye(6))
-        assert ok and rel(solved) < 1e-10
+        out, ok = update_block_precision(cov[None], cav[None], np.eye(6)[None])
+        assert ok[0] and rel(out[0]) < 1e-10
+        out, ok = update_block_precision(np.stack([cov, np.zeros((6, 6))]), np.stack([cav, cav]),
+                                         np.stack([np.eye(6)] * 2))
+        np.testing.assert_array_equal(ok, [True, False])
+        assert rel(out[0]) < 1e-10
 
-    def test_boundary_blocks_flagged(self, rng):
+    def test_mixed_stack_matches_closed_form_and_oracle(self, rng):
         cov, cav, _ = interior_stack(rng, 4, 3)
-        cav[[1, 3]] += 5 * np.linalg.inv(cov[[1, 3]])   # makes P* negative definite there
-        _, _, interior = block_kl_update(cov, cav)
+        for j in (1, 3):
+            cov[j], cav[j] = boundary_problem(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)),
+                                              rng.uniform(0.1, 1, 3), 0.2, 0.5)
+        interior = np.linalg.eigvalsh(np.linalg.inv(cov) - cav)[:, 0] > PRECISION_FLOOR
         np.testing.assert_array_equal(interior, [True, False, True, False])
+        out, ok = update_block_precision(cov, cav, np.stack([np.eye(3)] * 4))
+        assert ok.all()
+        for j in (0, 2):
+            np.testing.assert_allclose(out[j], np.linalg.inv(cov[j]) - cav[j], rtol=1e-10, atol=1e-10)
+        for j in (1, 3):
+            oracle = chol_param_oracle(cov[j], cav[j], np.eye(3), PRECISION_FLOOR)
+            assert np.linalg.norm(out[j] - oracle) < 1e-6
 
-    def test_singular_covariance_raises(self, rng):
-        cov, cav, _ = interior_stack(rng, 2, 3)
+    def test_singular_covariance_flagged(self, rng):
+        cov, cav, p_opt = interior_stack(rng, 2, 3)
         cov[1] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            block_kl_update(cov, cav)
+        init = np.stack([np.eye(3), 2 * np.eye(3)])
+        out, ok = update_block_precision(cov, cav, init)
+        np.testing.assert_array_equal(ok, [True, False])
+        np.testing.assert_array_equal(out[1], init[1])
+        np.testing.assert_allclose(out[0], p_opt[0], rtol=1e-8, atol=1e-8)
+
+    def test_indefinite_covariance_flagged(self):
+        # C has a negative eigenvalue, yet its eigen-form result eps I has a
+        # lower loss than the init: only the positive-definiteness test flags it
+        cov = np.stack([np.eye(3), np.diag([3.0, 3.0, -0.5])])
+        init = np.stack([np.eye(3)] * 2)
+        assert kl_block_loss(PRECISION_FLOOR * np.eye(3), np.eye(3), cov[1]) < kl_block_loss(
+            init[1], np.eye(3), cov[1])
+        out, ok = update_block_precision(cov, init, init)
+        np.testing.assert_array_equal(ok, [True, False])
+        np.testing.assert_array_equal(out[1], init[1])
 
 
 class TestDiagKlUpdate:
