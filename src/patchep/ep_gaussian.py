@@ -36,9 +36,11 @@ group whose tilted moments failed, counted per block, a block whose KL step
 failed or was rejected, or a Poisson precision escape), and the result
 reports the counts by cause.
 
-Factor updates are damped in natural parameters (precision and
-precision-mean).  The loop stops when the squared change of the joint mean
-and of the joint marginal variances both fall below tol * N.
+Per-pixel (diagonal) factors are set to their KL target undamped; block
+factors, and the Poisson model's isotropic q_u1, are damped in natural
+parameters (precision and precision-mean).  The loop stops when the squared
+change of the joint mean and of the joint marginal variances both fall below
+tol * N.
 
 Every CG solve of the tilted mean starts from the last synced joint mean.
 A run can resume from an earlier result on the same partition: both factors
@@ -69,7 +71,7 @@ WARNING_CAUSES = ("cg_not_converged", "tilted_failed", "kl_rejected", "poisson_e
 
 @dataclass
 class EPConfig:
-    damping: float = 0.7            # weight on the updated natural parameters
+    damping: float = 0.7            # weight on the target of block factors and q_u1
     stop_tol: float = 1e-8          # per-pixel squared-change scale
     max_iterations: int = 50
     cg_tol: float = 1e-8            # relative residual
@@ -204,7 +206,8 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     """Prior-side EP update; returns (tilted weights per group, warning
     counts by cause).  A group whose tilted moments fail gets weights None
     and keeps its old blocks.  A diagonal cavity goes to the tilted kernel
-    as (J, b) variances, and its tilted variances come back per pixel."""
+    as (J, b) variances, and its tilted variances come back per pixel.  A
+    diagonal factor is set to its target, a block factor damped towards it."""
     part = state.partition
     weights = []
     warnings = Counter()
@@ -225,7 +228,10 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
             continue
         weights.append(w)
         warnings["kl_rejected"] += _kl_step(target, g, t_means, t_covs, cav_prec, cav_eta)
-    state.q0.damp_from(target, config.damping)
+    if target.structure == "diagonal":
+        state.q0 = target
+    else:
+        state.q0.damp_from(target, config.damping)
     return weights, warnings
 
 
@@ -396,9 +402,8 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     weights = None
     warnings = dict.fromkeys(WARNING_CAUSES, 0)
     converged = False
-    prev_mean = state.mean.copy()
-    prev_var = state.marginal_var.copy()
     for iteration in range(1, config.max_iterations + 1):
+        prev_mean, prev_var = state.mean, state.marginal_var   # sync makes new arrays
         t0 = time.perf_counter()
         weights, step_warnings, fields = step(state)
         for cause, count in step_warnings.items():
@@ -409,8 +414,6 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
         dv2 = float(np.sum((state.marginal_var - prev_var) ** 2))
         _write_trace(trace, {"iteration": iteration, "dm2": dm2, "dvar2": dv2, **fields,
                              "wall_time_s": time.perf_counter() - t0})
-        prev_mean = state.mean.copy()
-        prev_var = state.marginal_var.copy()
         if dm2 < config.stop_tol * n and dv2 < config.stop_tol * n:
             converged = True
             break

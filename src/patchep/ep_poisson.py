@@ -19,9 +19,10 @@ posterior is approximated with four Gaussian factors:
 * q_u1 (isotropic) for the coupling, fitted by the Newton isotropic KL
   update from quadratic forms of the x-side joint covariance.
 
-One iteration runs q_u0, q_x1, q_u1, q_x0 in that order inside the EP loop
-of :func:`patchep.ep_gaussian.run_ep`; convergence is monitored on the
-x-side joint moments.
+One iteration of the EP loop of :func:`patchep.ep_gaussian.run_ep` runs
+q_u0, q_x1, q_x0, a sync of the x-side joint, then q_u1.  So q_u1 reads the
+joint after q_x0: an iteration is a map of the current factors, with no
+one-iteration lag, and the stop rule (x-side joint moments) sees its step.
 """
 
 from __future__ import annotations
@@ -230,9 +231,10 @@ class PoissonFactors:
 
 def update_q_u0(factors: PoissonFactors, y: np.ndarray, config: EPConfig):
     """Count-likelihood update: the diagonal KL step on the 1D tilted
-    moments, then the matching precision-mean.  Returns the number of
-    escapes: pixels whose quadrature failed or whose tilted variance exceeds
-    the cavity variance c1 beyond rounding.
+    moments, then the matching precision-mean, set undamped like every
+    per-pixel factor.  Returns the number of escapes: pixels whose
+    quadrature failed or whose tilted variance exceeds the cavity variance
+    c1 beyond rounding.
 
     The rectified-Poisson likelihood is log-concave in u, so by
     Brascamp-Lieb the tilted variance is at most c1 in exact arithmetic, and
@@ -244,12 +246,8 @@ def update_q_u0(factors: PoissonFactors, y: np.ndarray, config: EPConfig):
     _, t_mean, t_var, n_bad = rectified_poisson_tilted_batch(y, mu1, c1)
 
     escapes = int(np.sum(t_var > c1 * (1.0 + 1e-12))) + n_bad
-    prec_new = diag_kl_update(t_var, 1.0 / c1)
-    eta_new = t_mean * (prec_new + 1.0 / c1) - factors.eta_u1
-
-    eps = config.damping
-    factors.prec_u0 = eps * prec_new + (1 - eps) * factors.prec_u0
-    factors.eta_u0 = eps * eta_new + (1 - eps) * factors.eta_u0
+    factors.prec_u0 = diag_kl_update(t_var, 1.0 / c1)
+    factors.eta_u0 = t_mean * (factors.prec_u0 + 1.0 / c1) - factors.eta_u1
     return escapes
 
 
@@ -302,9 +300,9 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     isotropic q_u1 uses their mean), unless the run resumes from ``init``, a
     Poisson result on the same partition: then all four factors start from
     its factors and the first CG solve from its mean.  The result carries
-    its u-side factors as ``u_factors``.  The update order is q_u0, q_x1, q_u1,
-    q_x0; the stopping rule matches the Gaussian loop (x-side moments).  The
-    escapes of the q_u0 update count as EP warnings of cause
+    its u-side factors as ``u_factors``.  The update order is q_u0, q_x1, q_x0,
+    sync, q_u1, so q_u1 reads the joint after q_x0 (no lag, see the module
+    docstring).  The escapes of the q_u0 update count as EP warnings of cause
     ``poisson_escapes``.
     """
     config = config or EPConfig()
@@ -317,15 +315,10 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     if np.any(operator.matrix.data < 0):
         raise ValueError("Poisson models require a nonnegative H")
 
-    init_mean = y + 1.0
-    init_var = y + 1.0
+    init_mean = init_var = y + 1.0
     if init is None:
-        factors = PoissonFactors(
-            prec_u0=1.0 / init_var,
-            eta_u0=init_mean / init_var,
-            prec_u1=1.0 / float(np.mean(init_var)),
-            eta_u1=init_mean / float(np.mean(init_var)),
-        )
+        c1 = float(np.mean(init_var))
+        factors = PoissonFactors(1.0 / init_var, init_mean / init_var, 1.0 / c1, init_mean / c1)
     else:
         factors = init.u_factors.copy()
 
@@ -336,12 +329,10 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
         obs_weights = factors.prec_u0
         obs_eta = operator.apply_adjoint(obs_weights * mu0)
         cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta, config)
+        weights, w0 = update_q_x0(state, adapted, config)
         state.sync()
 
         update_q_u1(factors, state, operator, config)
-
-        weights, w0 = update_q_x0(state, adapted, config)
-        state.sync()
         w0["poisson_escapes"] += escapes
         return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": 1.0 / factors.prec_u1,
                                   "negative_precision_escapes": escapes}

@@ -78,16 +78,11 @@ class DegradationOperator:
     def gram_block(self, partition: Partition, weights: np.ndarray):
         """G = H^T W H with W = diag(weights), as CSR, and G's diagonal blocks
         on ``partition``: one (J_g, b, b) stack per group of
-        ``partition.groups``, all filled by one scatter of G's entries."""
+        ``partition.groups``, all filled by one scatter of G's entries
+        through ``partition.stack_layout``."""
         h = self.matrix
         gram = (h.T @ sparse.diags(weights) @ h).tocsr()
-        block, pos, row_slot = (np.empty(self.n_pixels, dtype=np.intp) for _ in range(3))
-        spans = [0]
-        for group in partition.groups:
-            n_blocks, b = group.pixels.shape
-            block[group.pixels], pos[group.pixels] = group.ids[:, None], np.arange(b)
-            row_slot[group.pixels] = spans[-1] + b * np.arange(n_blocks * b).reshape(n_blocks, b)
-            spans.append(spans[-1] + n_blocks * b * b)
+        block, pos, row_slot, spans = partition.stack_layout
         counts, cols = np.diff(gram.indptr), gram.indices
         target = np.repeat(row_slot, counts) + pos[cols]
         target[np.repeat(block, counts) != block[cols]] = spans[-1]   # off-block: a spare slot

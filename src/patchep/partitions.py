@@ -89,6 +89,20 @@ class Partition:
                            np.stack([self.blocks[j] for j in ids]))
                 for pattern, ids in by_pattern.items()]
 
+    @cached_property
+    def stack_layout(self):
+        """Per-pixel block id, position in the block and offset of the
+        pixel's row in one flat buffer holding every group's (J_g, b, b)
+        stack in turn, and the groups' spans of that buffer."""
+        block, pos, row_slot = (np.empty(self.n_pixels, dtype=np.intp) for _ in range(3))
+        spans = [0]
+        for group in self.groups:
+            n_blocks, b = group.pixels.shape
+            block[group.pixels], pos[group.pixels] = group.ids[:, None], np.arange(b)
+            row_slot[group.pixels] = spans[-1] + b * np.arange(n_blocks * b).reshape(n_blocks, b)
+            spans.append(spans[-1] + n_blocks * b * b)
+        return block, pos, row_slot, spans
+
 
 def _build_partition(width: int, height: int, patch_size: int,
                      shift: tuple[int, int]) -> Partition:
