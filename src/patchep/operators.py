@@ -200,7 +200,6 @@ def simulate(operator: DegradationOperator, x: np.ndarray, noise, seed: int) -> 
     raise TypeError(f"unknown noise model: {noise!r}")
 
 
-
 def all_row_quadratic_forms(operator: DegradationOperator, partition: Partition,
                             stacks) -> np.ndarray:
     """h_n S h_n^T for every row n of H: the diagonal of H S H^T, with S the

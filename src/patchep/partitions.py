@@ -3,10 +3,15 @@
 An image of ``width x height`` pixels is covered by non-overlapping square
 patches of side ``patch_size``.  Shifting the tiling origin by one pixel in
 each direction yields ``patch_size**2`` distinct partitions; shifted tilings
-have truncated blocks along the image boundary.  Global vectors always stay
-in row-major image order, blocks are realized through index lists.  Blocks
-with the same local-index pattern form one :class:`BlockGroup`; block
-matrices are stored and processed as one stack per group.
+have truncated blocks along the image boundary.  A partition is fixed by its
+grid, patch size and shift, and its blocks follow from cell arithmetic:
+with shift (dx, dy), pixel (r, c) sits in cell
+(floor((r - dy) / p) + [dy > 0], floor((c - dx) / p) + [dx > 0]), block id
+``cell_row * n_cell_cols + cell_col``, at local index
+((r - dy) mod p) * p + ((c - dx) mod p) of the canonical p x p cell.
+Global vectors always stay in row-major image order.  Blocks with the same
+local-index pattern form one :class:`BlockGroup`; block matrices are stored
+and processed as one stack per group.
 """
 
 from __future__ import annotations
@@ -24,70 +29,70 @@ class BlockGroup(NamedTuple):
     """Blocks of a partition that share one local-index pattern, hence one
     size and one (possibly marginalised) patch prior."""
 
-    local: np.ndarray   # (b,) positions inside the canonical patch cell
-    ids: np.ndarray     # (J_g,) block ids, ascending
-    pixels: np.ndarray  # (J_g, b) pixel indices; pixels[i] == blocks[ids[i]]
+    local: np.ndarray   # (b,) row-major positions inside the canonical patch cell
+    ids: np.ndarray     # (J_g,) block ids (row-major cell numbers), ascending
+    pixels: np.ndarray  # (J_g, b) row-major pixel indices; pixels[i, k] sits at local[k]
 
 
-def _axis_cells(length: int, patch_size: int, shift: int) -> list[tuple[int, int]]:
-    """Cells (start, origin) along one axis; origin may be negative for the
-    leading truncated cell so that local coordinates stay in [0, patch_size)."""
-    cells = []
-    if shift > 0:
-        cells.append((0, shift - patch_size))
-    start = shift
-    while start < length:
-        cells.append((start, start))
-        start += patch_size
-    return cells
+def _axis_runs(length: int, patch_size: int, shift: int):
+    """Cells along one axis in runs of one local range: a leading truncated
+    cell (shift > 0), the full cells, a trailing truncated cell.  Each run
+    is (cell indices, local range, image coordinates of shape (cells, local))."""
+    lead = int(shift > 0)
+    n_full, tail = divmod(length - shift, patch_size)
+    runs = []
+    for first, n_cells, lo, hi in ((0, lead, patch_size - shift, patch_size),
+                                   (lead, n_full, 0, patch_size),
+                                   (lead + n_full, int(tail > 0), 0, tail)):
+        if n_cells:
+            cells, local = np.arange(first, first + n_cells), np.arange(lo, hi)
+            origins = shift + (cells - lead) * patch_size
+            runs.append((cells, local, origins[:, None] + local))
+    return runs
 
 
 @dataclass(frozen=True)
 class Partition:
-    """One non-overlapping tiling of the pixel grid.
+    """One non-overlapping tiling of the pixel grid by ``patch_size`` cells
+    whose origin is shifted by ``shift = (dx, dy)``.
 
-    ``blocks[j]`` holds the row-major pixel indices of patch j, and
-    ``local_indices[j]`` the corresponding positions inside the canonical
-    ``patch_size x patch_size`` cell (row-major in [0, patch_size**2)).
-    Interior blocks have exactly ``patch_size**2`` indices; boundary blocks
-    of shifted partitions may have fewer.
+    Blocks are numbered row-major over cells, and a block's pixels are
+    listed row-major together with their positions in the canonical
+    ``patch_size x patch_size`` cell (see the module docstring).  Interior
+    blocks hold ``patch_size**2`` pixels; boundary blocks of shifted
+    partitions may hold fewer.
     """
 
     width: int
     height: int
     patch_size: int
     shift: tuple[int, int]
-    blocks: list[np.ndarray]
-    local_indices: list[np.ndarray]
 
     def __post_init__(self):
-        n = self.width * self.height
-        block_of = np.full(n, -1, dtype=np.int64)
-        for j, idx in enumerate(self.blocks):
-            if np.any(block_of[idx] >= 0):
-                raise ValueError("partition blocks overlap")
-            block_of[idx] = j
-        if np.any(block_of < 0):
-            raise ValueError("partition blocks do not cover the image")
+        if not all(0 <= d < self.patch_size and d <= n
+                   for d, n in zip(self.shift, (self.width, self.height))):
+            raise ValueError(f"shift must lie in [0, patch_size) and inside the image, "
+                             f"got {self.shift}")
 
     @property
     def n_pixels(self) -> int:
         return self.width * self.height
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
     @cached_property
     def groups(self) -> list[BlockGroup]:
-        """Blocks grouped by local-index pattern, in order of each group's
-        first block."""
-        by_pattern: dict[tuple, list[int]] = {}
-        for j, loc in enumerate(self.local_indices):
-            by_pattern.setdefault(tuple(loc.tolist()), []).append(j)
-        return [BlockGroup(np.array(pattern), np.array(ids),
-                           np.stack([self.blocks[j] for j in ids]))
-                for pattern, ids in by_pattern.items()]
+        """One group per (row run, column run) pair of cells, in order of
+        each group's first block id."""
+        dx, dy = self.shift
+        col_runs = _axis_runs(self.width, self.patch_size, dx)
+        n_cols = sum(len(cells) for cells, _, _ in col_runs)
+        groups = []
+        for rcells, rlocal, rows in _axis_runs(self.height, self.patch_size, dy):
+            for ccells, clocal, cols in col_runs:
+                ids = (rcells[:, None] * n_cols + ccells).ravel()
+                pixels = rows[:, None, :, None] * self.width + cols[None, :, None, :]
+                groups.append(BlockGroup((rlocal[:, None] * self.patch_size + clocal).ravel(),
+                                         ids, pixels.reshape(len(ids), -1)))
+        return groups
 
     @cached_property
     def stack_layout(self):
@@ -102,23 +107,6 @@ class Partition:
             row_slot[group.pixels] = spans[-1] + b * np.arange(n_blocks * b).reshape(n_blocks, b)
             spans.append(spans[-1] + n_blocks * b * b)
         return block, pos, row_slot, spans
-
-
-def _build_partition(width: int, height: int, patch_size: int,
-                     shift: tuple[int, int]) -> Partition:
-    dx, dy = shift
-    col_cells = _axis_cells(width, patch_size, dx)
-    row_cells = _axis_cells(height, patch_size, dy)
-    blocks = []
-    locals_ = []
-    for rstart, rorigin in row_cells:
-        rows = np.arange(rstart, min(rorigin + patch_size, height))
-        for cstart, corigin in col_cells:
-            cols = np.arange(cstart, min(corigin + patch_size, width))
-            rr, cc = np.meshgrid(rows, cols, indexing="ij")
-            blocks.append((rr * width + cc).ravel())
-            locals_.append(((rr - rorigin) * patch_size + (cc - corigin)).ravel())
-    return Partition(width, height, patch_size, shift, blocks, locals_)
 
 
 def build_shifted_partitions(width: int, height: int, patch_size: int,
@@ -137,4 +125,4 @@ def build_shifted_partitions(width: int, height: int, patch_size: int,
     if n is not None and not 1 <= n <= patch_size ** 2:
         raise ValueError(f"n must lie in 1..{patch_size ** 2}, got {n}")
     shifts = [(dx, dy) for dy in range(patch_size) for dx in range(patch_size)]
-    return [_build_partition(width, height, patch_size, shift) for shift in shifts[:n]]
+    return [Partition(width, height, patch_size, shift) for shift in shifts[:n]]

@@ -8,6 +8,7 @@ where a natural-image stand-in is needed.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import gaussian_filter
 
 __all__ = ["make_phantom", "extract_patches"]
@@ -42,12 +43,8 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1,
                     zero_mean: bool = True) -> np.ndarray:
     """All patches of a 2D image as rows, optionally mean-subtracted
     (the usual normalization for training patch priors)."""
-    h, w = image.shape
-    rows = []
-    for i in range(0, h - patch_size + 1, stride):
-        for j in range(0, w - patch_size + 1, stride):
-            rows.append(image[i:i + patch_size, j:j + patch_size].ravel())
-    patches = np.array(rows)
+    windows = sliding_window_view(image, (patch_size, patch_size))[::stride, ::stride]
+    patches = windows.reshape(-1, patch_size * patch_size)
     if zero_mean:
-        patches = patches - patches.mean(axis=1, keepdims=True)
-    return patches
+        return patches - patches.mean(axis=1, keepdims=True)
+    return patches.copy()  # the reshape is a view of image when patch_size is 1

@@ -16,11 +16,19 @@ def stack_by_group(partition, per_block):
 
 def per_block(partition, stacks):
     """Stacks aligned with partition.groups -> list of blocks by block id."""
-    out = [None] * partition.n_blocks
+    out = [None] * sum(len(group.ids) for group in partition.groups)
     for group, stack in zip(partition.groups, stacks):
         for j, block in zip(group.ids, stack):
             out[j] = block
     return out
+
+
+def blocks_of(partition):
+    """(pixel indices, local-index pattern) of every block, by block id."""
+    groups = partition.groups
+    return list(zip(per_block(partition, [g.pixels for g in groups]),
+                    per_block(partition, [np.broadcast_to(g.local, g.pixels.shape)
+                                          for g in groups])))
 
 
 def pixel_diagonal(partition, stacks):

@@ -20,6 +20,8 @@ from patchep.gmm import AdaptedGMM, PatchGMM
 from patchep.operators import DegradationOperator
 from patchep.partitions import Partition
 
+from conftest import blocks_of
+
 __all__ = [
     "BlockPosterior",
     "exact_diagonal_gaussian_posterior",
@@ -68,8 +70,7 @@ def exact_diagonal_gaussian_posterior(y: np.ndarray, operator: DegradationOperat
     all_w, all_m, all_c = [], [], []
     mean = np.empty(n)
     mvar = np.empty(n)
-    for j, idx in enumerate(partition.blocks):
-        local = partition.local_indices[j]
+    for idx, local in blocks_of(partition):
         prior = adapted.marginal(local)
         b = len(idx)
         obs_prec = diag_h[idx] / sigma2
@@ -134,8 +135,7 @@ def sample_prior_image(adapted: AdaptedGMM, partition: Partition,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw one image from the patch prior (independent blocks)."""
     x = np.empty(partition.n_pixels)
-    for j, idx in enumerate(partition.blocks):
-        local = partition.local_indices[j]
+    for idx, local in blocks_of(partition):
         prior = adapted.marginal(local)
         comp = rng.choice(prior.n_components, p=prior.weights)
         chol = np.linalg.cholesky(prior.covs[comp])
@@ -325,7 +325,8 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     lik_prec = h.T @ h / sigma2
     lik_eta = h.T @ y / sigma2
 
-    j_blocks = partition.n_blocks
+    blocks = blocks_of(partition)
+    j_blocks = len(blocks)
     prec = [np.eye(n) / (sigma2 * j_blocks) for _ in range(j_blocks)]
     eta = [y / (sigma2 * j_blocks) for _ in range(j_blocks)]
 
@@ -339,8 +340,7 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     for _ in range(max_iterations):
         prev_mean = mean_q.copy()
         prev_var = np.diag(cov_q).copy()
-        for j, idx in enumerate(partition.blocks):
-            local = partition.local_indices[j]
+        for j, (idx, local) in enumerate(blocks):
             prior = adapted.marginal(local)
             cav_prec = lik_prec + sum(prec[t] for t in range(j_blocks) if t != j)
             cav_eta = lik_eta + sum(eta[t] for t in range(j_blocks) if t != j)

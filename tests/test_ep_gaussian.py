@@ -25,7 +25,7 @@ from patchep.kl_updates import PRECISION_FLOOR
 from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, simulate
 from patchep.partitions import Partition, build_shifted_partitions
 
-from conftest import per_block, pixel_diagonal, random_spd, small_gmm, stack_by_group
+from conftest import blocks_of, per_block, pixel_diagonal, random_spd, small_gmm, stack_by_group
 from reference import (
     dense_operator,
     dense_reference_moments,
@@ -36,11 +36,7 @@ from reference import (
 
 def pixel_partition(width, height):
     """Partition into single-pixel blocks (r = 1)."""
-    n = width * height
-    return Partition(width, height, 1,
-                     (0, 0),
-                     [np.array([i]) for i in range(n)],
-                     [np.array([0]) for _ in range(n)])
+    return Partition(width, height, 1, (0, 0))
 
 
 def k1_adapted(rng, dim, scale=1.0):
@@ -108,7 +104,7 @@ class TestUpdateQx0:
         update_q_x0(state, adapted, cfg)
         state.sync()
         joint_blocks = per_block(part, state.joint_covs)
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             prior_prec = np.linalg.inv(adapted.covs[0])
             post_prec = prior_prec + np.eye(4) / sigma2
             post_cov = np.linalg.inv(post_prec)
@@ -257,7 +253,7 @@ class TestTiltedP1:
                                                EPConfig())
         blocks = per_block(part, stacks)
         p0 = pixel_diagonal(part, q0.prec)
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             expected = np.diag(1.0 / (1.0 / sigma2 + p0[idx]))
             np.testing.assert_allclose(blocks[j], expected, atol=1e-12)
         expected_mean = (q0.eta + y / sigma2) / (p0 + 1.0 / sigma2)
@@ -280,14 +276,14 @@ class TestTiltedP1:
         op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
         sigma2 = 0.25
         y = rng.standard_normal(36)
-        blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
+        blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
         eta = rng.standard_normal(36)
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), eta)
         w = np.full(36, 1.0 / sigma2)
         obs_eta = op.apply_adjoint(y) / sigma2
         mean, _, _, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig())
         omega0 = np.zeros((36, 36))
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             omega0[np.ix_(idx, idx)] = blocks[j]
         expected_mean, _ = dense_reference_moments(op, w, omega0, eta + obs_eta)
         np.testing.assert_allclose(mean, expected_mean, atol=1e-6)
@@ -298,12 +294,12 @@ class TestTiltedP1:
         part = build_shifted_partitions(16, 16, 4)[0]
         op = Conv2D(16, 16, np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0)
         sigma2 = 0.05
-        blocks = [random_spd(rng, len(idx), 1.0 / len(idx)) for idx in part.blocks]
+        blocks = [random_spd(rng, len(idx), 1.0 / len(idx)) for idx, _ in blocks_of(part)]
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks),
                             rng.standard_normal(256))
         w = np.full(256, 1.0 / sigma2)
         omega0 = np.zeros((256, 256))
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             omega0[np.ix_(idx, idx)] = blocks[j]
         _, dense_cov = dense_reference_moments(op, w, omega0, np.zeros(256))
 
@@ -312,7 +308,7 @@ class TestTiltedP1:
             _, est, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg)
             est = per_block(part, est)
             errs = []
-            for j, idx in enumerate(part.blocks):
+            for j, (idx, _) in enumerate(blocks_of(part)):
                 ref = dense_cov[np.ix_(idx, idx)]
                 errs.append(np.linalg.norm(est[j] - ref) / np.linalg.norm(ref))
             return float(np.mean(errs))
@@ -330,7 +326,7 @@ class TestTiltedP1:
         # common random numbers: the RBMC probes depend on config.seed only
         part = build_shifted_partitions(6, 6, 3)[0]
         op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
-        blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
+        blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
         w = np.full(36, 4.0)
 
@@ -347,12 +343,12 @@ class TestTiltedP1:
         # and the RBMC covariances are Q_jj^{-1} whatever the probes
         part = build_shifted_partitions(6, 6, 3)[4]
         op = Mask(6, 6, rng.random(36) < 0.6)
-        blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
+        blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
         w = np.full(36, 4.0)
         _, covs, _, _ = tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig())
         kept = op.kept.astype(float)
-        for j, (idx, cov) in enumerate(zip(part.blocks, per_block(part, covs))):
+        for j, ((idx, _), cov) in enumerate(zip(blocks_of(part), per_block(part, covs))):
             expected = np.linalg.inv(blocks[j] + np.diag(4.0 * kept[idx]))
             np.testing.assert_allclose(cov, expected, rtol=1e-10)
 
@@ -365,10 +361,10 @@ class TestTiltedP1:
         op = Conv2D(16, 16, np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0)
         h = dense_operator(op)
         q = h.T @ h / 0.05
-        for idx in part.blocks:
+        for idx, _ in blocks_of(part):
             q[np.ix_(idx, idx)] += random_spd(rng, len(idx), 1.0 / len(idx))
         jacobi = np.zeros_like(q)
-        for idx in part.blocks:
+        for idx, _ in blocks_of(part):
             jacobi[np.ix_(idx, idx)] = np.linalg.inv(q[np.ix_(idx, idx)])
         return sparse.csr_matrix(q), sparse.csr_matrix(jacobi).__matmul__
 
@@ -438,7 +434,7 @@ class TestUpdateQx1:
         op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
         sigma2 = 0.25
         y = rng.standard_normal(36)
-        blocks = [random_spd(rng, len(idx), 0.5) for idx in part.blocks]
+        blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
         eta = rng.standard_normal(36)
         w = np.full(36, 1.0 / sigma2)
 
@@ -624,7 +620,7 @@ class TestRunEpGaussian:
                                   EPConfig(damping=1.0, max_iterations=25, rbmc_samples=30))
             omega0 = np.zeros((64, 64))
             eta0 = np.zeros(64)
-            for idx, local in zip(part.blocks, part.local_indices):
+            for idx, local in blocks_of(part):
                 prior = adapted.marginal(local)
                 prior_prec = np.linalg.inv(prior.covs[0])
                 omega0[np.ix_(idx, idx)] = prior_prec

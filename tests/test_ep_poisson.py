@@ -15,7 +15,7 @@ from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import Conv2D, Identity, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
 
-from conftest import random_spd, stack_by_group
+from conftest import blocks_of, random_spd, stack_by_group
 from reference import dense_reference_moments, sample_prior_image
 
 
@@ -327,7 +327,7 @@ class TestUpdateQx1Poisson:
         n = 144
         w = rng.uniform(0.1, 2.0, n)
         m_u0 = rng.uniform(1.0, 5.0, n)
-        blocks = [random_spd(rng, len(idx), 0.3) for idx in part.blocks]
+        blocks = [random_spd(rng, len(idx), 0.3) for idx, _ in blocks_of(part)]
         eta0 = rng.standard_normal(n)
         state = EPState(
             q0=GaussianFactor("block", part, stack_by_group(part, blocks), eta0),
@@ -339,7 +339,7 @@ class TestUpdateQx1Poisson:
         mean, _, _, _ = tilted_p1_moments(state.q0, op, w, op.apply_adjoint(w * m_u0),
                                           EPConfig())
         omega0 = np.zeros((n, n))
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             omega0[np.ix_(idx, idx)] = blocks[j]
         expected, _ = dense_reference_moments(op, w, omega0,
                                               eta0 + op.apply_adjoint(w * m_u0))

@@ -4,7 +4,7 @@ import pytest
 from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.partitions import build_shifted_partitions
 
-from conftest import pixel_diagonal, stack_by_group
+from conftest import blocks_of, pixel_diagonal, stack_by_group
 
 
 class TestConstruction:
@@ -46,18 +46,18 @@ class TestMarginalVariances:
         parts = build_shifted_partitions(3, 2, 2)
         part = next(p for p in parts if p.shift == (1, 0))
         two = np.array([[2.0, 1.0], [1.0, 2.0]])
-        blocks = [two if len(b) == 2 else np.eye(len(b)) for b in part.blocks]
+        blocks = [two if len(b) == 2 else np.eye(len(b)) for b, _ in blocks_of(part)]
         out = pixel_diagonal(part, BlockDiagonalCov(part, stack_by_group(part, blocks)).stacks)
-        small = next(b for b in part.blocks if len(b) == 2)
+        small = next(b for b, _ in blocks_of(part) if len(b) == 2)
         np.testing.assert_array_equal(out[small], [2.0, 2.0])
 
     def test_block_diagonal_scatters_to_pixel_order(self):
         parts = build_shifted_partitions(4, 4, 2)
         part = next(p for p in parts if p.shift == (1, 1))
         blocks = []
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             b = len(idx)
             blocks.append(np.diag(np.full(b, float(j + 1))))
         out = pixel_diagonal(part, BlockDiagonalCov(part, stack_by_group(part, blocks)).stacks)
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             np.testing.assert_array_equal(out[idx], np.full(len(idx), float(j + 1)))

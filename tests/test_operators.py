@@ -16,7 +16,7 @@ from patchep.operators import (
 )
 from patchep.partitions import build_shifted_partitions
 
-from conftest import per_block, random_spd, stack_by_group
+from conftest import blocks_of, per_block, random_spd, stack_by_group
 
 
 def conv_dense_from_formula(width, height, kernel):
@@ -127,7 +127,7 @@ class TestApplyAdjoint:
         gram, stacks = op.gram_block(part, w)
         expected = h.T @ np.diag(w) @ h
         np.testing.assert_allclose(gram.toarray(), expected, atol=1e-12)
-        for idx, block in zip(part.blocks, per_block(part, stacks)):
+        for (idx, _), block in zip(blocks_of(part), per_block(part, stacks)):
             np.testing.assert_allclose(block, expected[np.ix_(idx, idx)], atol=1e-12)
         np.testing.assert_allclose(op.diag_gram(), np.diag(h.T @ h), rtol=1e-12)
         for _ in range(5):
@@ -161,10 +161,10 @@ class TestRowForms:
         h = dense_matrix(op)
         rng = np.random.default_rng(3)
         part = build_shifted_partitions(6, 6, 3)[4]
-        blocks = [random_spd(rng, len(b)) for b in part.blocks]
+        blocks = [random_spd(rng, len(b)) for b, _ in blocks_of(part)]
         cov = stack_by_group(part, blocks)
         sigma = np.zeros((36, 36))
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             sigma[np.ix_(idx, idx)] = blocks[j]
         batch = all_row_quadratic_forms(op, part, cov)
         np.testing.assert_allclose(batch, [h[n] @ sigma @ h[n] for n in range(36)],
@@ -178,9 +178,9 @@ class TestRowForms:
         h = dense_matrix(op)
         rng = np.random.default_rng(7)
         part = build_shifted_partitions(6, 6, 3)[4]
-        blocks = [random_spd(rng, len(b)) for b in part.blocks]
+        blocks = [random_spd(rng, len(b)) for b, _ in blocks_of(part)]
         sigma = np.zeros((36, 36))
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             sigma[np.ix_(idx, idx)] = blocks[j]
         np.testing.assert_allclose(all_row_quadratic_forms(op, part, stack_by_group(part, blocks)),
                                    [h[n] @ sigma @ h[n] for n in range(36)], rtol=1e-12)
@@ -215,7 +215,7 @@ class TestRowForms:
             np.testing.assert_allclose(gram.toarray(), expected, atol=1e-12)
             for group, stack in zip(part.groups, stacks):
                 assert stack.shape == (len(group.ids),) + (group.pixels.shape[1],) * 2
-            for idx, block in zip(part.blocks, per_block(part, stacks)):
+            for (idx, _), block in zip(blocks_of(part), per_block(part, stacks)):
                 np.testing.assert_allclose(block, expected[np.ix_(idx, idx)], atol=1e-12)
 
     def test_diag_gram(self):

@@ -22,7 +22,7 @@ from patchep.pipeline import (
     run_pipeline,
 )
 
-from conftest import random_spd, stack_by_group
+from conftest import blocks_of, random_spd, stack_by_group
 from reference import (
     epem_e_cost_differences_exact,
     epem_e_cost_reference,
@@ -92,7 +92,7 @@ def single_pixel_partition_cost_inputs():
     """One 1-pixel block, K=1 base: scalar cost has a hand formula."""
     from patchep.partitions import Partition
 
-    part = Partition(1, 1, 1, (0, 0), [np.array([0])], [np.array([0])])
+    part = Partition(1, 1, 1, (0, 0))
     base = PatchGMM(np.array([1.0]), np.array([[0.0]]), np.array([[[1.0]]]))
     weights = [np.array([[1.0]])]
     mean = np.array([1.3])
@@ -134,7 +134,7 @@ class TestEpemCost:
         weights = []
         mean = x
         cov = BlockDiagonalCov(part, diag_stacks(part, np.full(part.n_pixels, 1e-4)))
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             logp = [np.log(adapted.weights[k])
                     - 0.5 * (x[idx] - adapted.means[k]) @ np.linalg.solve(
                         adapted.covs[k], x[idx] - adapted.means[k])
@@ -240,7 +240,7 @@ class TestEpemMStep:
         part = build_shifted_partitions(8, 8, 4)[0]
         base = PatchGMM(np.array([1.0]), np.zeros((1, 16)), np.eye(16)[None])
         mean = rng.standard_normal(64) + 2.0
-        weights = stack_by_group(part, [np.array([1.0]) for _ in part.blocks])
+        weights = stack_by_group(part, [np.array([1.0]) for _ in blocks_of(part)])
         cov = BlockDiagonalCov(part, diag_stacks(part, np.full(64, 0.1)))
         theta = epem_m_step(weights, mean, cov, base, part,
                             Adaptation(offset=0.0, mean_var=1e-8, scale=1.0),
@@ -251,7 +251,7 @@ class TestEpemMStep:
         part = build_shifted_partitions(8, 8, 4)[0]
         base = PatchGMM(np.array([1.0]), np.zeros((1, 16)), np.eye(16)[None])
         mean = rng.standard_normal(64)
-        weights = stack_by_group(part, [np.array([1.0]) for _ in part.blocks])
+        weights = stack_by_group(part, [np.array([1.0]) for _ in blocks_of(part)])
         cov = BlockDiagonalCov(part, diag_stacks(part, np.full(64, 0.1)))
         theta = epem_m_step(weights, mean, cov, base, part,
                             Adaptation(scale=1.0), estimate_scale=False)
@@ -266,7 +266,7 @@ class TestEpemMStep:
         )
         adapted = adapt(base, Adaptation(offset=1.0, mean_var=0.2, scale=1.0))
         x = sample_prior_image(adapted, part, rng)
-        weights = stack_by_group(part, [np.full(2, 0.5) for _ in part.blocks])
+        weights = stack_by_group(part, [np.full(2, 0.5) for _ in blocks_of(part)])
         cov = BlockDiagonalCov(part, diag_stacks(part, np.full(part.n_pixels, 0.05)))
         theta0 = Adaptation(offset=0.2, mean_var=0.05, scale=1.0)
         stats = estep_statistics(weights, x, cov, base, part)

@@ -7,7 +7,7 @@ from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
 
-from conftest import random_spd, small_gmm
+from conftest import blocks_of, random_spd, small_gmm
 from reference import (
     dense_operator,
     dense_reference_moments,
@@ -27,7 +27,7 @@ class TestExactDiagonalPosterior:
         post = exact_diagonal_gaussian_posterior(y, Identity(4, 4), 1e12, adapted, part)
         w = adapted.weights
         prior_mean = w @ adapted.means
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             np.testing.assert_allclose(post.mean[idx], prior_mean, atol=1e-6)
             np.testing.assert_allclose(post.weights[j], w, atol=1e-6)
 
@@ -39,7 +39,7 @@ class TestExactDiagonalPosterior:
         y = rng.standard_normal(16)
         sigma2 = 0.6
         post = exact_diagonal_gaussian_posterior(y, Identity(4, 4), sigma2, adapted, part)
-        for j, idx in enumerate(part.blocks):
+        for j, (idx, _) in enumerate(blocks_of(part)):
             prec = np.linalg.inv(base.covs[0]) + np.eye(4) / sigma2
             cov = np.linalg.inv(prec)
             mean = cov @ (np.linalg.solve(base.covs[0], base.means[0]) + y[idx] / sigma2)
@@ -124,7 +124,7 @@ class TestNaiveFullEp:
         prior_prec = np.linalg.inv(adapted.covs[0])
         omega0 = np.zeros((16, 16))
         eta0 = np.zeros(16)
-        for idx in part.blocks:
+        for idx, _ in blocks_of(part):
             omega0[np.ix_(idx, idx)] = prior_prec
             eta0[idx] = prior_prec @ adapted.means[0]
         exact_mean, exact_cov = dense_reference_moments(
