@@ -33,14 +33,16 @@ exact constrained minimizer per group's stack.  Each iteration alternates
 Nothing that goes wrong in an update is silent: each one counts as a warning
 under one of ``WARNING_CAUSES`` (a CG column stopped at its iteration cap, a
 group whose tilted moments failed, counted per block, a block whose KL step
-failed or was rejected, or a Poisson precision escape), and the result
-reports the counts by cause.
+failed or was rejected, or a Poisson precision escape).
 
 Per-pixel (diagonal) factors are set to their KL target undamped; block
 factors, and the Poisson model's isotropic q_u1, are damped in natural
-parameters (precision and precision-mean).  The loop stops when the squared
-change of the joint mean and of the joint marginal variances both fall below
-tol * N.
+parameters (precision and precision-mean).  Each group's KL step writes to
+the live factor.  The loop stops when the squared change of the joint mean
+and of the joint marginal variances both fall below tol * N.  The result
+keeps one record per iteration in ``EPResult.history``: the two squared
+changes, the CG iterations, the iteration's warnings by cause and, for the
+Poisson model, the q_u1 variance c1; the run's warnings are their sums.
 
 Every CG solve of the tilted mean starts from the last synced joint mean.
 A run can resume from an earlier result on the same partition: both factors
@@ -51,8 +53,6 @@ the first this way, since an M-step moves the prior only a little.
 
 from __future__ import annotations
 
-import json
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -82,7 +82,7 @@ class EPConfig:
     def __post_init__(self):
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
-        if self.stop_tol <= 0 or self.cg_tol <= 0:
+        if not self.stop_tol > 0 or not self.cg_tol > 0:
             raise ValueError("tolerances must be positive")
         for name in ("max_iterations", "cg_max_iters", "rbmc_samples"):
             if getattr(self, name) < 1:
@@ -122,12 +122,6 @@ class GaussianFactor:
         return GaussianFactor(self.structure, self.partition,
                               [p.copy() for p in self.prec], self.eta.copy())
 
-    def damp_from(self, target: "GaussianFactor", damping: float) -> None:
-        """Convex combination in natural-parameter space, in place."""
-        eps = damping
-        self.eta = eps * target.eta + (1 - eps) * self.eta
-        self.prec = [eps * t + (1 - eps) * p for t, p in zip(target.prec, self.prec)]
-
 
 @dataclass
 class EPState:
@@ -141,7 +135,6 @@ class EPState:
     mean: np.ndarray = None
     marginal_var: np.ndarray = None
     joint_covs: list = None
-    iteration: int = 0
 
     def sync(self) -> None:
         """Joint moments from the factor product: precision adds, the joint
@@ -164,14 +157,19 @@ class EPResult:
     marginal_var: np.ndarray
     cov: BlockDiagonalCov
     weights: list                      # tilted GMM weights per group, (J_g, K) or None
-    iterations: int
     converged: bool
-    status: str
+    # one record per EP iteration: "iteration", "dm2" and "dvar2" (squared
+    # changes of the joint mean and marginal variances), the step's fields
+    # and "warnings", that iteration's counts by cause
+    history: list
     state: EPState = field(repr=False, default=None)
     u_mean: np.ndarray = None          # Poisson only
-    u_var: np.ndarray = None
     u_factors: object = field(repr=False, default=None)   # Poisson only: PoissonFactors
-    warnings_by_cause: dict = field(default_factory=dict)   # cause -> count
+    warnings_by_cause: dict = field(default_factory=dict)   # cause -> count, summed
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
     @property
     def warnings(self) -> int:
@@ -179,26 +177,28 @@ class EPResult:
         return sum(self.warnings_by_cause.values())
 
 
-def _kl_step(target: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.ndarray,
-             cav_prec: np.ndarray, cav_eta: np.ndarray) -> int:
-    """Set group g of ``target`` so that its product with the cavity
-    (precisions cav_prec, precision-means cav_eta) matches the tilted
-    moments: means (J, b) and covariances (J, b, b), or variances (J, b) for
-    a diagonal target.  Returns the warning count: blocks whose update
-    failed or was rejected; they keep their old parameters."""
-    pixels = target.partition.groups[g].pixels
-    stack = target.prec[g]
-    if target.structure == "diagonal":
+def _kl_step(factor: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.ndarray,
+             cav_prec: np.ndarray, cav_eta: np.ndarray, damping: float) -> int:
+    """Move group g of ``factor``, in place, to the target whose product with
+    the cavity (precisions cav_prec, precision-means cav_eta) matches the
+    tilted moments: means (J, b) and covariances (J, b, b), or variances
+    (J, b) for a diagonal factor.  A diagonal factor is set to the target; a
+    block becomes damping * target + (1 - damping) * old in natural
+    parameters.  Returns the warning count: blocks whose update failed or
+    was rejected; they keep their old parameters."""
+    pixels = factor.partition.groups[g].pixels
+    stack = factor.prec[g]
+    if factor.structure == "diagonal":
         p_cav = np.diagonal(cav_prec, axis1=1, axis2=2)
         ok = np.all(t_covs > 0, axis=1)
         p_new = diag_kl_update(t_covs[ok], p_cav[ok])
         stack[ok] = diag_stack(p_new)
-        target.eta[pixels[ok]] = (p_new + p_cav[ok]) * t_means[ok] - cav_eta[ok]
+        factor.eta[pixels[ok]] = (p_new + p_cav[ok]) * t_means[ok] - cav_eta[ok]
         return int(np.sum(~ok))
     p_new, ok = update_block_precision(t_covs, cav_prec, stack)
-    stack[ok] = p_new[ok]
-    target.eta[pixels[ok]] = (((p_new[ok] + cav_prec[ok]) @ t_means[ok, :, None])[..., 0]
-                              - cav_eta[ok])
+    eta_new = ((p_new[ok] + cav_prec[ok]) @ t_means[ok, :, None])[..., 0] - cav_eta[ok]
+    stack[ok] = damping * p_new[ok] + (1 - damping) * stack[ok]
+    factor.eta[pixels[ok]] = damping * eta_new + (1 - damping) * factor.eta[pixels[ok]]
     return int(np.sum(~ok))
 
 
@@ -206,12 +206,11 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     """Prior-side EP update; returns (tilted weights per group, warning
     counts by cause).  A group whose tilted moments fail gets weights None
     and keeps its old blocks.  A diagonal cavity goes to the tilted kernel
-    as (J, b) variances, and its tilted variances come back per pixel.  A
-    diagonal factor is set to its target, a block factor damped towards it."""
+    as (J, b) variances, and its tilted variances come back per pixel.  Each
+    group's KL step updates q_x0 in place (see :func:`_kl_step`)."""
     part = state.partition
     weights = []
     warnings = Counter()
-    target = state.q0.copy()
     for g, (group, cav_prec) in enumerate(zip(part.groups, state.q1.prec)):
         cav_eta = state.q1.eta[group.pixels]
         if state.q1.structure == "diagonal":
@@ -227,11 +226,8 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
             warnings["tilted_failed"] += len(group.ids)
             continue
         weights.append(w)
-        warnings["kl_rejected"] += _kl_step(target, g, t_means, t_covs, cav_prec, cav_eta)
-    if target.structure == "diagonal":
-        state.q0 = target
-    else:
-        state.q0.damp_from(target, config.damping)
+        warnings["kl_rejected"] += _kl_step(state.q0, g, t_means, t_covs, cav_prec, cav_eta,
+                                            config.damping)
     return weights, warnings
 
 
@@ -355,37 +351,27 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
     t_mean, t_covs, cg_iters, not_converged = tilted_p1_moments(
         state.q0, operator, obs_weights, obs_eta, config, state.mean)
     warnings = Counter(cg_not_converged=not_converged)
-    target = state.q1.copy()
     for g, group in enumerate(part.groups):
-        warnings["kl_rejected"] += _kl_step(target, g, t_mean[group.pixels], t_covs[g],
-                                            state.q0.prec[g], state.q0.eta[group.pixels])
-    state.q1.damp_from(target, config.damping)
+        warnings["kl_rejected"] += _kl_step(state.q1, g, t_mean[group.pixels], t_covs[g],
+                                            state.q0.prec[g], state.q0.eta[group.pixels],
+                                            config.damping)
     return cg_iters, warnings
-
-
-def _write_trace(trace, record: dict) -> None:
-    if trace is None:
-        return
-    if isinstance(trace, list):
-        trace.append(record)
-    else:
-        trace.write(json.dumps(record) + "\n")
 
 
 def run_ep(step, operator: DegradationOperator, partition: Partition,
            init_mean: np.ndarray, init_var: np.ndarray, config: EPConfig,
-           trace=None, init_state: EPState | None = None) -> EPResult:
+           init_state: EPState | None = None) -> EPResult:
     """The EP outer loop shared by the Gaussian and the Poisson model.
 
     Both x-side factors start at (init_mean, init_var), or at copies of the
     factors of ``init_state`` when one is given.  Each iteration calls
     ``step(state)``, which updates the factors, leaves the state synced
-    and returns (per-group tilted weights, warning counts as a mapping from
-    names in ``WARNING_CAUSES`` to counts, trace fields).
+    and returns (per-group tilted weights, a Counter of warnings by names in
+    ``WARNING_CAUSES``, further fields of the iteration's record).
     Iterations stop when the squared changes of the joint mean and joint
     marginal variances both drop below stop_tol * N, or at max_iterations.
-    One trace record per iteration goes to ``trace`` (a list, or a text
-    stream that receives JSON lines).
+    The result's ``history`` holds one record per iteration, of native
+    Python numbers, and its warnings by cause are the sums over the records.
     """
     n = partition.n_pixels
     structure = "diagonal" if operator.is_diagonal else "block"
@@ -400,20 +386,16 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     state.sync()
 
     weights = None
-    warnings = dict.fromkeys(WARNING_CAUSES, 0)
+    history = []
     converged = False
     for iteration in range(1, config.max_iterations + 1):
         prev_mean, prev_var = state.mean, state.marginal_var   # sync makes new arrays
-        t0 = time.perf_counter()
         weights, step_warnings, fields = step(state)
-        for cause, count in step_warnings.items():
-            warnings[cause] += count
-        state.iteration = iteration
-
         dm2 = float(np.sum((state.mean - prev_mean) ** 2))
         dv2 = float(np.sum((state.marginal_var - prev_var) ** 2))
-        _write_trace(trace, {"iteration": iteration, "dm2": dm2, "dvar2": dv2, **fields,
-                             "wall_time_s": time.perf_counter() - t0})
+        warnings = {cause: int(step_warnings[cause]) for cause in WARNING_CAUSES}
+        history.append({"iteration": iteration, "dm2": dm2, "dvar2": dv2, **fields,
+                        "warnings": warnings})
         if dm2 < config.stop_tol * n and dv2 < config.stop_tol * n:
             converged = True
             break
@@ -423,17 +405,17 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
         marginal_var=state.marginal_var.copy(),
         cov=BlockDiagonalCov(partition, state.joint_covs),
         weights=weights,
-        iterations=state.iteration,
         converged=converged,
-        status="converged" if converged else "max_iterations",
+        history=history,
         state=state,
-        warnings_by_cause=warnings,
+        warnings_by_cause={cause: sum(r["warnings"][cause] for r in history)
+                           for cause in WARNING_CAUSES},
     )
 
 
 def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
                     adapted: AdaptedGMM, partition: Partition,
-                    config: EPConfig | None = None, trace=None,
+                    config: EPConfig | None = None,
                     init: EPResult | None = None) -> EPResult:
     """EP for  y = Hx + Gaussian noise  with a GMM patch prior.
 
@@ -446,8 +428,10 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     n = partition.n_pixels
     if y.shape != (n,):
         raise ValueError("observation length does not match the partition")
-    if sigma2 <= 0:
-        raise ValueError("noise variance must be positive")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError("noise variance must be positive and finite")
 
     obs_weights = np.full(n, 1.0 / sigma2)
     obs_eta = operator.apply_adjoint(y) / sigma2
@@ -458,5 +442,5 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
         state.sync()
         return weights, w0 + w1, {"cg_iterations": cg_iters}
 
-    return run_ep(step, operator, partition, y, np.full(n, float(sigma2)), config, trace,
+    return run_ep(step, operator, partition, y, np.full(n, float(sigma2)), config,
                   None if init is None else init.state)

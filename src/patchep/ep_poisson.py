@@ -23,6 +23,8 @@ One iteration of the EP loop of :func:`patchep.ep_gaussian.run_ep` runs
 q_u0, q_x1, q_x0, a sync of the x-side joint, then q_u1.  So q_u1 reads the
 joint after q_x0: an iteration is a map of the current factors, with no
 one-iteration lag, and the stop rule (x-side joint moments) sees its step.
+Each iteration's record adds c1, the q_u1 variance, and counts the q_u0
+escapes as warnings of cause ``poisson_escapes``.
 """
 
 from __future__ import annotations
@@ -223,11 +225,6 @@ class PoissonFactors:
         return PoissonFactors(self.prec_u0.copy(), self.eta_u0.copy(), self.prec_u1,
                               self.eta_u1.copy())
 
-    def joint_u_moments(self):
-        prec = self.prec_u0 + self.prec_u1
-        mean = (self.eta_u0 + self.eta_u1) / prec
-        return mean, 1.0 / prec
-
 
 def update_q_u0(factors: PoissonFactors, y: np.ndarray, config: EPConfig):
     """Count-likelihood update: the diagonal KL step on the 1D tilted
@@ -292,7 +289,7 @@ def update_q_u1(factors: PoissonFactors, state: EPState,
 
 def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
                    adapted: AdaptedGMM, partition: Partition,
-                   config: EPConfig | None = None, trace=None,
+                   config: EPConfig | None = None,
                    init: EPResult | None = None) -> EPResult:
     """Data-augmented EP for  y ~ Poisson(Hx)  with a GMM patch prior.
 
@@ -300,16 +297,20 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     isotropic q_u1 uses their mean), unless the run resumes from ``init``, a
     Poisson result on the same partition: then all four factors start from
     its factors and the first CG solve from its mean.  The result carries
-    its u-side factors as ``u_factors``.  The update order is q_u0, q_x1, q_x0,
-    sync, q_u1, so q_u1 reads the joint after q_x0 (no lag, see the module
-    docstring).  The escapes of the q_u0 update count as EP warnings of cause
-    ``poisson_escapes``.
+    its u-side factors as ``u_factors`` and the mean of their product as
+    ``u_mean``.  The update order is q_u0, q_x1, q_x0, sync, q_u1, so q_u1
+    reads the joint after q_x0 (no lag, see the module docstring).  The
+    escapes of the q_u0 update count as EP warnings of cause
+    ``poisson_escapes``; each iteration's record also holds ``c1``, the q_u1
+    variance after the iteration.
     """
     config = config or EPConfig()
     y = np.asarray(y, dtype=float)
     n = partition.n_pixels
     if y.shape != (n,):
         raise ValueError("observation length does not match the partition")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
     if np.any(y < 0) or np.any(y != np.rint(y)):
         raise ValueError("Poisson observations must be nonnegative integers")
     if np.any(operator.matrix.data < 0):
@@ -334,11 +335,10 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
 
         update_q_u1(factors, state, operator, config)
         w0["poisson_escapes"] += escapes
-        return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": 1.0 / factors.prec_u1,
-                                  "negative_precision_escapes": escapes}
+        return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": float(1.0 / factors.prec_u1)}
 
-    result = run_ep(step, operator, partition, init_mean, init_var, config, trace,
+    result = run_ep(step, operator, partition, init_mean, init_var, config,
                     None if init is None else init.state)
-    result.u_mean, result.u_var = factors.joint_u_moments()
+    result.u_mean = (factors.eta_u0 + factors.eta_u1) / (factors.prec_u0 + factors.prec_u1)
     result.u_factors = factors
     return result

@@ -15,6 +15,9 @@ stabilizes; picks that end on a search bound are reported.  An M-step moves
 the adaptation only a little, so every EM round after the first resumes EP
 from the factors of the round before (a warm-started E-step, Neal & Hinton
 1998) instead of restarting from the observation.
+
+The report of a run nests run -> expert -> EM round -> EP iteration, the
+last level being each EP run's ``EPResult.history``.
 """
 
 from __future__ import annotations
@@ -56,11 +59,11 @@ class ExpertResult:
     iterations: int
     outer_rounds: int
     converged: bool
-    status: str
     # EP warnings by cause (see ep_gaussian.WARNING_CAUSES), summed over EM rounds
     warnings_by_cause: dict = field(default_factory=dict)
-    # one record per EM round: its EP iterations, convergence, the adaptation
-    # it ran under and the parameters the M-step after it left on a bound
+    # one record per EM round: its EP iterations, convergence and per-iteration
+    # history (see EPResult.history), the adaptation it ran under and the
+    # parameters the M-step after it left on a bound
     rounds: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -305,7 +308,7 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
             raise TypeError(f"unknown noise model {noise!r}")
         warnings.update(result.warnings_by_cause)
         rounds.append({"iterations": result.iterations, "converged": result.converged,
-                       "theta": asdict(theta), "at_bound": []})
+                       "theta": asdict(theta), "at_bound": [], "history": result.history})
         if not em_enabled:
             break
         new_theta = epem_m_step(result.weights, result.mean, result.cov, base,
@@ -324,7 +327,6 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
         iterations=sum(r["iterations"] for r in rounds),
         outer_rounds=len(rounds),
         converged=result.converged,
-        status=result.status,
         warnings_by_cause=dict(warnings),
         rounds=rounds,
     )
@@ -334,16 +336,21 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
                  base: PatchGMM, config: PipelineConfig | None = None) -> PipelineResult:
     """Full restoration: one EP(-EM) expert per shifted partition, fused by
     the product-of-experts rule.  Experts run in index order with
-    per-expert seeds, so results are reproducible.  The report gives each
-    expert's EP warnings, summed over its EM rounds, as a total and by cause
-    (unconverged CG solves, failed tilted groups, failed or rejected KL
-    blocks, Poisson precision escapes; see ``ep_gaussian.WARNING_CAUSES``),
-    and the same over all experts; each expert's EM rounds (EP iterations,
-    convergence and adaptation per round, and the M-step picks that ended
-    on a search bound); and a run-level ``verdict``, the number of experts
-    whose last EP run converged, did not converge, or failed."""
+    per-expert seeds, so results are reproducible.
+
+    The report nests run -> expert -> EM round -> EP iteration.  The run has
+    a ``verdict`` (experts whose last EP run converged, did not converge, or
+    failed), the failures and the EP warnings of all experts, as a total and
+    by cause (see ``ep_gaussian.WARNING_CAUSES``).  Each expert has its
+    adaptation, a ``status`` from its last EP run and its warnings summed
+    over its rounds.  Each EM round has its EP iterations, convergence and
+    adaptation, the M-step picks that ended on a search bound, and its
+    ``history`` (see ``EPResult.history``).  The report holds only native
+    Python values, so it round-trips through JSON."""
     config = config or PipelineConfig()
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
     partitions = build_shifted_partitions(operator.width, operator.height,
                                           config.patch_size, config.n_experts)
 
@@ -380,7 +387,7 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
                 "theta": asdict(e.theta),
                 "iterations": e.iterations,
                 "outer_rounds": e.outer_rounds,
-                "status": e.status,
+                "status": "converged" if e.converged else "max_iterations",
                 "warnings": e.warnings,
                 "warnings_by_cause": dict(e.warnings_by_cause),
                 "rounds": e.rounds,

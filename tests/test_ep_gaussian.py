@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from patchep.ep_gaussian import (
+    WARNING_CAUSES,
     EPConfig,
     EPState,
     GaussianFactor,
@@ -51,6 +52,11 @@ class TestConfig:
             EPConfig(damping=0.0)
         with pytest.raises(ValueError):
             EPConfig(cg_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["stop_tol", "cg_tol"])
+    def test_rejects_nan_tolerance(self, field):
+        with pytest.raises(ValueError, match="tolerances"):
+            EPConfig(**{field: np.nan})
 
     @pytest.mark.parametrize("field", ["max_iterations", "cg_max_iters", "rbmc_samples"])
     @pytest.mark.parametrize("value", [0, -1])
@@ -179,7 +185,7 @@ class TestKlStep:
     def test_mixed_stack_updates_every_block(self, rng):
         means, covs, cav, cav_eta = self.mixed_problem(rng)
         target = kl_target(np.stack([np.eye(4)] * 4))
-        assert _kl_step(target, 0, means, covs, cav, cav_eta) == 0
+        assert _kl_step(target, 0, means, covs, cav, cav_eta, 1.0) == 0
         pixels = target.partition.groups[0].pixels
         for i in (0, 2):
             cov_inv = np.linalg.inv(covs[i])
@@ -200,7 +206,7 @@ class TestKlStep:
         means, covs, cav, cav_eta = self.mixed_problem(rng)
         start = np.stack([np.eye(4), np.zeros((4, 4)), np.eye(4), np.zeros((4, 4))])
         target = kl_target(start)
-        assert _kl_step(target, 0, means, covs, cav, cav_eta) == 2
+        assert _kl_step(target, 0, means, covs, cav, cav_eta, 1.0) == 2
         np.testing.assert_array_equal(target.prec[0][[1, 3]], 0.0)
         np.testing.assert_array_equal(target.eta[target.partition.groups[0].pixels[[1, 3]]], 0.0)
         for i in (0, 2):
@@ -213,13 +219,35 @@ class TestKlStep:
         means, covs, cav, cav_eta = self.mixed_problem(rng)
         covs[2] = 0.0
         target = kl_target(np.stack([np.eye(4)] * 4))
-        assert _kl_step(target, 0, means, covs, cav, cav_eta) == 1
+        assert _kl_step(target, 0, means, covs, cav, cav_eta, 1.0) == 1
         np.testing.assert_array_equal(target.prec[0][2], np.eye(4))
         np.testing.assert_array_equal(target.eta[target.partition.groups[0].pixels[2]], 0.0)
         np.testing.assert_allclose(target.prec[0][0], np.linalg.inv(covs[0]) - cav[0],
                                    rtol=1e-8, atol=1e-10)
         for i in (1, 3):
             assert np.linalg.eigvalsh(target.prec[0][i])[0] >= PRECISION_FLOOR
+
+    def test_damping_moves_accepted_blocks_and_keeps_flagged_ones(self, rng):
+        # the step writes to the live factor: at damping 0.3 an accepted
+        # block moves 30% of the way to its target in natural parameters,
+        # and the flagged block 2 keeps its old parameters bit for bit
+        means, covs, cav, cav_eta = self.mixed_problem(rng)
+        covs[2] = 0.0
+        start = np.stack([random_spd(rng, 4) for _ in range(4)])
+        old_eta = rng.standard_normal(16)
+        full, damped = kl_target(start), kl_target(start)
+        full.eta[:] = damped.eta[:] = old_eta
+        assert _kl_step(full, 0, means, covs, cav, cav_eta, 1.0) == 1
+        assert _kl_step(damped, 0, means, covs, cav, cav_eta, 0.3) == 1
+        pixels = damped.partition.groups[0].pixels
+        for i in (0, 1, 3):
+            np.testing.assert_allclose(damped.prec[0][i], 0.3 * full.prec[0][i] + 0.7 * start[i],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(damped.eta[pixels[i]],
+                                       0.3 * full.eta[pixels[i]] + 0.7 * old_eta[pixels[i]],
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(damped.prec[0][2], start[2])
+        np.testing.assert_array_equal(damped.eta[pixels[2]], old_eta[pixels[2]])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),
@@ -231,7 +259,7 @@ class TestKlStep:
         covs = a @ np.swapaxes(a, 1, 2) + shift * np.eye(4)
         cav = cav_scale * (c @ np.swapaxes(c, 1, 2) + 0.1 * np.eye(4))
         target = kl_target(np.stack([np.eye(4)] * 3))
-        _kl_step(target, 0, np.zeros((3, 4)), covs, cav, np.zeros((3, 4)))
+        _kl_step(target, 0, np.zeros((3, 4)), covs, cav, np.zeros((3, 4)), 1.0)
         for prec, cov, p_cav in zip(target.prec[0], covs, cav):
             # the floor holds up to the rounding of the eigenvalue computation
             assert np.linalg.eigvalsh(prec)[0] >= PRECISION_FLOOR * (1 - 1e-6)
@@ -648,13 +676,17 @@ class TestRunEpGaussian:
         assert res.converged and res.warnings == 0
 
     def test_trace_records_emitted(self, rng):
+        # one record per iteration, numbered from 1, in native Python numbers
         part = build_shifted_partitions(4, 4, 2)[0]
         adapted = k1_adapted(rng, 4)
         y = rng.standard_normal(16)
-        trace = []
-        run_ep_gaussian(y, Identity(4, 4), 0.1, adapted, part, EPConfig(), trace=trace)
-        assert len(trace) >= 1
-        assert {"iteration", "dm2", "dvar2", "cg_iterations", "wall_time_s"} <= set(trace[0])
+        res = run_ep_gaussian(y, Identity(4, 4), 0.1, adapted, part, EPConfig())
+        assert len(res.history) == res.iterations >= 1
+        assert [r["iteration"] for r in res.history] == list(range(1, res.iterations + 1))
+        assert set(res.history[0]) == {"iteration", "dm2", "dvar2", "cg_iterations", "warnings"}
+        assert set(res.history[0]["warnings"]) == set(WARNING_CAUSES)
+        assert all(type(r["dm2"]) is float and type(r["cg_iterations"]) is int
+                   for r in res.history)
 
     def test_status_flag_when_not_converged(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]
@@ -662,7 +694,18 @@ class TestRunEpGaussian:
         y = rng.standard_normal(16)
         res = run_ep_gaussian(y, Identity(4, 4), 0.1, adapted, part,
                               EPConfig(max_iterations=1))
-        assert res.status == "max_iterations" and not res.converged
+        assert res.iterations == 1 and not res.converged
+
+    @pytest.mark.parametrize("y_bad, sigma2", [(np.inf, 0.1), (np.nan, 0.1), (0.0, 0.0),
+                                               (0.0, -1.0), (0.0, np.inf), (0.0, np.nan)],
+                             ids=["inf_pixel", "nan_pixel", "zero_var", "negative_var",
+                                  "inf_var", "nan_var"])
+    def test_rejects_nonfinite_input(self, rng, y_bad, sigma2):
+        part = build_shifted_partitions(4, 4, 2)[0]
+        y = rng.standard_normal(16)
+        y[5] += y_bad
+        with pytest.raises(ValueError):
+            run_ep_gaussian(y, Identity(4, 4), sigma2, k1_adapted(rng, 4), part)
 
 
 class TestResume:

@@ -420,6 +420,17 @@ class TestRunEpPoisson:
         with pytest.raises(ValueError):
             run_ep_poisson(np.full(16, 0.5), Identity(4, 4), adapted, part)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf_count", "nan_count"])
+    def test_rejects_nonfinite_counts(self, bad):
+        # an infinite count used to pass the integer check and divide by zero
+        part = build_shifted_partitions(4, 4, 2)[0]
+        adapted = adapt(PatchGMM(np.array([1.0]), np.zeros((1, 4)), np.eye(4)[None]),
+                        Adaptation())
+        y = np.ones(16)
+        y[3] = bad
+        with pytest.raises(ValueError):
+            run_ep_poisson(y, Identity(4, 4), adapted, part)
+
     def test_rejects_negative_kernel_entry(self):
         part = build_shifted_partitions(4, 4, 2)[0]
         adapted = adapt(PatchGMM(np.array([1.0]), np.zeros((1, 4)), np.eye(4)[None]),
@@ -434,10 +445,9 @@ class TestRunEpPoisson:
         base = PatchGMM(np.array([1.0]), np.full((1, 4), 3.0), np.eye(4)[None])
         adapted = adapt(base, Adaptation())
         y = simulate(Identity(4, 4), np.full(16, 3.0), PoissonNoise(), seed=1)
-        trace = []
-        run_ep_poisson(y, Identity(4, 4), adapted, part,
-                       EPConfig(max_iterations=3), trace=trace)
-        assert {"c1", "negative_precision_escapes"} <= set(trace[0])
+        res = run_ep_poisson(y, Identity(4, 4), adapted, part, EPConfig(max_iterations=3))
+        assert all(type(r["c1"]) is float and r["c1"] > 0 for r in res.history)
+        assert "poisson_escapes" in res.history[0]["warnings"]
 
     def test_escapes_are_warnings(self, monkeypatch):
         # every tilted variance above c1: each pixel escapes on every
@@ -451,13 +461,10 @@ class TestRunEpPoisson:
             return np.zeros(n), np.asarray(mu1, float), np.full(n, 2.0 * c1), 0
 
         monkeypatch.setattr("patchep.ep_poisson.rectified_poisson_tilted_batch", fake_tilted)
-        trace = []
         res = run_ep_poisson(np.full(16, 3.0), Identity(4, 4), adapted, part,
-                             EPConfig(max_iterations=3), trace=trace)
-        escapes = sum(record["negative_precision_escapes"] for record in trace)
-        assert escapes == 16 * res.iterations
-        assert res.warnings_by_cause["poisson_escapes"] == escapes
-        assert res.warnings == escapes
+                             EPConfig(max_iterations=3))
+        assert [r["warnings"]["poisson_escapes"] for r in res.history] == [16] * res.iterations
+        assert res.warnings_by_cause["poisson_escapes"] == res.warnings == 16 * res.iterations
 
 
 class TestResumePoisson:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from patchep.ep_gaussian import WARNING_CAUSES, EPConfig, run_ep_gaussian
 from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
-from patchep.operators import Conv2D, GaussianNoise, Identity, simulate
+from patchep.operators import Conv2D, GaussianNoise, Identity, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
 from patchep.pipeline import (
     ExpertResult,
@@ -34,8 +35,7 @@ from reference import (
 def make_expert(index, mean, var):
     return ExpertResult(index=index, mean=np.asarray(mean, float),
                         marginal_var=np.asarray(var, float), theta=Adaptation(),
-                        weights=[], iterations=1, outer_rounds=1,
-                        converged=True, status="converged")
+                        weights=[], iterations=1, outer_rounds=1, converged=True)
 
 
 class TestFusePoe:
@@ -361,16 +361,25 @@ class TestRunPipeline:
         assert all(e.outer_rounds == 1 for e in out.experts[1:])
 
     def test_report_structure_and_determinism(self, rng):
+        # Gaussian and Poisson denoising: two runs give the same report, and
+        # the report, EP iteration records included, round-trips through JSON
         base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
         y = simulate(Identity(8, 8), np.full(64, 0.4), GaussianNoise(0.01), seed=8)
+        poisson_base = PatchGMM(np.array([1.0]), np.full((1, 4), 5.0), (4.0 * np.eye(4))[None])
+        counts = simulate(Identity(8, 8), np.full(64, 5.0), PoissonNoise(), seed=8)
         cfg = PipelineConfig(ep=EPConfig(), patch_size=2, n_experts=2, seed=11)
-        a = run_pipeline(y, Identity(8, 8), GaussianNoise(0.01), base, cfg)
-        b = run_pipeline(y, Identity(8, 8), GaussianNoise(0.01), base, cfg)
-        assert a.report == b.report
-        np.testing.assert_array_equal(a.fused.mean, b.fused.mean)
-        assert {"n_experts", "experts", "failures", "patch_size", "warnings",
-                "warnings_by_cause"} <= set(a.report)
-        assert "total_s" in a.timings
+        for obs, noise, prior in ((y, GaussianNoise(0.01), base),
+                                  (counts, PoissonNoise(), poisson_base)):
+            a = run_pipeline(obs, Identity(8, 8), noise, prior, cfg)
+            b = run_pipeline(obs, Identity(8, 8), noise, prior, cfg)
+            assert a.report == b.report
+            np.testing.assert_array_equal(a.fused.mean, b.fused.mean)
+            assert {"n_experts", "experts", "failures", "patch_size", "warnings",
+                    "warnings_by_cause"} <= set(a.report)
+            assert all(len(r["history"]) == r["iterations"] >= 1
+                       for e in a.report["experts"] for r in e["rounds"])
+            assert json.loads(json.dumps(a.report)) == a.report
+            assert "total_s" in a.timings
 
     def test_ep_warnings_reach_the_report(self, rng):
         # 6x6 deblur: with cg_max_iters=1 every CG solve of every EP
@@ -394,10 +403,32 @@ class TestRunPipeline:
         for entry in capped["experts"] + [capped]:
             assert set(entry["warnings_by_cause"]) == set(WARNING_CAUSES)
             assert entry["warnings_by_cause"]["cg_not_converged"] == entry["warnings"]
+        # the records of every EP iteration hold the same warnings
+        for entry in capped["experts"]:
+            for r in entry["rounds"]:
+                assert len(r["history"]) == r["iterations"]
+            assert entry["warnings_by_cause"] == {
+                cause: sum(i["warnings"][cause] for r in entry["rounds"] for i in r["history"])
+                for cause in WARNING_CAUSES}
         default = report(EPConfig(max_iterations=1))
         assert default["warnings"] == 0
         assert [e["warnings"] for e in default["experts"]] == [0, 0]
         assert default["warnings_by_cause"] == dict.fromkeys(WARNING_CAUSES, 0)
+
+    @pytest.mark.parametrize("operator, noise", [
+        (Identity(8, 8), GaussianNoise(0.01)),
+        (Conv2D(8, 8, np.full((3, 3), 1.0 / 9.0)), GaussianNoise(0.01)),
+        (Identity(8, 8), PoissonNoise()),
+    ], ids=["gauss_denoise", "gauss_deblur", "poisson_denoise"])
+    def test_rejects_nonfinite_observation(self, operator, noise):
+        # one infinite pixel used to give a non-finite fused mean, "all
+        # experts failed" or an uncaught ZeroDivisionError
+        base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
+        y = np.ones(64)
+        y[10] = np.inf
+        cfg = PipelineConfig(patch_size=2, n_experts=1, em_enabled=False)
+        with pytest.raises(ValueError, match="finite"):
+            run_pipeline(y, operator, noise, base, cfg)
 
 
 class TestVerdictAndRounds:
@@ -427,6 +458,7 @@ class TestVerdictAndRounds:
         assert [r["iterations"] for r in entry["rounds"]] == [1, 1]
         assert [r["converged"] for r in entry["rounds"]] == [False, False]
         assert entry["iterations"] == 2 and entry["outer_rounds"] == 2
+        assert entry["status"] == "max_iterations"
         assert entry["rounds"][0]["theta"] == {"offset": 0.3, "mean_var": 0.02, "scale": 1.0}
         assert entry["rounds"][1]["theta"] != entry["rounds"][0]["theta"]
         assert entry["theta"] != entry["rounds"][1]["theta"]
