@@ -89,6 +89,18 @@ class EPConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
+def _check_observation(y, n: int, poisson: bool = False) -> np.ndarray:
+    """y as a finite float (n,) vector, of nonnegative integers under Poisson noise."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"observation shape {y.shape} does not match the image's ({n},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations must be finite")
+    if poisson and (np.any(y < 0) or np.any(y != np.rint(y))):
+        raise ValueError("Poisson observations must be nonnegative integers")
+    return y
+
+
 def _stack_moments(prec: np.ndarray, eta: np.ndarray, structure: str):
     """Means (J, b) and covariances (J, b, b) of a stack of blocks given in
     natural parameters: precisions (J, b, b) and precision-means (J, b).
@@ -100,16 +112,16 @@ def _stack_moments(prec: np.ndarray, eta: np.ndarray, structure: str):
     return (cov @ eta[..., None])[..., 0], cov
 
 
+@dataclass
 class GaussianFactor:
     """One EP factor in natural parameters: ``prec``, a list of (J_g, b, b)
     precision stacks aligned with ``partition.groups``, and ``eta``, the
     precision-mean in pixel order."""
 
-    def __init__(self, structure: str, partition: Partition, prec: list, eta: np.ndarray):
-        self.structure = structure
-        self.partition = partition
-        self.prec = prec
-        self.eta = eta
+    structure: str
+    partition: Partition
+    prec: list
+    eta: np.ndarray
 
     @classmethod
     def from_moments(cls, structure: str, partition: Partition,
@@ -141,8 +153,7 @@ class EPState:
         mean solves (P0 + P1) m = eta0 + eta1 per block."""
         part = self.partition
         eta = self.q0.eta + self.q1.eta
-        self.mean = np.empty(part.n_pixels)
-        self.marginal_var = np.empty(part.n_pixels)
+        self.mean, self.marginal_var = np.empty((2, part.n_pixels))
         self.joint_covs = []
         for group, p0, p1 in zip(part.groups, self.q0.prec, self.q1.prec):
             mean, cov = _stack_moments(p0 + p1, eta[group.pixels], self.q0.structure)
@@ -424,12 +435,8 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     updates q_x0, then q_x1 (see :func:`run_ep` for the stopping rule).
     """
     config = config or EPConfig()
-    y = np.asarray(y, dtype=float)
     n = partition.n_pixels
-    if y.shape != (n,):
-        raise ValueError("observation length does not match the partition")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations must be finite")
+    y = _check_observation(y, n)
     if not 0 < sigma2 < np.inf:
         raise ValueError("noise variance must be positive and finite")
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .ep_gaussian import EPConfig, EPResult, EPState, run_ep, update_q_x0, update_q_x1
+from .ep_gaussian import (EPConfig, EPResult, EPState, _check_observation, run_ep,
+                          update_q_x0, update_q_x1)
 from .gmm import AdaptedGMM
 from .kl_updates import diag_kl_update, iso_kl_update
 from .operators import DegradationOperator, all_row_quadratic_forms
@@ -187,9 +188,7 @@ def rectified_poisson_tilted_batch(y: np.ndarray, mu1: np.ndarray, c1: float):
     counts go through the quadrature _CHUNK pixels at a time."""
     y = np.asarray(y)
     mu1 = np.asarray(mu1, dtype=float)
-    log_z = np.empty(y.size)
-    mean = np.empty(y.size)
-    var = np.empty(y.size)
+    log_z, mean, var = np.empty((3, y.size))
     n_bad = 0
 
     zero = y == 0
@@ -305,14 +304,7 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     variance after the iteration.
     """
     config = config or EPConfig()
-    y = np.asarray(y, dtype=float)
-    n = partition.n_pixels
-    if y.shape != (n,):
-        raise ValueError("observation length does not match the partition")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations must be finite")
-    if np.any(y < 0) or np.any(y != np.rint(y)):
-        raise ValueError("Poisson observations must be nonnegative integers")
+    y = _check_observation(y, partition.n_pixels, poisson=True)
     if np.any(operator.matrix.data < 0):
         raise ValueError("Poisson models require a nonnegative H")
 

@@ -19,8 +19,7 @@ block and component.  L^{-1} comes from forward substitution, b batched row
 steps over the whole stack, not from an LU inverse (substitution is
 backward stable, Higham 2002, ch. 8 and 14): on a (J, K, b) = (64, 5, 16)
 stack it takes 0.5 ms against 2.6 ms for ``np.linalg.inv``, and 5.4 ms
-against 9.5 ms at (16, 5, 64) (best of 7, 2-vCPU x86 VM).  The sum
-S + C_k is not re-symmetrised before it is factored.
+against 9.5 ms at (16, 5, 64) (best of 7, 2-vCPU x86 VM).
 
 Under a diagonal operator (denoising, inpainting, Poisson denoising) the
 cavities are diagonal and EP needs only per-pixel tilted variances, so the
@@ -29,6 +28,15 @@ forming no (b, b) cavity or tilted matrix: on the 30 calls of a seed-1
 ``denoise_poisson`` bench restore a call takes 2.8 ms, against 3.8 ms when
 the same cavities went through the full-matrix path with scipy's
 ``logsumexp`` (median of 5 passes, 2-vCPU x86 VM).
+
+The EM fit :func:`train_em` takes every L_k^{-T} of its K covariances from
+the same forward substitution, stored C-contiguous (a transposed view makes
+the (n, d) @ (d, d) products z = (X - mu_k) L_k^{-T} 3-5x slower); its
+scatter R^T R, R = (X - m_k) sqrt(r_k), is one exactly symmetric BLAS SYRK
+per component.  A K = 5, 50-iteration fit on ``make_phantom(64, 64, 0)``
+patches takes 0.14-0.18 s at patch 4 and 0.56-0.73 s at patch 8, against
+0.35-0.43 s and 3.6-3.7 s with scipy triangular solves per component
+(median of 5 and of 3 fits, two passes, 2-vCPU x86 VM).
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "PatchGMM",
@@ -96,14 +103,6 @@ class PatchGMM:
         return self.means.shape[1]
 
 
-def _mvn_logpdf_chol(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    diff = x - mean
-    z = solve_triangular(chol, diff.T, lower=True)
-    quad = np.sum(z ** 2, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (mean.size * np.log(2 * np.pi) + logdet + quad)
-
-
 @dataclass(frozen=True)
 class Adaptation:
     """Intensity adaptation of a normalized patch GMM."""
@@ -131,10 +130,8 @@ class AdaptedGMM:
 
     def __post_init__(self):
         t = self.theta
-        dim = self.base.dim
         self.means = t.offset + t.scale * self.base.means
-        ones = np.ones((dim, dim))
-        self.covs = t.mean_var * ones + t.scale ** 2 * self.base.covs
+        self.covs = t.mean_var + t.scale ** 2 * self.base.covs   # mean_var 11^T + ...
 
     @property
     def weights(self) -> np.ndarray:
@@ -269,6 +266,21 @@ def _tilted_moments_stack(adapted: AdaptedGMM, cavity_means: np.ndarray,
     return weights, means, covs
 
 
+def _component_log_densities(samples: np.ndarray, means: np.ndarray,
+                             covs: np.ndarray) -> np.ndarray:
+    """(K, n) table of log N(x_n; mu_k, C_k), one row per component."""
+    n, dim = samples.shape
+    chol = _jittered_cholesky(covs)
+    chol_inv_t = np.ascontiguousarray(np.swapaxes(_lower_triangular_inverse(chol), -1, -2))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    table = np.empty((len(means), n))
+    diff, z = np.empty_like(samples), np.empty_like(samples)
+    for k in range(len(means)):
+        np.matmul(np.subtract(samples, means[k], out=diff), chol_inv_t[k], out=z)
+        table[k] = -0.5 * (dim * np.log(2 * np.pi) + logdet[k] + np.einsum("ni,ni->n", z, z))
+    return table
+
+
 def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
              seed: int = 0) -> PatchGMM:
     """Fit a PatchGMM by expectation-maximization.
@@ -276,9 +288,14 @@ def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
     The log-likelihood is non-decreasing across iterations; a regularization
     floor, 1e-6 times the mean per-coordinate sample variance, keeps every
     covariance diagonal bounded away from zero.  Degenerate (constant) data
-    collapses to a single floored component.
+    collapses to a single floored component; non-finite samples are
+    rejected.  The E-step goes through L_k^{-T} and the M-step's scatter
+    through SYRK (see the module docstring), one component at a time, so
+    every temporary is (n, dim).
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     n, dim = samples.shape
     if n_components <= 0:
         raise ValueError("n_components must be positive")
@@ -293,31 +310,24 @@ def train_em(samples: np.ndarray, n_components: int, max_iters: int = 100,
         return PatchGMM(weights=np.ones(1), means=samples[:1].copy(),
                         covs=cov_floor * eye[None])
 
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=n_components, replace=False)
-    means = samples[idx].copy()
+    means = samples[np.random.default_rng(seed).choice(n, size=n_components, replace=False)]
     base_cov = np.cov(samples.T).reshape(dim, dim) + cov_floor * eye
     covs = np.repeat(base_cov[None], n_components, axis=0)
     weights = np.full(n_components, 1.0 / n_components)
-    gmm = PatchGMM(weights=weights, means=means, covs=covs)
+    scaled = np.empty_like(samples)
 
     for _ in range(max_iters):
-        chols = _jittered_cholesky(0.5 * (gmm.covs + np.swapaxes(gmm.covs, -1, -2)))
-        log_resp = np.empty((n, n_components))
-        for k in range(n_components):
-            log_resp[:, k] = np.log(gmm.weights[k]) + _mvn_logpdf_chol(samples, gmm.means[k], chols[k])
-        log_max = np.max(log_resp, axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(log_resp - log_max), axis=1, keepdims=True)) + log_max
+        # (K, n), so the sums over components run along contiguous rows
+        log_resp = np.log(weights)[:, None] + _component_log_densities(samples, means, covs)
+        log_max = np.max(log_resp, axis=0)
+        log_norm = np.log(np.sum(np.exp(log_resp - log_max), axis=0)) + log_max
         resp = np.exp(log_resp - log_norm)
 
-        counts = resp.sum(axis=0) + 1e-300
-        weights = counts / n
-        means = (resp.T @ samples) / counts[:, None]
-        covs = np.empty_like(gmm.covs)
-        for k in range(n_components):
-            centered = samples - means[k]
-            covs[k] = (centered.T * resp[:, k]) @ centered / counts[k] + cov_floor * eye
-        weights = weights / weights.sum()
-        gmm = PatchGMM(weights=weights, means=means, covs=covs)
+        counts = resp.sum(axis=1) + 1e-300
+        weights = counts / counts.sum()
+        means = (resp @ samples) / counts[:, None]
+        for k, root in enumerate(np.sqrt(resp)):
+            np.multiply(np.subtract(samples, means[k], out=scaled), root[:, None], out=scaled)
+            covs[k] = scaled.T @ scaled / counts[k] + cov_floor * eye
 
-    return gmm
+    return PatchGMM(weights=weights, means=means, covs=covs)

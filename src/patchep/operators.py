@@ -103,8 +103,7 @@ class Identity(DegradationOperator):
     def apply(self, x):
         return self._check_len(x).copy()
 
-    def apply_adjoint(self, v):
-        return self._check_len(v).copy()
+    apply_adjoint = apply
 
 
 @dataclass
@@ -178,8 +177,8 @@ class GaussianNoise:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("noise variance must be positive")
+        if not 0 < self.variance < np.inf:
+            raise ValueError("noise variance must be positive and finite")
 
 
 @dataclass(frozen=True)

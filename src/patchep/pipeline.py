@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .ep_gaussian import WARNING_CAUSES, EPConfig, EPResult, run_ep_gaussian
+from .ep_gaussian import WARNING_CAUSES, EPConfig, EPResult, _check_observation, run_ep_gaussian
 from .ep_poisson import run_ep_poisson
 from .gaussians import BlockDiagonalCov
 from .gmm import Adaptation, PatchGMM, _lower_triangular_inverse, adapt
@@ -203,11 +203,7 @@ def _golden_min(f, lo: float, hi: float, log_scale: bool = False) -> float:
 
 def _rel_change(new: Adaptation, old: Adaptation) -> float:
     """Largest relative change of the three adaptation parameters."""
-    return max(
-        abs(new.offset - old.offset) / max(abs(old.offset), 1e-8),
-        abs(new.mean_var - old.mean_var) / max(old.mean_var, 1e-8),
-        abs(new.scale - old.scale) / max(old.scale, 1e-8),
-    )
+    return max(abs(a - b) / max(abs(b), 1e-8) for a, b in zip(astuple(new), astuple(old)))
 
 
 def _at_bound(theta: Adaptation, estimate_scale: bool) -> list:
@@ -348,16 +344,12 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
     ``history`` (see ``EPResult.history``).  The report holds only native
     Python values, so it round-trips through JSON."""
     config = config or PipelineConfig()
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations must be finite")
+    y = _check_observation(y, operator.n_pixels, poisson=isinstance(noise, PoissonNoise))
     partitions = build_shifted_partitions(operator.width, operator.height,
                                           config.patch_size, config.n_experts)
 
     theta0 = config.theta_init or default_theta(y, operator, noise)
-    experts = []
-    failures = []
-    timings = {}
+    experts, failures, timings = [], [], {}
     shared_theta = None
     for i, partition in enumerate(partitions):
         em = config.em_enabled and (not config.share_theta or i == 0)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln, logsumexp
+from scipy.stats import multivariate_normal
 
 from patchep.gmm import AdaptedGMM, PatchGMM
 from patchep.operators import DegradationOperator
@@ -28,6 +29,7 @@ __all__ = [
     "dense_operator",
     "dense_reference_moments",
     "sample_prior_image",
+    "train_em_reference",
     "epem_e_cost_reference",
     "epem_offset_reference",
     "epem_e_cost_differences_exact",
@@ -141,6 +143,25 @@ def sample_prior_image(adapted: AdaptedGMM, partition: Partition,
         chol = np.linalg.cholesky(prior.covs[comp])
         x[idx] = prior.means[comp] + chol @ rng.standard_normal(len(idx))
     return x
+
+
+def train_em_reference(samples: np.ndarray, gmm: PatchGMM) -> PatchGMM:
+    """One plain EM iteration of a Gaussian mixture: responsibilities from
+    scipy's log-densities and logsumexp, then the weights, the means and the
+    centred weighted scatter, floored by 1e-6 times the mean per-coordinate
+    sample variance (at least 1e-10) on the diagonal."""
+    n, dim = samples.shape
+    floor = max(1e-6 * float(np.mean(np.var(samples, axis=0))), 1e-10)
+    log_p = np.stack([np.log(w) + multivariate_normal.logpdf(samples, m, c)
+                      for w, m, c in zip(gmm.weights, gmm.means, gmm.covs)], axis=1)
+    resp = np.exp(log_p - logsumexp(log_p, axis=1, keepdims=True))
+    counts = resp.sum(axis=0)
+    means = resp.T @ samples / counts[:, None]
+    covs = []
+    for r, count, mean in zip(resp.T, counts, means):
+        centred = samples - mean
+        covs.append((r[:, None] * centred).T @ centred / count + floor * np.eye(dim))
+    return PatchGMM(weights=counts / n, means=means, covs=np.array(covs))
 
 
 def _tilted_gmm_block(prior: AdaptedGMM, cav_mean: np.ndarray, cav_cov: np.ndarray):

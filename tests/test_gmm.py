@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
@@ -13,9 +15,10 @@ from patchep.gmm import (
 from patchep.gmm import _lower_triangular_inverse, _tilted_moments_stack
 from patchep.gaussians import diag_stack
 from patchep.partitions import build_shifted_partitions
+from patchep.phantoms import extract_patches, make_phantom
 
 from conftest import random_spd, small_gmm
-from reference import _tilted_gmm_block, _tilted_gmm_block_jittered
+from reference import _tilted_gmm_block, _tilted_gmm_block_jittered, train_em_reference
 
 
 class TestPatchGMM:
@@ -337,9 +340,10 @@ class TestLogSumExp:
                           [-2.0, -2.5, -0.5],
                           [-720.0, -np.inf, -710.0]])
         samples = rng.standard_normal((6, 2))
-        calls = iter(range(3))
-        monkeypatch.setattr("patchep.gmm._mvn_logpdf_chol",
-                            lambda x, mean, chol: table[:, next(calls)])
+        # the table has a row per sample; the E-step's seam returns one row
+        # per component
+        monkeypatch.setattr("patchep.gmm._component_log_densities",
+                            lambda x, means, covs: table.T)
         gmm = train_em(samples, 3, max_iters=1, seed=0)
         log_resp = np.log(np.full(3, 1.0 / 3.0)) + table
         resp = np.exp(log_resp - logsumexp(log_resp, axis=1, keepdims=True))
@@ -398,3 +402,33 @@ class TestTrainEm:
             train_em(rng.standard_normal((10, 2)), 0)
         with pytest.raises(ValueError):
             train_em(rng.standard_normal((3, 2)), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, rng, bad):
+        samples = rng.standard_normal((20, 3))
+        samples[7, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples must be finite"):
+                train_em(samples, 2, max_iters=5, seed=0)
+
+    @pytest.mark.parametrize("patch_size, k", [(4, 5), (8, 3)])
+    def test_matches_plain_em_oracle(self, patch_size, k):
+        # bench-sized (dim 16, K = 5) and dim 64: phantom patches as the
+        # bench trains on, the oracle started from the same seeded fit.  The
+        # tolerance is relative to each array's largest entry: after 10
+        # iterations a covariance entry of 1e-5 beside diagonals of 4e-2
+        # differs by 5e-10 relative to itself, but by 1e-13 relative to
+        # the covariance's scale
+        samples = extract_patches(make_phantom(64, 64, seed=0), patch_size)
+        gmm = train_em(samples, k, max_iters=0, seed=0)
+        for iters in range(1, 11):
+            gmm = train_em_reference(samples, gmm)
+            if iters in (1, 10):
+                fit = train_em(samples, k, max_iters=iters, seed=0)
+                for name in ("weights", "means", "covs"):
+                    want = getattr(gmm, name)
+                    np.testing.assert_allclose(getattr(fit, name), want, rtol=1e-10,
+                                               atol=1e-10 * np.abs(want).max())
+                np.testing.assert_array_equal(fit.covs, np.swapaxes(fit.covs, 1, 2))
+                assert np.all(np.linalg.eigvalsh(fit.covs) > 0)

@@ -430,6 +430,28 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="finite"):
             run_pipeline(y, operator, noise, base, cfg)
 
+    @pytest.mark.parametrize("make_problem, match", [
+        (lambda: (np.full(64, 0.5), PoissonNoise()), "nonnegative integers"),
+        (lambda: (np.r_[-1.0, np.ones(63)], PoissonNoise()), "nonnegative integers"),
+        (lambda: (np.ones(64), GaussianNoise(np.inf)), "variance"),
+        (lambda: (np.ones(63), GaussianNoise(0.01)), "shape"),
+        (lambda: (np.ones((8, 8)), GaussianNoise(0.01)), "shape"),
+    ], ids=["fractional_counts", "negative_counts", "infinite_variance",
+            "short_observation", "square_observation"])
+    def test_rejects_malformed_problem_before_any_expert(self, make_problem, match,
+                                                         monkeypatch):
+        # each used to run every expert into "all experts failed", or to
+        # raise an IndexError from default_theta
+        def no_expert(*args, **kwargs):
+            raise AssertionError("an expert ran on a malformed problem")
+
+        monkeypatch.setattr("patchep.pipeline._run_expert", no_expert)
+        base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
+        cfg = PipelineConfig(patch_size=2, n_experts=2, em_enabled=False)
+        with pytest.raises(ValueError, match=match):
+            y, noise = make_problem()
+            run_pipeline(y, Identity(8, 8), noise, base, cfg)
+
 
 class TestVerdictAndRounds:
     def test_failed_and_capped_experts(self, rng, monkeypatch):
