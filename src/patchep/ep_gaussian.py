@@ -17,18 +17,20 @@ exact constrained minimizer per group's stack.  Each iteration alternates
   likelihood factor as cavity, then the KL precision update and the
   matching precision-mean update;
 * likelihood-side update: the tilted precision is Q = P0 + G with
-  G = H^T W H, and one split of G per update, a sparse CSR matrix plus its
-  diagonal blocks on the partition, gives the rest: the diagonal blocks
-  Q_jj = P0_j + G_jj and, since P0 is block-diagonal, the off-block part
-  (G x)_j - G_jj x_j of Q x.  The tilted mean and the perturbation samples
-  of Rao-Blackwellized Monte Carlo (RBMC) are the columns of one lockstep
+  G = H^T W H.  One block-Jacobi split per update, G = R + blockdiag(G_jj)
+  with R the off-block part (CSR) and G_jj the diagonal blocks on the
+  partition, gives the rest, since P0 is block-diagonal: Q's diagonal
+  blocks Q_jj = P0_j + G_jj, and Q v = R v + blockdiag(Q_jj) v, applied and
+  never assembled.  The tilted mean and the perturbation samples of
+  Rao-Blackwellized Monte Carlo (RBMC) are the columns of one lockstep
   conjugate-gradient solve, preconditioned by the inverses of the Q_jj
-  (block Jacobi, batched per group), which the RBMC estimate of the
-  covariance blocks needs anyway; then the same KL step runs with roles
-  swapped.  The RBMC probes are drawn afresh from EPConfig.seed on every
-  update, so each iteration sees the same probes (common random numbers) and
-  the update is a deterministic map that can reach a fixed point.  When
-  H^T H is diagonal the likelihood factor is set directly.
+  (block Jacobi, batched per group); the RBMC estimate of the covariance
+  blocks needs those inverses and R x, the off-block part of Q x, anyway.
+  Then the same KL step runs with roles swapped.  The RBMC probes are drawn
+  afresh from EPConfig.seed on every update, so each iteration sees the
+  same probes (common random numbers) and the update is a deterministic map
+  that can reach a fixed point.  When H^T H is diagonal the likelihood
+  factor is set directly.
 
 Nothing that goes wrong in an update is silent: each one counts as a warning
 under one of ``WARNING_CAUSES`` (a CG column stopped at its iteration cap, a
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussians import BlockDiagonalCov, block_diag, diag_stack, diag_stacks, sym
+from .gaussians import BlockDiagonalCov, diag_stack, diag_stacks, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
 from .kl_updates import PRECISION_FLOOR, diag_kl_update, update_block_precision
 from .operators import DegradationOperator
@@ -242,12 +244,12 @@ def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     return weights, warnings
 
 
-def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig, preconditioner):
-    """Preconditioned conjugate gradients for q x = rhs, in lockstep on the
-    columns of an (N, s) rhs.  q, a sparse matrix, is multiplied once per
-    iteration by the block of search directions; the preconditioner, an
-    approximation of q^{-1}, is a function that maps an (N, s) block to a new
-    array.
+def solve_cg(q, rhs: np.ndarray, x0: np.ndarray, config: EPConfig, preconditioner):
+    """Preconditioned conjugate gradients for Q x = rhs from the start x0, in
+    lockstep on the columns of an (N, s) rhs.  q, the product with Q, and
+    the preconditioner, the product with an approximation of Q^{-1}, are
+    functions that map an (N, s) block to a new array; q is applied once
+    per iteration to the block of search directions.
 
     Each column keeps its own step sizes and stops by scipy's rule: when its
     recursive residual norm falls below cg_tol * ||rhs_i||, checked before
@@ -256,17 +258,17 @@ def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig, precon
     residual norm over the columns, number of columns that did not converge
     within cg_max_iters).
     """
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    x = x0.copy()
     tol = config.cg_tol * np.linalg.norm(rhs, axis=0)
     x[:, tol == 0] = 0.0
-    r = rhs - q @ x if x.any() else rhs.copy()
+    r = rhs - q(x) if x.any() else rhs.copy()
     cols = np.flatnonzero((np.linalg.norm(r, axis=0) >= tol) & (tol > 0))
     x_a, r_a, p, rho_prev, iterations = x[:, cols], r[:, cols], None, None, 0
     while cols.size and iterations < config.cg_max_iters:
         z = preconditioner(r_a)
         rho = np.einsum("ij,ij->j", r_a, z)
         p = z if p is None else z + (rho / rho_prev) * p
-        qp = q @ p
+        qp = q(p)
         alpha = rho / np.einsum("ij,ij->j", p, qp)
         x_a += alpha * p
         r_a -= alpha * qp
@@ -278,7 +280,7 @@ def solve_cg(q, rhs: np.ndarray, x0: np.ndarray | None, config: EPConfig, precon
             cols, x_a, r_a, p, rho_prev = (cols[keep], x_a[:, keep], r_a[:, keep],
                                            p[:, keep], rho[keep])
     x[:, cols] = x_a
-    residual = float(np.max(np.linalg.norm(rhs - q @ x, axis=0)))
+    residual = float(np.max(np.linalg.norm(rhs - q(x), axis=0)))
     return x, iterations, residual, cols.size
 
 
@@ -293,25 +295,22 @@ def _block_times(partition: Partition, stacks, v: np.ndarray) -> np.ndarray:
 
 def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
                       obs_weights: np.ndarray, obs_eta: np.ndarray,
-                      config: EPConfig, warm_start: np.ndarray | None = None):
+                      config: EPConfig, warm_start: np.ndarray):
     """Moments of the likelihood-side tilted distribution.
 
     The tilted precision is Q = P0 + G with G = H^T W H, W = diag(obs_weights),
     and the tilted mean solves Q z = eta0 + obs_eta (obs_eta = H^T W m_obs).
-    One ``operator.gram_block`` call splits G into a sparse matrix and its
-    diagonal blocks G_jj; as P0 is block-diagonal, everything else follows:
-    the diagonal blocks Q_jj = P0_j + G_jj, and the off-block part of Q x,
-    (Q x)_j - Q_jj x_j = (G x)_j - G_jj x_j.  The marginal covariance blocks
-    are RBMC estimates
-    Q_jj^{-1} + Q_jj^{-1} SampleCov((G x)_j - G_jj x_j) Q_jj^{-1}
-    from exact samples x ~ N(0, Q^{-1}); they are exact when G is
-    block-diagonal, and positive definite up to rounding (an SPD term plus
-    a PSD one).  The probes come from a new Philox(config.seed) stream on
-    every call, so repeated calls use the same probes.  The mean
-    (warm-started from ``warm_start``) and the rbmc_samples probes are the
-    columns of one lockstep :func:`solve_cg` with Q as one sparse CSR matrix,
-    preconditioned by blockdiag(Q_jj^{-1}).  The preconditioner, the prior's
-    Cholesky factors in the probes and G_jj x_j are batched
+    One ``operator.gram_block`` call splits G = R + blockdiag(G_jj), R its
+    off-block part; as P0 is block-diagonal, Q = R + blockdiag(Q_jj) with
+    Q_jj = P0_j + G_jj.  The marginal covariance blocks are RBMC estimates
+    Q_jj^{-1} + Q_jj^{-1} SampleCov((R x)_j) Q_jj^{-1}
+    from exact samples x ~ N(0, Q^{-1}); they are exact when R = 0, and
+    positive definite up to rounding (an SPD term plus a PSD one).  The
+    probes come from a new Philox(config.seed) stream on every call, so
+    repeated calls use the same probes.  The mean (started from
+    ``warm_start``) and the rbmc_samples probes (started from zero) are the
+    columns of one lockstep :func:`solve_cg` of Q v = R v + blockdiag(Q_jj) v,
+    preconditioned by blockdiag(Q_jj^{-1}).  All block products are batched
     (J_g, b, b) @ (J_g, b, s) products over ``partition.groups``.
 
     Returns (mean, covariance stacks aligned with partition.groups, CG
@@ -319,9 +318,9 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     """
     part = q0.partition
     n, s = part.n_pixels, config.rbmc_samples
-    gram, gram_blocks = operator.gram_block(part, obs_weights)
-    block_inv = [sym(np.linalg.inv(p0 + g_jj)) for p0, g_jj in zip(q0.prec, gram_blocks)]
-    q = gram + block_diag(part, q0.prec)
+    off_block, gram_blocks = operator.gram_block(part, obs_weights)
+    q_blocks = [p0 + g_jj for p0, g_jj in zip(q0.prec, gram_blocks)]
+    block_inv = [sym(np.linalg.inv(q_jj)) for q_jj in q_blocks]
 
     # exact zero-mean samples of N(0, Q^{-1}) solve Q x = H^T W^{1/2} eps1 +
     # L0 eps2 with P0 = L0 L0^T; eps1 and eps2 of each sample drawn in turn
@@ -329,12 +328,12 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     chol0 = [np.linalg.cholesky(p) for p in q0.prec]
     probes = (operator.matrix.T @ (np.sqrt(obs_weights)[:, None] * eps[:, 0].T)
               + _block_times(part, chol0, eps[:, 1].T))
-    x0 = None if warm_start is None else np.column_stack([warm_start, np.zeros((n, s))])
     x, cg_iters, _, not_converged = solve_cg(
-        q, np.column_stack([q0.eta + obs_eta, probes]), x0, config,
+        lambda v: off_block @ v + _block_times(part, q_blocks, v),
+        np.column_stack([q0.eta + obs_eta, probes]),
+        np.column_stack([warm_start, np.zeros((n, s))]), config,
         lambda v: _block_times(part, block_inv, v))
-    samples = x[:, 1:]
-    v_samples = gram @ samples - _block_times(part, gram_blocks, samples)
+    v_samples = off_block @ x[:, 1:]
     covs = []
     for group, inv in zip(part.groups, block_inv):
         v = v_samples[group.pixels]                                   # (J, b, s)

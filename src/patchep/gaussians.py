@@ -6,10 +6,10 @@ covariance with one block per patch of a
 :attr:`~patchep.partitions.Partition.groups` entry share their size, so a
 block-diagonal matrix is stored as a list of ``(J_g, b, b)`` arrays, one per
 group and in the order of ``partition.groups``; all block arithmetic is
-batched numpy over these stacks.  A diagonal matrix is the same stacks with
-zero off-diagonal entries.  :func:`block_diag` assembles the sparse N x N
-matrix.  :class:`BlockDiagonalCov` checks that every block is symmetric
-positive definite, by one batched Cholesky factorization per group.
+batched numpy over these stacks, and no N x N matrix is assembled here.  A
+diagonal matrix is the same stacks with zero off-diagonal entries.
+:class:`BlockDiagonalCov` checks that every block is symmetric positive
+definite, by one batched Cholesky factorization per group.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .partitions import Partition
 
-__all__ = ["BlockDiagonalCov", "block_diag", "diag_stack", "diag_stacks", "sym"]
+__all__ = ["BlockDiagonalCov", "diag_stack", "diag_stacks", "sym"]
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -41,20 +40,6 @@ def diag_stacks(partition: Partition, values: np.ndarray) -> list[np.ndarray]:
     """Stacks of the diagonal matrix diag(values), values in pixel order."""
     values = np.asarray(values, dtype=float)
     return [diag_stack(values[g.pixels]) for g in partition.groups]
-
-
-def block_diag(partition: Partition, stacks) -> sparse.csr_matrix:
-    """Sparse N x N matrix with stacks[g][i] at the pixels of block
-    partition.groups[g].ids[i]."""
-    rows, cols, vals = [], [], []
-    for group, stack in zip(partition.groups, stacks):
-        b = group.pixels.shape[1]
-        rows.append(np.repeat(group.pixels, b, axis=1).ravel())
-        cols.append(np.tile(group.pixels, (1, b)).ravel())
-        vals.append(np.ravel(stack))
-    n = partition.n_pixels
-    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n, n))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ against 9.5 ms at (16, 5, 64) (best of 7, 2-vCPU x86 VM).
 Under a diagonal operator (denoising, inpainting, Poisson denoising) the
 cavities are diagonal and EP needs only per-pixel tilted variances, so the
 kernel takes the cavities as (J, b) variances and returns (J, b) variances,
-forming no (b, b) cavity or tilted matrix: on the 30 calls of a seed-1
-``denoise_poisson`` bench restore a call takes 2.8 ms, against 3.8 ms when
-the same cavities went through the full-matrix path with scipy's
-``logsumexp`` (median of 5 passes, 2-vCPU x86 VM).
+forming no (b, b) cavity or tilted matrix: on a (J, K, b) = (64, 5, 16)
+stack a call takes 2.2 ms, against 2.8 ms for the same cavities as (b, b)
+diagonal matrices through the full-cavity path (median of 50 calls, three
+passes, 2-vCPU x86 VM).
 
 The EM fit :func:`train_em` takes every L_k^{-T} of its K covariances from
 the same forward substitution, stored C-contiguous (a transposed view makes
@@ -218,10 +218,9 @@ def _tilted_moments_stack(adapted: AdaptedGMM, cavity_means: np.ndarray,
 
     Full cavities: the sums over components are (J, b, K b) @ (J, K b, b)
     products: with the rows w_k V_k stacked, sum_k w_k V_k^T (L^{-1} S) is
-    one matmul per block.  On the 37 calls of a seed-1 ``denoise_poisson``
-    bench restore (J = 64, K = 5, b = 16) a call took 2.4 ms against 6.5 ms
-    with the LU inverse and the elementwise sums (best of 7, 2-vCPU x86 VM);
-    the outputs agree to 3e-13 relative.
+    one matmul per block.  On a (J, K, b) = (64, 5, 16) stack a call took
+    2.4 ms against 6.5 ms with the LU inverse and the elementwise sums (best
+    of 7, 2-vCPU x86 VM); the outputs agree to 3e-13 relative.
 
     Diagonal cavities S = diag(s) need only the diagonal of each
     covariance, so no (b, b) output is formed: the component variances are

@@ -5,10 +5,10 @@ mask (inpainting), or circular 2D convolution (deconvolution).  Every
 operator holds ``H`` as a CSR ``matrix`` built once at construction; it is
 the only representation of ``H``.  ``apply`` and ``apply_adjoint`` are
 products with it, ``is_diagonal`` reads its sparsity pattern, ``gram_block``
-forms the sparse product ``H^T W H`` and scatters its diagonal blocks on a
-partition, and the quadratic forms ``h_n S h_n^T`` of a block-diagonal
-covariance S are the diagonal of the sparse product ``H S H^T``, or
-``diag(H^T H) * S_nn`` when H is diagonal.
+splits G = ``H^T W H`` on a partition into its off-block part R (CSR) and
+its diagonal blocks G_jj, and the quadratic forms ``h_n S h_n^T`` of a
+block-diagonal covariance S are the diagonal of the sparse product
+``H S H^T``, or ``diag(H^T H) * S_nn`` when H is diagonal.
 
 Noise simulation uses a counter-based (Philox) generator so runs are
 reproducible regardless of scheduling.
@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .gaussians import block_diag
 from .partitions import Partition
 
 __all__ = [
@@ -39,7 +38,7 @@ __all__ = [
 class DegradationOperator:
     """Common interface: ``apply``, ``apply_adjoint``, H as a CSR ``matrix``
     (set by each operator), and ``gram_block``, the split of ``H^T W H``
-    into a sparse matrix and its diagonal blocks on a partition."""
+    into its off-block part and its diagonal blocks on a partition."""
 
     width: int
     height: int
@@ -76,18 +75,20 @@ class DegradationOperator:
         return x
 
     def gram_block(self, partition: Partition, weights: np.ndarray):
-        """G = H^T W H with W = diag(weights), as CSR, and G's diagonal blocks
-        on ``partition``: one (J_g, b, b) stack per group of
-        ``partition.groups``, all filled by one scatter of G's entries
-        through ``partition.stack_layout``."""
+        """G = H^T W H, W = diag(weights), split as R + blockdiag(G_jj) on
+        ``partition``: R, the off-block part, as CSR, and the diagonal blocks
+        G_jj, one (J_g, b, b) stack per group of ``partition.groups``.  One
+        mask picks G's in-block entries: they fill the stacks by one scatter
+        through ``partition.stack_layout`` and are dropped from R."""
         h = self.matrix
         gram = (h.T @ sparse.diags(weights) @ h).tocsr()
         block, pos, row_slot, spans = partition.stack_layout
         counts, cols = np.diff(gram.indptr), gram.indices
-        target = np.repeat(row_slot, counts) + pos[cols]
-        target[np.repeat(block, counts) != block[cols]] = spans[-1]   # off-block: a spare slot
-        flat = np.zeros(spans[-1] + 1)
-        flat[target] = gram.data
+        in_block = np.repeat(block, counts) == block[cols]
+        flat = np.zeros(spans[-1])
+        flat[(np.repeat(row_slot, counts) + pos[cols])[in_block]] = gram.data[in_block]
+        gram.data[in_block] = 0.0
+        gram.eliminate_zeros()
         return gram, [flat[start:stop].reshape(group.pixels.shape + group.pixels.shape[1:])
                       for group, start, stop in zip(partition.groups, spans, spans[1:])]
 
@@ -211,5 +212,19 @@ def all_row_quadratic_forms(operator: DegradationOperator, partition: Partition,
             s_nn[group.pixels] = np.diagonal(stack, axis1=1, axis2=2)
         return operator.diag_gram() * s_nn
     h = operator.matrix
-    s = block_diag(partition, stacks)
+    s = _block_diag(partition, stacks)
     return np.asarray((h @ s).multiply(h).sum(axis=1)).ravel()
+
+
+def _block_diag(partition: Partition, stacks) -> sparse.csr_matrix:
+    """Sparse N x N matrix with stacks[g][i] at the pixels of block
+    partition.groups[g].ids[i]."""
+    rows, cols, vals = [], [], []
+    for group, stack in zip(partition.groups, stacks):
+        b = group.pixels.shape[1]
+        rows.append(np.repeat(group.pixels, b, axis=1).ravel())
+        cols.append(np.tile(group.pixels, (1, b)).ravel())
+        vals.append(np.ravel(stack))
+    n = partition.n_pixels
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n))

@@ -55,7 +55,6 @@ class ExpertResult:
     mean: np.ndarray
     marginal_var: np.ndarray
     theta: Adaptation
-    weights: list
     iterations: int
     outer_rounds: int
     converged: bool
@@ -319,7 +318,6 @@ def _run_expert(index: int, y, operator, noise, base, partition, config,
         mean=result.mean,
         marginal_var=result.marginal_var,
         theta=theta,
-        weights=result.weights,
         iterations=sum(r["iterations"] for r in rounds),
         outer_rounds=len(rounds),
         converged=result.converged,

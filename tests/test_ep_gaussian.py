@@ -278,7 +278,7 @@ class TestTiltedP1:
                                          rng.uniform(0.2, 2.0, 16))
         w = np.full(16, 1.0 / sigma2)
         mean, stacks, _, _ = tilted_p1_moments(q0, op, w, op.apply_adjoint(y) / sigma2,
-                                               EPConfig())
+                                               EPConfig(), np.zeros(16))
         blocks = per_block(part, stacks)
         p0 = pixel_diagonal(part, q0.prec)
         for j, (idx, _) in enumerate(blocks_of(part)):
@@ -294,7 +294,7 @@ class TestTiltedP1:
         q0 = GaussianFactor.from_moments("diagonal", part, np.zeros(16), np.full(16, 1e12))
         mean, _, _, _ = tilted_p1_moments(q0, op, np.full(16, 10.0),
                                           op.apply_adjoint(y) * 10.0,
-                                          EPConfig())
+                                          EPConfig(), np.zeros(16))
         np.testing.assert_allclose(mean, y, atol=1e-6)
 
     @pytest.mark.parametrize("shift", [0, 4], ids=["aligned", "shifted"])
@@ -309,7 +309,7 @@ class TestTiltedP1:
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), eta)
         w = np.full(36, 1.0 / sigma2)
         obs_eta = op.apply_adjoint(y) / sigma2
-        mean, _, _, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig())
+        mean, _, _, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig(), np.zeros(36))
         omega0 = np.zeros((36, 36))
         for j, (idx, _) in enumerate(blocks_of(part)):
             omega0[np.ix_(idx, idx)] = blocks[j]
@@ -333,7 +333,7 @@ class TestTiltedP1:
 
         def mean_rel_error(samples, seed):
             cfg = EPConfig(rbmc_samples=samples, seed=seed)
-            _, est, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg)
+            _, est, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg, np.zeros(256))
             est = per_block(part, est)
             errs = []
             for j, (idx, _) in enumerate(blocks_of(part)):
@@ -359,7 +359,7 @@ class TestTiltedP1:
         w = np.full(36, 4.0)
 
         def covs(seed):
-            return tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig(seed=seed))[1]
+            return tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig(seed=seed), np.zeros(36))[1]
 
         first, again, other = covs(3), covs(3), covs(4)
         for a, b, c in zip(first, again, other):
@@ -367,14 +367,14 @@ class TestTiltedP1:
             assert not np.allclose(a, c)
 
     def test_rbmc_exact_when_gram_is_block_diagonal(self, rng):
-        # a mask makes G = H^T W H diagonal, so (G x)_j - G_jj x_j vanishes
-        # and the RBMC covariances are Q_jj^{-1} whatever the probes
+        # a mask makes G = H^T W H diagonal, so its off-block part R x
+        # vanishes and the RBMC covariances are Q_jj^{-1} whatever the probes
         part = build_shifted_partitions(6, 6, 3)[4]
         op = Mask(6, 6, rng.random(36) < 0.6)
         blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
         w = np.full(36, 4.0)
-        _, covs, _, _ = tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig())
+        _, covs, _, _ = tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig(), np.zeros(36))
         kept = op.kept.astype(float)
         for j, ((idx, _), cov) in enumerate(zip(blocks_of(part), per_block(part, covs))):
             expected = np.linalg.inv(blocks[j] + np.diag(4.0 * kept[idx]))
@@ -402,8 +402,8 @@ class TestTiltedP1:
         q, jacobi = self.rbmc_system(rng)
         rhs = rng.standard_normal((256, 1))
         cfg = EPConfig()
-        x, iters, _, info = solve_cg(q, rhs, None, cfg, np.copy)
-        x_pc, iters_pc, _, info_pc = solve_cg(q, rhs, None, cfg, jacobi)
+        x, iters, _, info = solve_cg(q.__matmul__, rhs, np.zeros_like(rhs), cfg, np.copy)
+        x_pc, iters_pc, _, info_pc = solve_cg(q.__matmul__, rhs, np.zeros_like(rhs), cfg, jacobi)
         assert info == 0 and info_pc == 0
         assert np.linalg.norm(x_pc - x) <= cfg.cg_tol * np.linalg.norm(x)
         assert iters_pc < iters
@@ -415,13 +415,13 @@ class TestTiltedP1:
         q, jacobi = self.rbmc_system(rng)
         cfg = EPConfig()
         rhs = rng.standard_normal((256, 1 + cfg.rbmc_samples))
-        x, iters, residual, info = solve_cg(q, rhs, None, cfg, jacobi)
+        x, iters, residual, info = solve_cg(q.__matmul__, rhs, np.zeros_like(rhs), cfg, jacobi)
         assert x.shape == rhs.shape and info == 0
         expected = np.linalg.solve(q.toarray(), rhs)
         single_iters = []
         for i in range(rhs.shape[1]):
             np.testing.assert_allclose(x[:, i], expected[:, i], atol=1e-6)
-            x_i, it, _, info_i = solve_cg(q, rhs[:, [i]], None, cfg, jacobi)
+            x_i, it, _, info_i = solve_cg(q.__matmul__, rhs[:, [i]], np.zeros((256, 1)), cfg, jacobi)
             assert x_i.shape == (256, 1) and info_i == 0
             np.testing.assert_allclose(x[:, [i]], x_i, rtol=1e-12, atol=1e-15)
             single_iters.append(it)
@@ -439,18 +439,20 @@ class TestTiltedP1:
         rhs[:, 1] = 0.0
         x0 = rng.standard_normal((256, 4))
         x0[:, 2] = np.linalg.solve(q.toarray(), rhs[:, 2])
-        x, _, _, info = solve_cg(q, rhs, x0, EPConfig(), jacobi)
+        x, _, _, info = solve_cg(q.__matmul__, rhs, x0, EPConfig(), jacobi)
         assert info == 0 and np.all(np.isfinite(x))
         np.testing.assert_array_equal(x[:, 1], 0.0)
         np.testing.assert_array_equal(x[:, 2], x0[:, 2])
-        only_zero, iters, _, info = solve_cg(q, np.zeros((256, 1)), None, EPConfig(), jacobi)
+        only_zero, iters, _, info = solve_cg(q.__matmul__, np.zeros((256, 1)), np.zeros((256, 1)),
+                                              EPConfig(), jacobi)
         np.testing.assert_array_equal(only_zero, 0.0)
         assert iters == 0 and info == 0
 
     def test_lockstep_iteration_cap_counts_every_column(self, rng):
         q, jacobi = self.rbmc_system(rng)
         rhs = rng.standard_normal((256, 21))
-        _, iters, _, info = solve_cg(q, rhs, None, EPConfig(cg_max_iters=1), jacobi)
+        _, iters, _, info = solve_cg(q.__matmul__, rhs, np.zeros_like(rhs), EPConfig(cg_max_iters=1),
+                                     jacobi)
         assert iters == 1 and info == 21
 
 

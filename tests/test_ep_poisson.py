@@ -337,7 +337,7 @@ class TestUpdateQx1Poisson:
         state.sync()
         from patchep.ep_gaussian import tilted_p1_moments
         mean, _, _, _ = tilted_p1_moments(state.q0, op, w, op.apply_adjoint(w * m_u0),
-                                          EPConfig())
+                                          EPConfig(), np.zeros(n))
         omega0 = np.zeros((n, n))
         for j, (idx, _) in enumerate(blocks_of(part)):
             omega0[np.ix_(idx, idx)] = blocks[j]

@@ -32,6 +32,21 @@ def conv_dense_from_formula(width, height, kernel):
     return h
 
 
+def assert_gram_split(part, off_block, stacks, expected):
+    """gram_block's split against a dense G = expected: R stores no entry
+    inside a block, each stack holds G's diagonal blocks, and R +
+    blockdiag(stacks) = G."""
+    block_of = np.empty(part.n_pixels, dtype=int)
+    total = off_block.toarray()
+    for j, ((idx, _), block) in enumerate(zip(blocks_of(part), per_block(part, stacks))):
+        block_of[idx] = j
+        np.testing.assert_allclose(block, expected[np.ix_(idx, idx)], atol=1e-12)
+        total[np.ix_(idx, idx)] += block
+    rows, cols = off_block.nonzero()
+    assert not np.any(block_of[rows] == block_of[cols])
+    np.testing.assert_allclose(total, expected, atol=1e-12)
+
+
 def dense_matrix(op):
     """Column-by-column materialization through apply (oracle helper)."""
     n = op.n_pixels
@@ -124,11 +139,8 @@ class TestApplyAdjoint:
         np.testing.assert_allclose(op.matrix.toarray(), h, rtol=0, atol=1e-15)
         w = rng.uniform(0.5, 2.0, 35)
         part = build_shifted_partitions(7, 5, 3)[4]
-        gram, stacks = op.gram_block(part, w)
-        expected = h.T @ np.diag(w) @ h
-        np.testing.assert_allclose(gram.toarray(), expected, atol=1e-12)
-        for (idx, _), block in zip(blocks_of(part), per_block(part, stacks)):
-            np.testing.assert_allclose(block, expected[np.ix_(idx, idx)], atol=1e-12)
+        off_block, stacks = op.gram_block(part, w)
+        assert_gram_split(part, off_block, stacks, h.T @ np.diag(w) @ h)
         np.testing.assert_allclose(op.diag_gram(), np.diag(h.T @ h), rtol=1e-12)
         for _ in range(5):
             x = rng.standard_normal(35)
@@ -201,22 +213,22 @@ class TestRowForms:
             [1.7 * h[n] @ h[n] for n in range(25)], rtol=1e-12)
 
     def test_gram_block_matches_dense(self):
-        # G = H^T W H and its diagonal blocks on a shifted partition, whose
-        # truncated boundary blocks fall into 9 groups; the mask leaves
-        # pixels unobserved, so some blocks have zero rows
+        # G = H^T W H split into its off-block part and its diagonal blocks
+        # on a shifted partition, whose truncated boundary blocks fall into
+        # 9 groups; the mask leaves pixels unobserved, so some blocks have
+        # zero rows, and its G is diagonal, so its off-block part is empty
         rng = np.random.default_rng(5)
         part = build_shifted_partitions(6, 6, 3)[4]
         w = rng.uniform(0.5, 2.0, 36)
         for op in (Conv2D(6, 6, rng.standard_normal((3, 3))), Mask(6, 6, rng.random(36) < 0.6)):
             h = dense_matrix(op)
             expected = h.T @ np.diag(w) @ h
-            gram, stacks = op.gram_block(part, w)
-            assert gram.format == "csr" and len(stacks) == len(part.groups) == 9
-            np.testing.assert_allclose(gram.toarray(), expected, atol=1e-12)
+            off_block, stacks = op.gram_block(part, w)
+            assert off_block.format == "csr" and len(stacks) == len(part.groups) == 9
             for group, stack in zip(part.groups, stacks):
                 assert stack.shape == (len(group.ids),) + (group.pixels.shape[1],) * 2
-            for (idx, _), block in zip(blocks_of(part), per_block(part, stacks)):
-                np.testing.assert_allclose(block, expected[np.ix_(idx, idx)], atol=1e-12)
+            assert_gram_split(part, off_block, stacks, expected)
+            assert (off_block.nnz == 0) == isinstance(op, Mask)
 
     def test_diag_gram(self):
         rng = np.random.default_rng(6)

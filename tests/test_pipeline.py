@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from patchep.ep_gaussian import WARNING_CAUSES, EPConfig, run_ep_gaussian
+import patchep.ep_gaussian as ep_gaussian
+from patchep.ep_gaussian import (
+    WARNING_CAUSES,
+    EPConfig,
+    EPState,
+    GaussianFactor,
+    run_ep_gaussian,
+    update_q_x0,
+)
 from patchep.gaussians import BlockDiagonalCov, diag_stacks
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import Conv2D, GaussianNoise, Identity, PoissonNoise, simulate
@@ -23,7 +31,7 @@ from patchep.pipeline import (
     run_pipeline,
 )
 
-from conftest import blocks_of, random_spd, stack_by_group
+from conftest import blocks_of, random_spd, small_gmm, stack_by_group
 from reference import (
     epem_e_cost_differences_exact,
     epem_e_cost_reference,
@@ -35,7 +43,7 @@ from reference import (
 def make_expert(index, mean, var):
     return ExpertResult(index=index, mean=np.asarray(mean, float),
                         marginal_var=np.asarray(var, float), theta=Adaptation(),
-                        weights=[], iterations=1, outer_rounds=1, converged=True)
+                        iterations=1, outer_rounds=1, converged=True)
 
 
 class TestFusePoe:
@@ -292,6 +300,69 @@ class TestEpemMStep:
                             estimate_scale=True)
         assert abs(theta.offset - 3.0) / 3.0 < 0.1
         assert abs(theta.scale - 2.0) / 2.0 < 0.15
+
+
+def prior_update_with_failures(monkeypatch, failing):
+    """One prior-side update on the shift-(1, 1) partition of an 8x8 image
+    with 2x2 patches (9 groups; group 4 holds the 9 interior blocks), with
+    the tilted kernel raising LinAlgError for the groups in ``failing``.
+    Returns the partition, the base GMM, the state (its joint moments from
+    the sync before the update) and update_q_x0's (weights, warnings)."""
+    rng = np.random.default_rng(3)
+    part = build_shifted_partitions(8, 8, 2)[3]
+    base = small_gmm(rng, 3, 4)
+    y = rng.standard_normal(64)
+    state = EPState(q0=GaussianFactor.from_moments("block", part, y, np.full(64, 0.5)),
+                    q1=GaussianFactor.from_moments("block", part, y, np.full(64, 0.5)),
+                    partition=part)
+    state.sync()
+    real_kernel, calls = ep_gaussian._tilted_moments_stack, iter(range(len(part.groups)))
+
+    def kernel(adapted, cavity_means, cavity_covs):     # one call per group, in order
+        if next(calls) in failing:
+            raise np.linalg.LinAlgError("forced failure")
+        return real_kernel(adapted, cavity_means, cavity_covs)
+
+    monkeypatch.setattr(ep_gaussian, "_tilted_moments_stack", kernel)
+    updated = update_q_x0(state, adapt(base, Adaptation(scale=0.5)), EPConfig())
+    monkeypatch.undo()
+    return part, base, state, updated
+
+
+class TestFailedTiltedMoments:
+    def test_failed_group_has_no_weights_and_is_left_out_of_the_estep(self, monkeypatch):
+        part, base, state, (weights, warnings) = prior_update_with_failures(monkeypatch, {4})
+        all_weights = prior_update_with_failures(monkeypatch, set())[3][0]
+        assert weights[4] is None and warnings["tilted_failed"] == len(part.groups[4].ids) == 9
+        # the failed group keeps its initial blocks, precision 1 / 0.5
+        np.testing.assert_array_equal(state.q0.prec[4], diag_stacks(part, np.full(64, 2.0))[4])
+        for g, (w, w_all) in enumerate(zip(weights, all_weights)):
+            if g != 4:
+                np.testing.assert_array_equal(w, w_all)
+        cov = BlockDiagonalCov(part, state.joint_covs)
+        stats = estep_statistics(weights, state.mean, cov, base, part)
+        full = estep_statistics(all_weights, state.mean, cov, base, part)
+        kept = np.repeat(np.arange(len(part.groups)) != 4, base.n_components)
+        for name, value, full_value in zip(stats._fields, stats, full):
+            np.testing.assert_array_equal(value, full_value[kept], err_msg=name)
+
+    def test_m_step_keeps_theta_when_every_group_failed(self, monkeypatch):
+        part, base, state, (weights, warnings) = prior_update_with_failures(
+            monkeypatch, set(range(9)))
+        assert weights == [None] * 9 and warnings["tilted_failed"] == 25   # every block
+        theta = Adaptation(offset=0.2, mean_var=0.05, scale=1.0)
+        cov = BlockDiagonalCov(part, state.joint_covs)
+        assert epem_m_step(weights, state.mean, cov, base, part, theta) == theta
+
+    def test_pipeline_raises_when_every_expert_failed(self, monkeypatch):
+        def failing_expert(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr("patchep.pipeline._run_expert", failing_expert)
+        base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
+        cfg = PipelineConfig(patch_size=2, n_experts=2, em_enabled=False)
+        with pytest.raises(RuntimeError, match="all experts failed"):
+            run_pipeline(np.full(64, 0.4), Identity(8, 8), GaussianNoise(0.01), base, cfg)
 
 
 class TestPipelineConfig:
