@@ -38,13 +38,14 @@ group whose tilted moments failed, counted per block, a block whose KL step
 failed or was rejected, or a Poisson precision escape).
 
 Per-pixel (diagonal) factors are set to their KL target undamped; block
-factors, and the Poisson model's isotropic q_u1, are damped in natural
-parameters (precision and precision-mean).  Each group's KL step writes to
-the live factor.  The loop stops when the squared change of the joint mean
-and of the joint marginal variances both fall below tol * N.  The result
-keeps one record per iteration in ``EPResult.history``: the two squared
-changes, the CG iterations, the iteration's warnings by cause and, for the
-Poisson model, the q_u1 variance c1; the run's warnings are their sums.
+factors are damped in natural parameters (precision and precision-mean), and
+so is the Poisson model's isotropic q_u1 once its run's mean change rises.
+Each group's KL step writes to the live factor.  The loop stops when the
+squared change of the joint mean and of the joint marginal variances both
+fall below tol * N.  The result keeps one record per iteration in
+``EPResult.history``: the two squared changes, the CG iterations, the
+iteration's warnings by cause and, for the Poisson model, the q_u1 variance
+c1 and weight; the run's warnings are their sums.
 
 Every CG solve of the tilted mean starts from the last synced joint mean.
 A run can resume from an earlier result on the same partition: both factors
@@ -73,7 +74,7 @@ WARNING_CAUSES = ("cg_not_converged", "tilted_failed", "kl_rejected", "poisson_e
 
 @dataclass
 class EPConfig:
-    damping: float = 0.7            # weight on the target of block factors and q_u1
+    damping: float = 0.7            # weight on the target of block factors (and q_u1, once damped)
     stop_tol: float = 1e-8          # per-pixel squared-change scale
     max_iterations: int = 50
     cg_tol: float = 1e-8            # relative residual
@@ -173,7 +174,8 @@ class EPResult:
     converged: bool
     # one record per EP iteration: "iteration", "dm2" and "dvar2" (squared
     # changes of the joint mean and marginal variances), the step's fields
-    # and "warnings", that iteration's counts by cause
+    # (Poisson: "c1" and "damping", the weight q_u1 got) and "warnings",
+    # that iteration's counts by cause
     history: list
     state: EPState = field(repr=False, default=None)
     u_mean: np.ndarray = None          # Poisson only

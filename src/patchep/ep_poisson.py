@@ -23,8 +23,12 @@ One iteration of the EP loop of :func:`patchep.ep_gaussian.run_ep` runs
 q_u0, q_x1, q_x0, a sync of the x-side joint, then q_u1.  So q_u1 reads the
 joint after q_x0: an iteration is a map of the current factors, with no
 one-iteration lag, and the stop rule (x-side joint moments) sees its step.
-Each iteration's record adds c1, the q_u1 variance, and counts the q_u0
-escapes as warnings of cause ``poisson_escapes``.
+q_u1 is set to its target until the joint-mean change dm2 first exceeds the
+previous iteration's, then damped by ``EPConfig.damping`` for the rest of
+the run (Minka 2001; Vehtari et al. 2020); every run, resumed or not, starts
+undamped.  Each iteration's record adds c1, the q_u1 variance, and
+``damping``, the weight q_u1 got, and counts the q_u0 escapes as warnings
+of cause ``poisson_escapes``.
 """
 
 from __future__ import annotations
@@ -248,9 +252,10 @@ def update_q_u0(factors: PoissonFactors, y: np.ndarray, config: EPConfig):
 
 
 def update_q_u1(factors: PoissonFactors, state: EPState,
-                operator: DegradationOperator, config: EPConfig):
+                operator: DegradationOperator, weight: float):
     """Coupling update: per-pixel products of q_u0 with the Gaussian image
     of the x-side joint, then the isotropic Newton fit of the q_u1 precision.
+    q_u1 moves to weight * target + (1 - weight) * old in natural parameters.
 
     The Gaussian image of pixel n must exclude that pixel's own count
     information (its precision enters the x-side joint through the
@@ -281,9 +286,8 @@ def update_q_u1(factors: PoissonFactors, state: EPState,
                              init_precision=factors.prec_u1)
     eta_new = (prec_new + factors.prec_u0) * t_mean - factors.eta_u0
 
-    eps = config.damping
-    factors.prec_u1 = eps * prec_new + (1 - eps) * factors.prec_u1
-    factors.eta_u1 = eps * eta_new + (1 - eps) * factors.eta_u1
+    factors.prec_u1 = weight * prec_new + (1 - weight) * factors.prec_u1
+    factors.eta_u1 = weight * eta_new + (1 - weight) * factors.eta_u1
 
 
 def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
@@ -298,10 +302,12 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     its factors and the first CG solve from its mean.  The result carries
     its u-side factors as ``u_factors`` and the mean of their product as
     ``u_mean``.  The update order is q_u0, q_x1, q_x0, sync, q_u1, so q_u1
-    reads the joint after q_x0 (no lag, see the module docstring).  The
-    escapes of the q_u0 update count as EP warnings of cause
-    ``poisson_escapes``; each iteration's record also holds ``c1``, the q_u1
-    variance after the iteration.
+    reads the joint after q_x0 (no lag, see the module docstring); it gets
+    weight 1 up to the first iteration whose dm2 exceeds the previous one's,
+    and ``config.damping`` from there on.  The escapes of the q_u0 update
+    count as EP warnings of cause ``poisson_escapes``; each iteration's
+    record also holds ``c1``, the q_u1 variance after the iteration, and
+    ``damping``, the weight q_u1 got.
     """
     config = config or EPConfig()
     y = _check_observation(y, partition.n_pixels, poisson=True)
@@ -314,8 +320,11 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
         factors = PoissonFactors(1.0 / init_var, init_mean / init_var, 1.0 / c1, init_mean / c1)
     else:
         factors = init.u_factors.copy()
+    weight, last_dm2 = 1.0, np.inf          # q_u1's weight, the last iteration's dm2
 
     def step(state):
+        nonlocal weight, last_dm2
+        prev_mean = state.mean
         escapes = update_q_u0(factors, y, config)
 
         mu0, _ = factors.u0_moments()
@@ -325,9 +334,14 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
         weights, w0 = update_q_x0(state, adapted, config)
         state.sync()
 
-        update_q_u1(factors, state, operator, config)
+        dm2 = float(np.sum((state.mean - prev_mean) ** 2))
+        if dm2 > last_dm2:                  # one-way: damped for the rest of the run
+            weight = config.damping
+        last_dm2 = dm2
+        update_q_u1(factors, state, operator, weight)
         w0["poisson_escapes"] += escapes
-        return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": float(1.0 / factors.prec_u1)}
+        return weights, w0 + w1, {"cg_iterations": cg_iters, "c1": float(1.0 / factors.prec_u1),
+                                  "damping": weight}
 
     result = run_ep(step, operator, partition, init_mean, init_var, config,
                     None if init is None else init.state)

@@ -367,7 +367,7 @@ class TestUpdateQu1:
             prec_u0=np.full(n, 1.0 / c0), eta_u0=np.full(n, mean_val / c0),
             prec_u1=1.0, eta_u1=np.zeros(n),
         )
-        update_q_u1(factors, state, Identity(4, 4), EPConfig(damping=1.0))
+        update_q_u1(factors, state, Identity(4, 4), 1.0)
         # leave-one-out removes q_u0 from the joint: tilted var d = 1/(p_x0 + p0)
         d = 1.0 / (p_x0 + 1.0 / c0)
         expected = max(1.0 / d - 1.0 / c0, 1e-8)
@@ -539,3 +539,89 @@ class TestUpdateOrder:
         assert warm.converged and exact.converged
         np.testing.assert_allclose(warm.mean, exact.mean, rtol=1e-3)
         np.testing.assert_allclose(warm.marginal_var, exact.marginal_var, rtol=1e-3)
+
+
+class TestCouplingDamping:
+    """q_u1 goes to its target until the run's dm2 rises, then is damped."""
+
+    @staticmethod
+    def monotone_problem():
+        # 16x16 denoising at peak 10: dm2 falls on every iteration
+        from patchep.phantoms import extract_patches, make_phantom
+        from patchep.pipeline import default_theta
+
+        base = train_em(extract_patches(make_phantom(64, 64, seed=0), 4), 3,
+                        max_iters=30, seed=0)
+        op = Identity(16, 16)
+        y = simulate(op, 10.0 * make_phantom(16, 16, seed=1).ravel(), PoissonNoise(), seed=1)
+        adapted = adapt(base, default_theta(y, op, PoissonNoise()))
+        return y, op, adapted, build_shifted_partitions(16, 16, 4)[0]
+
+    def test_falling_dm2_sets_q_u1_to_its_target(self, monkeypatch):
+        # the first q_u1 update of a default-config run (damping 0.7) equals
+        # the weight-1 update on copies of its inputs
+        import copy
+
+        y, op, adapted, part = self.monotone_problem()
+        calls = []
+
+        def spy(factors, state, operator, weight):
+            target = copy.deepcopy(factors)
+            update_q_u1(target, copy.deepcopy(state), operator, 1.0)
+            update_q_u1(factors, state, operator, weight)
+            calls.append((target, factors.prec_u1, factors.eta_u1))
+
+        monkeypatch.setattr(ep_poisson, "update_q_u1", spy)
+        res = run_ep_poisson(y, op, adapted, part)
+        dm2 = [r["dm2"] for r in res.history]
+        assert res.converged and all(b < a for a, b in zip(dm2, dm2[1:]))
+        assert [r["damping"] for r in res.history] == [1.0] * res.iterations
+        target, prec_u1, eta_u1 = calls[0]
+        assert prec_u1 == target.prec_u1
+        np.testing.assert_array_equal(eta_u1, target.eta_u1)
+
+    def test_default_tolerance_stops_near_the_fixed_point(self):
+        y, op, adapted, part = self.monotone_problem()
+        run = run_ep_poisson(y, op, adapted, part)
+        exact = run_ep_poisson(y, op, adapted, part,
+                               EPConfig(stop_tol=1e-14, max_iterations=500))
+        assert run.converged and exact.converged
+        np.testing.assert_allclose(run.mean, exact.mean, rtol=1e-3)
+        np.testing.assert_allclose(run.marginal_var, exact.marginal_var, rtol=1e-3)
+
+    def test_rising_dm2_damps_the_rest_of_the_round(self, monkeypatch):
+        # 32x32 denoising at peak 0.5, patch 4, four experts, three EM rounds:
+        # undamped, some resumed rounds overshoot.  Each record holds the
+        # weight its iteration's q_u1 update got
+        from patchep.phantoms import extract_patches, make_phantom
+        from patchep.pipeline import PipelineConfig, run_pipeline
+
+        weights = []
+
+        def spy(factors, state, operator, weight):
+            weights.append(weight)
+            update_q_u1(factors, state, operator, weight)
+
+        monkeypatch.setattr(ep_poisson, "update_q_u1", spy)
+
+        base = train_em(extract_patches(make_phantom(64, 64, seed=0), 4), 5,
+                        max_iters=50, seed=0)
+        op = Identity(32, 32)
+        y = simulate(op, 0.5 * make_phantom(32, 32, seed=101).ravel(), PoissonNoise(), seed=1)
+        cfg = PipelineConfig(patch_size=4, n_experts=4, outer_rounds=3, seed=1)
+        out = run_pipeline(y, op, PoissonNoise(), base, cfg)
+        assert all(e.converged for e in out.experts)
+        assert weights == [i["damping"] for e in out.experts for r in e.rounds
+                           for i in r["history"]]
+        switched = 0
+        for e in out.experts:
+            for r in e.rounds:
+                dm2 = [i["dm2"] for i in r["history"]]
+                damping = [i["damping"] for i in r["history"]]
+                k = next((i for i, d in enumerate(damping) if d != 1.0), len(damping))
+                assert all(b <= a for a, b in zip(dm2[:k], dm2[1:k]))
+                assert damping[k:] == [cfg.ep.damping] * (len(damping) - k)
+                if k < len(damping):
+                    assert k > 0 and dm2[k] > dm2[k - 1]
+                    switched += 1
+        assert switched >= 1

@@ -433,7 +433,8 @@ class TestRunPipeline:
 
     def test_report_structure_and_determinism(self, rng):
         # Gaussian and Poisson denoising: two runs give the same report, and
-        # the report, EP iteration records included, round-trips through JSON
+        # the report, EP iteration records included, round-trips through JSON;
+        # a Poisson record holds the weight q_u1 got, a Gaussian one has none
         base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
         y = simulate(Identity(8, 8), np.full(64, 0.4), GaussianNoise(0.01), seed=8)
         poisson_base = PatchGMM(np.array([1.0]), np.full((1, 4), 5.0), (4.0 * np.eye(4))[None])
@@ -449,6 +450,12 @@ class TestRunPipeline:
                     "warnings_by_cause"} <= set(a.report)
             assert all(len(r["history"]) == r["iterations"] >= 1
                        for e in a.report["experts"] for r in e["rounds"])
+            records = [i for e in a.report["experts"] for r in e["rounds"] for i in r["history"]]
+            if isinstance(noise, PoissonNoise):
+                assert all(i["damping"] in (1.0, cfg.ep.damping) for i in records)
+                assert records[0]["damping"] == 1.0
+            else:
+                assert not any("damping" in i for i in records)
             assert json.loads(json.dumps(a.report)) == a.report
             assert "total_s" in a.timings
 
