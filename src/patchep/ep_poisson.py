@@ -229,7 +229,7 @@ class PoissonFactors:
                               self.eta_u1.copy())
 
 
-def update_q_u0(factors: PoissonFactors, y: np.ndarray, config: EPConfig):
+def update_q_u0(factors: PoissonFactors, y: np.ndarray):
     """Count-likelihood update: the diagonal KL step on the 1D tilted
     moments, then the matching precision-mean, set undamped like every
     per-pixel factor.  Returns the number of escapes: pixels whose
@@ -325,7 +325,7 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     def step(state):
         nonlocal weight, last_dm2
         prev_mean = state.mean
-        escapes = update_q_u0(factors, y, config)
+        escapes = update_q_u0(factors, y)
 
         mu0, _ = factors.u0_moments()
         obs_weights = factors.prec_u0

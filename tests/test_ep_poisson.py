@@ -220,7 +220,7 @@ class TestUpdateQu0:
             return np.zeros(n), np.full(n, 0.3), np.full(n, c1_arg / 2), 0
 
         monkeypatch.setattr("patchep.ep_poisson.rectified_poisson_tilted_batch", fake_tilted)
-        update_q_u0(factors, np.zeros(4), EPConfig(damping=1.0))
+        update_q_u0(factors, np.zeros(4))
         np.testing.assert_allclose(1.0 / factors.prec_u0, np.full(4, c1), rtol=1e-12)
 
     def test_large_variance_escape(self, monkeypatch):
@@ -232,7 +232,7 @@ class TestUpdateQu0:
             return np.zeros(n), np.zeros(n), np.full(n, 2.5), 0
 
         monkeypatch.setattr("patchep.ep_poisson.rectified_poisson_tilted_batch", fake_tilted)
-        escapes = update_q_u0(factors, np.zeros(3), EPConfig(damping=1.0))
+        escapes = update_q_u0(factors, np.zeros(3))
         assert escapes == 3
         np.testing.assert_allclose(1.0 / factors.prec_u0, np.full(3, 1e8))
 
@@ -243,7 +243,7 @@ class TestUpdateQu0:
         mu1 = np.linspace(30.0, 200.0, 2000)
         for c1 in (2.0, 10.0, 50.0):
             factors = self._factors(mu1.size, c1=c1, mu1=mu1)
-            assert update_q_u0(factors, np.zeros(mu1.size), EPConfig(damping=1.0)) == 0
+            assert update_q_u0(factors, np.zeros(mu1.size)) == 0
 
     def test_symmetric_inputs_fix_the_mean(self, monkeypatch):
         # E = mu1 with Var = c1/2 leaves the factor mean at mu1
@@ -255,14 +255,15 @@ class TestUpdateQu0:
             return np.zeros(n), np.full(n, mu1), np.full(n, c1_arg / 2), 0
 
         monkeypatch.setattr("patchep.ep_poisson.rectified_poisson_tilted_batch", fake_tilted)
-        update_q_u0(factors, np.zeros(2), EPConfig(damping=1.0))
+        update_q_u0(factors, np.zeros(2))
         mu0, _ = factors.u0_moments()
         np.testing.assert_allclose(mu0, np.full(2, mu1), rtol=1e-12)
 
 
 class TestDampingRule:
     def test_per_pixel_factors_are_set_undamped(self, rng):
-        # q_u0 and a diagonal q_x0 reach their targets whatever the damping
+        # q_u0 takes no damping, and a diagonal q_x0 reaches its target whatever
+        # the damping
         part = build_shifted_partitions(4, 4, 2)[0]
         adapted = adapt(PatchGMM(np.array([1.0]), np.full((1, 4), 3.0), np.eye(4)[None]),
                         Adaptation())
@@ -272,7 +273,7 @@ class TestDampingRule:
             cfg = EPConfig(damping=damping)
             factors = PoissonFactors(prec_u0=np.full(16, 0.5), eta_u0=np.full(16, 1.5),
                                      prec_u1=0.25, eta_u1=y / 4.0)
-            update_q_u0(factors, y, cfg)
+            update_q_u0(factors, y)
             state = EPState(
                 q0=GaussianFactor.from_moments("diagonal", part, y + 1.0, np.full(16, 2.0)),
                 q1=GaussianFactor.from_moments("diagonal", part, y, np.full(16, 0.5)),

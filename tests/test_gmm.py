@@ -12,6 +12,7 @@ from patchep.gmm import (
     marginalize,
     train_em,
 )
+from patchep import gmm as gmm_module
 from patchep.gmm import _lower_triangular_inverse, _tilted_moments_stack
 from patchep.gaussians import diag_stack
 from patchep.partitions import build_shifted_partitions
@@ -19,6 +20,20 @@ from patchep.phantoms import extract_patches, make_phantom
 
 from conftest import random_spd, small_gmm
 from reference import _tilted_gmm_block, _tilted_gmm_block_jittered, train_em_reference
+
+
+def count_e_steps(monkeypatch):
+    """A list that gains an entry at each E-step of train_em, through its
+    one call per iteration of _component_log_densities."""
+    calls = []
+    densities = gmm_module._component_log_densities
+
+    def counted(*args):
+        calls.append(None)
+        return densities(*args)
+
+    monkeypatch.setattr(gmm_module, "_component_log_densities", counted)
+    return calls
 
 
 class TestPatchGMM:
@@ -412,23 +427,57 @@ class TestTrainEm:
             with pytest.raises(ValueError, match="samples must be finite"):
                 train_em(samples, 2, max_iters=5, seed=0)
 
-    @pytest.mark.parametrize("patch_size, k", [(4, 5), (8, 3)])
-    def test_matches_plain_em_oracle(self, patch_size, k):
+    @pytest.mark.parametrize("patch_size, k, last, e_steps", [(4, 5, 50, 16), (8, 3, 10, 3)],
+                             ids=["4-5", "8-3"])
+    def test_matches_plain_em_oracle(self, patch_size, k, last, e_steps, monkeypatch):
         # bench-sized (dim 16, K = 5) and dim 64: phantom patches as the
         # bench trains on, the oracle started from the same seeded fit.  The
         # tolerance is relative to each array's largest entry: after 10
         # iterations a covariance entry of 1e-5 beside diagonals of 4e-2
         # differs by 5e-10 relative to itself, but by 1e-13 relative to
-        # the covariance's scale
+        # the covariance's scale.  The fit stops at its fixed point after
+        # e_steps E-steps, and the oracle's further iterations move nothing
+        # beyond the tolerance: the bench's 50-iteration fit runs 16
         samples = extract_patches(make_phantom(64, 64, seed=0), patch_size)
         gmm = train_em(samples, k, max_iters=0, seed=0)
-        for iters in range(1, 11):
+        calls = count_e_steps(monkeypatch)
+        for iters in range(1, last + 1):
             gmm = train_em_reference(samples, gmm)
-            if iters in (1, 10):
+            if iters in (1, 10, last):
+                calls.clear()
                 fit = train_em(samples, k, max_iters=iters, seed=0)
+                assert len(calls) == min(iters, e_steps)
                 for name in ("weights", "means", "covs"):
                     want = getattr(gmm, name)
                     np.testing.assert_allclose(getattr(fit, name), want, rtol=1e-10,
                                                atol=1e-10 * np.abs(want).max())
                 np.testing.assert_array_equal(fit.covs, np.swapaxes(fit.covs, 1, 2))
                 assert np.all(np.linalg.eigvalsh(fit.covs) > 0)
+
+    def test_cap_below_the_stop_and_caps_beyond_it(self, monkeypatch):
+        # the bench fit stops after 16 E-steps; a cap of 5 runs 5, and every
+        # cap from 16 on gives the same fit to the bit
+        samples = extract_patches(make_phantom(64, 64, seed=0), 4)
+        calls = count_e_steps(monkeypatch)
+        fits = {}
+        for cap in (5, 16, 50, 100):
+            calls.clear()
+            fits[cap] = train_em(samples, 5, max_iters=cap, seed=0)
+            assert len(calls) == min(cap, 16)
+        for cap in (50, 100):
+            for name in ("weights", "means", "covs"):
+                np.testing.assert_array_equal(getattr(fits[cap], name), getattr(fits[16], name))
+        assert not np.array_equal(fits[5].means, fits[16].means)
+
+    def test_zero_mean_single_component_stops(self, monkeypatch):
+        # K = 1 reaches the sample moments in one iteration, and the second
+        # changes nothing, so the fit stops after two E-steps although on
+        # patches centred per coordinate its means are of rounding size
+        samples = extract_patches(make_phantom(64, 64, seed=0), 4)
+        samples -= samples.mean(axis=0)
+        calls = count_e_steps(monkeypatch)
+        gmm = train_em(samples, 1, max_iters=50, seed=0)
+        assert len(calls) == 2
+        assert np.abs(gmm.means).max() < 1e-15
+        want = np.cov(samples.T, bias=True) + 1e-6 * np.mean(np.var(samples, axis=0)) * np.eye(16)
+        np.testing.assert_allclose(gmm.covs[0], want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
