@@ -43,9 +43,10 @@ so is the Poisson model's isotropic q_u1 once its run's mean change rises.
 Each group's KL step writes to the live factor.  The loop stops when the
 squared change of the joint mean and of the joint marginal variances both
 fall below tol * N.  The result keeps one record per iteration in
-``EPResult.history``: the two squared changes, the CG iterations, the
-iteration's warnings by cause and, for the Poisson model, the q_u1 variance
-c1 and weight; the run's warnings are their sums.
+``EPResult.history``: the two squared changes, the CG iterations and, on the
+block path, the CG residual, the iteration's warnings by cause and, for the
+Poisson model, the q_u1 variance c1 and weight; the run's warnings are their
+sums.
 
 Every CG solve of the tilted mean starts from the last synced joint mean.
 A run can resume from an earlier result on the same partition: both factors
@@ -174,8 +175,10 @@ class EPResult:
     converged: bool
     # one record per EP iteration: "iteration", "dm2" and "dvar2" (squared
     # changes of the joint mean and marginal variances), the step's fields
-    # (Poisson: "c1" and "damping", the weight q_u1 got) and "warnings",
-    # that iteration's counts by cause
+    # ("cg_iterations"; on the block path "cg_residual", the likelihood-side
+    # CG residual relative to its right-hand side; Poisson: "c1" and
+    # "damping", the weight q_u1 got) and "warnings", that iteration's
+    # counts by cause
     history: list
     state: EPState = field(repr=False, default=None)
     u_mean: np.ndarray = None          # Poisson only
@@ -316,7 +319,9 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     (J_g, b, b) @ (J_g, b, s) products over ``partition.groups``.
 
     Returns (mean, covariance stacks aligned with partition.groups, CG
-    iterations, number of CG columns that did not converge).
+    iterations, CG residual, number of CG columns that did not converge);
+    the residual is the largest column's true residual norm over the norm
+    of the whole (N, 1 + rbmc_samples) right-hand side.
     """
     part = q0.partition
     n, s = part.n_pixels, config.rbmc_samples
@@ -330,25 +335,29 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
     chol0 = [np.linalg.cholesky(p) for p in q0.prec]
     probes = (operator.matrix.T @ (np.sqrt(obs_weights)[:, None] * eps[:, 0].T)
               + _block_times(part, chol0, eps[:, 1].T))
-    x, cg_iters, _, not_converged = solve_cg(
-        lambda v: off_block @ v + _block_times(part, q_blocks, v),
-        np.column_stack([q0.eta + obs_eta, probes]),
+    rhs = np.column_stack([q0.eta + obs_eta, probes])
+    x, cg_iters, residual, not_converged = solve_cg(
+        lambda v: off_block @ v + _block_times(part, q_blocks, v), rhs,
         np.column_stack([warm_start, np.zeros((n, s))]), config,
         lambda v: _block_times(part, block_inv, v))
+    rhs_norm = float(np.linalg.norm(rhs))
     v_samples = off_block @ x[:, 1:]
     covs = []
     for group, inv in zip(part.groups, block_inv):
         v = v_samples[group.pixels]                                   # (J, b, s)
         covs.append(sym(inv + inv @ (v @ np.swapaxes(v, 1, 2) / s) @ inv))
-    return x[:, 0], covs, cg_iters, not_converged
+    return (x[:, 0], covs, cg_iters, residual / rhs_norm if rhs_norm > 0 else residual,
+            not_converged)
 
 
 def update_q_x1(state: EPState, operator: DegradationOperator,
                 obs_weights: np.ndarray, obs_eta: np.ndarray, config: EPConfig):
-    """Likelihood-side EP update; returns (cg iterations, warning counts by
-    cause): the CG columns that hit cg_max_iters and the KL step's rejected
-    blocks (see :func:`_kl_step`).  The CG solve of the tilted mean starts
-    from the joint mean of the last ``state.sync``.
+    """Likelihood-side EP update; returns (fields of the iteration record,
+    warning counts by cause): the fields are ``cg_iterations`` and, on the
+    block path, ``cg_residual`` (see :func:`tilted_p1_moments`); the
+    warnings are the CG columns that hit cg_max_iters and the KL step's
+    rejected blocks (see :func:`_kl_step`).  The CG solve of the tilted mean
+    starts from the joint mean of the last ``state.sync``.
     For diagonal H^T H the factor is set directly to the exact Gaussian
     likelihood term (precision W * diag(H^T H), floored where a pixel is
     unobserved); no damping is applied to that exact assignment.
@@ -358,16 +367,16 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
         prec = np.maximum(obs_weights * operator.diag_gram(), PRECISION_FLOOR)
         state.q1.prec = diag_stacks(part, prec)
         state.q1.eta = obs_eta.copy()
-        return 0, Counter()
+        return {"cg_iterations": 0}, Counter()
 
-    t_mean, t_covs, cg_iters, not_converged = tilted_p1_moments(
+    t_mean, t_covs, cg_iters, cg_residual, not_converged = tilted_p1_moments(
         state.q0, operator, obs_weights, obs_eta, config, state.mean)
     warnings = Counter(cg_not_converged=not_converged)
     for g, group in enumerate(part.groups):
         warnings["kl_rejected"] += _kl_step(state.q1, g, t_mean[group.pixels], t_covs[g],
                                             state.q0.prec[g], state.q0.eta[group.pixels],
                                             config.damping)
-    return cg_iters, warnings
+    return {"cg_iterations": cg_iters, "cg_residual": cg_residual}, warnings
 
 
 def run_ep(step, operator: DegradationOperator, partition: Partition,
@@ -446,9 +455,9 @@ def run_ep_gaussian(y: np.ndarray, operator: DegradationOperator, sigma2: float,
 
     def step(state):
         weights, w0 = update_q_x0(state, adapted, config)
-        cg_iters, w1 = update_q_x1(state, operator, obs_weights, obs_eta, config)
+        cg_fields, w1 = update_q_x1(state, operator, obs_weights, obs_eta, config)
         state.sync()
-        return weights, w0 + w1, {"cg_iterations": cg_iters}
+        return weights, w0 + w1, cg_fields
 
     return run_ep(step, operator, partition, y, np.full(n, float(sigma2)), config,
                   None if init is None else init.state)

@@ -18,16 +18,36 @@ them for a whole stack of blocks from one Cholesky factor L of S + C_k per
 block and component.  L^{-1} comes from forward substitution, b batched row
 steps over the whole stack, not from an LU inverse (substitution is
 backward stable, Higham 2002, ch. 8 and 14): on a (J, K, b) = (64, 5, 16)
-stack it takes 0.5 ms against 2.6 ms for ``np.linalg.inv``, and 5.4 ms
-against 9.5 ms at (16, 5, 64) (best of 7, 2-vCPU x86 VM).
+stack it takes 0.50-0.57 ms against 1.7-2.1 ms for ``np.linalg.inv``, and
+4.6-5.3 ms against 8.4-8.5 ms at (16, 5, 64) (median of 30 calls, three
+passes, 2-vCPU x86 VM).
 
 Under a diagonal operator (denoising, inpainting, Poisson denoising) the
 cavities are diagonal and EP needs only per-pixel tilted variances, so the
 kernel takes the cavities as (J, b) variances and returns (J, b) variances,
 forming no (b, b) cavity or tilted matrix: on a (J, K, b) = (64, 5, 16)
-stack a call takes 2.2 ms, against 2.8 ms for the same cavities as (b, b)
-diagonal matrices through the full-cavity path (median of 50 calls, three
-passes, 2-vCPU x86 VM).
+stack a call takes 1.6 ms (1.9 ms in one of three passes), against 1.8 ms
+for the same cavities as (b, b) diagonal matrices through the full-cavity
+path (median of 50 calls, three passes, 2-vCPU x86 VM).
+
+The kernel bounds its working set.  Over a whole (64, 5, 16) stack its
+four (J, K, b, b) temporaries were 655 KB each, above glibc malloc's mmap
+and trim thresholds, so every call mapped fresh pages and handed them back:
+about 600 minor page faults per call, 97% of a ``denoise_poisson``
+restore's faults.  So the stack goes through in even chunks of at most
+max(1, 2560 // (K b)) blocks, about 2,560 matrix rows: two chunks of 32
+blocks (327 KB temporaries) at (64, 5, 16), seven of 7 at (49, 5, 64); and
+L^{-1} and V overwrite the dead S + C_k and L.  The faults of the kernel in
+a ``denoise_poisson`` restore fell from 6,400-6,600 to about 1 (glibc
+2.36).  The bound counts rows, not bytes, because the best chunk grows
+with b: at (49, 5, 64) a full-cavity call takes 40.5 ms in chunks of 2
+blocks (327 KB), 33 ms in chunks of 8 and 39-51 ms in one chunk, and 34
+against 47 ms before the chunks (medians of 20 and of 60 calls).  At b = 16
+a single chunk is the fastest in a loop of calls (1.4-1.7 against 1.5-1.8
+ms), but not inside restores, where it faults: 42.6 against 40.1 ms per
+restore, with 3,300 against 330 faults.  The E-step of :func:`train_em`
+evaluates its density table over chunks of 1,024 samples, for the same
+reason: a bench set-up faults 300-750 times instead of about 3,700.
 
 The EM fit :func:`train_em` takes every L_k^{-T} of its K covariances from
 the same forward substitution, stored C-contiguous (a transposed view makes
@@ -56,6 +76,10 @@ __all__ = [
 ]
 
 EM_STOP_TOL = 1e-12  # train_em's rounding-level fixed point (see its docstring)
+# working-set bounds (see the module docstring): matrix rows per chunk of the
+# tilted kernel, and sample rows per chunk of the E-step's density table
+_TILTED_CHUNK_ROWS = 2560
+_EM_CHUNK_ROWS = 1024
 
 
 def _jittered_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -179,13 +203,18 @@ def marginalize(adapted: AdaptedGMM, indices: np.ndarray) -> AdaptedGMM:
     return AdaptedGMM(base=sub_base, theta=adapted.theta)
 
 
-def _lower_triangular_inverse(chol: np.ndarray) -> np.ndarray:
+def _lower_triangular_inverse(chol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """L^{-1} for a stack (..., b, b) of lower-triangular L, by forward
     substitution on L X = I: row i of X is (e_i - L[i, :i] X[:i]) / L[i, i],
     one batched step per row.  X is lower triangular, so row i needs only
-    its first i + 1 columns."""
+    its first i + 1 columns.  ``out``, an array of L's shape that is not L,
+    receives X (it is zeroed first)."""
     b = chol.shape[-1]
-    inv = np.zeros_like(chol)
+    if out is None:
+        inv = np.zeros_like(chol)
+    else:
+        inv = out
+        inv.fill(0.0)
     diag_inv = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
     for i in range(b):
         row = -(chol[..., i:i + 1, :i] @ inv[..., :i, :i + 1])[..., 0, :]
@@ -229,9 +258,27 @@ def _tilted_moments_stack(adapted: AdaptedGMM, cavity_means: np.ndarray,
     covariance, so no (b, b) output is formed: the component variances are
     s_i sum_r V_ri (L^{-1})_ri, the diagonal of the same product form, and
     the mixture variance is sum_k w_k (var_k + (mean_k - mean)^2).
+
+    Blocks are independent, so the stack goes through
+    :func:`_tilted_moments_chunk` in even chunks of at most
+    max(1, ``_TILTED_CHUNK_ROWS`` // (K b)) blocks (see the module
+    docstring); the outputs do not depend on the chunking.
     """
     m = np.asarray(cavity_means, dtype=float)
     s = np.asarray(cavity_covs, dtype=float)
+    n_blocks, b = m.shape
+    per_chunk = max(1, _TILTED_CHUNK_ROWS // (adapted.n_components * b))
+    n_chunks = max(1, -(-n_blocks // per_chunk))
+    edges = [n_blocks * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [_tilted_moments_chunk(adapted, m[lo:hi], s[lo:hi])
+              for lo, hi in zip(edges, edges[1:])]
+    return tuple(np.concatenate(out) for out in zip(*chunks))
+
+
+def _tilted_moments_chunk(adapted: AdaptedGMM, m: np.ndarray, s: np.ndarray):
+    """:func:`_tilted_moments_stack` on one chunk of blocks.  Three (J, K,
+    b, b) buffers at most: L^{-1} overwrites S + C_k, and V = L^{-1} C_k
+    overwrites L once z and the log-determinant have been taken."""
     n_blocks, b = m.shape
     diagonal = s.ndim == 2
 
@@ -244,7 +291,7 @@ def _tilted_moments_stack(adapted: AdaptedGMM, cavity_means: np.ndarray,
     else:
         total = s[:, None, :, :] + cc[None, :, :, :]
     chol = _jittered_cholesky(total)
-    chol_inv = _lower_triangular_inverse(chol)
+    chol_inv = _lower_triangular_inverse(chol, out=total)
     z = (chol_inv @ (m[:, None, :] - mu[None, :, :])[..., None])[..., 0]  # (J, K, b)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     log_w = np.log(adapted.weights)[None, :] - 0.5 * (
@@ -252,16 +299,16 @@ def _tilted_moments_stack(adapted: AdaptedGMM, cavity_means: np.ndarray,
     weights = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
     weights /= np.sum(weights, axis=1, keepdims=True)
 
-    v = chol_inv @ cc[None, :, :, :]                      # V = L^{-1} C_k
+    v = np.matmul(chol_inv, cc[None, :, :, :], out=chol)  # V = L^{-1} C_k
     comp_means = mu[None, :, :] + (z[..., None, :] @ v)[..., 0, :]   # (J, K, b)
     means = (weights[:, None, :] @ comp_means)[:, 0, :]
     if diagonal:
         comp_vars = s[:, None, :] * np.einsum("jkrb,jkrb->jkb", v, chol_inv)
         spread = comp_vars + (comp_means - means[:, None, :]) ** 2
         return weights, means, (weights[:, None, :] @ spread)[:, 0, :]
-    weighted_v = (weights[..., None, None] * v).reshape(n_blocks, k * b, b)
-    covs = np.swapaxes(weighted_v, 1, 2) @ (chol_inv @ s[:, None, :, :]).reshape(
-        n_blocks, k * b, b)
+    v *= weights[..., None, None]                         # the rows w_k V_k
+    covs = np.swapaxes(v.reshape(n_blocks, k * b, b), 1, 2) @ (
+        chol_inv @ s[:, None, :, :]).reshape(n_blocks, k * b, b)
     covs += (np.swapaxes(comp_means, 1, 2) * weights[:, None, :]) @ comp_means
     covs -= means[..., :, None] * means[..., None, :]
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
@@ -276,10 +323,15 @@ def _component_log_densities(samples: np.ndarray, means: np.ndarray,
     chol_inv_t = np.ascontiguousarray(np.swapaxes(_lower_triangular_inverse(chol), -1, -2))
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     table = np.empty((len(means), n))
-    diff, z = np.empty_like(samples), np.empty_like(samples)
-    for k in range(len(means)):
-        np.matmul(np.subtract(samples, means[k], out=diff), chol_inv_t[k], out=z)
-        table[k] = -0.5 * (dim * np.log(2 * np.pi) + logdet[k] + np.einsum("ni,ni->n", z, z))
+    rows = min(n, _EM_CHUNK_ROWS)
+    diff, z = np.empty((2, rows, dim))
+    for start in range(0, n, rows):
+        x = samples[start:start + rows]
+        d, zc = diff[:len(x)], z[:len(x)]
+        for k in range(len(means)):
+            np.matmul(np.subtract(x, means[k], out=d), chol_inv_t[k], out=zc)
+            table[k, start:start + len(x)] = -0.5 * (
+                dim * np.log(2 * np.pi) + logdet[k] + np.einsum("ni,ni->n", zc, zc))
     return table
 
 

@@ -277,8 +277,8 @@ class TestTiltedP1:
         q0 = GaussianFactor.from_moments("diagonal", part, rng.standard_normal(16),
                                          rng.uniform(0.2, 2.0, 16))
         w = np.full(16, 1.0 / sigma2)
-        mean, stacks, _, _ = tilted_p1_moments(q0, op, w, op.apply_adjoint(y) / sigma2,
-                                               EPConfig(), np.zeros(16))
+        mean, stacks, _, _, _ = tilted_p1_moments(q0, op, w, op.apply_adjoint(y) / sigma2,
+                                                  EPConfig(), np.zeros(16))
         blocks = per_block(part, stacks)
         p0 = pixel_diagonal(part, q0.prec)
         for j, (idx, _) in enumerate(blocks_of(part)):
@@ -292,9 +292,9 @@ class TestTiltedP1:
         op = Identity(4, 4)
         y = rng.standard_normal(16)
         q0 = GaussianFactor.from_moments("diagonal", part, np.zeros(16), np.full(16, 1e12))
-        mean, _, _, _ = tilted_p1_moments(q0, op, np.full(16, 10.0),
-                                          op.apply_adjoint(y) * 10.0,
-                                          EPConfig(), np.zeros(16))
+        mean, _, _, _, _ = tilted_p1_moments(q0, op, np.full(16, 10.0),
+                                             op.apply_adjoint(y) * 10.0,
+                                             EPConfig(), np.zeros(16))
         np.testing.assert_allclose(mean, y, atol=1e-6)
 
     @pytest.mark.parametrize("shift", [0, 4], ids=["aligned", "shifted"])
@@ -309,7 +309,10 @@ class TestTiltedP1:
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), eta)
         w = np.full(36, 1.0 / sigma2)
         obs_eta = op.apply_adjoint(y) / sigma2
-        mean, _, _, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig(), np.zeros(36))
+        mean, _, _, residual, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig(),
+                                                    np.zeros(36))
+        # relative to the whole right-hand side, below every column's stop level
+        assert type(residual) is float and 0.0 <= residual < EPConfig().cg_tol
         omega0 = np.zeros((36, 36))
         for j, (idx, _) in enumerate(blocks_of(part)):
             omega0[np.ix_(idx, idx)] = blocks[j]
@@ -333,7 +336,7 @@ class TestTiltedP1:
 
         def mean_rel_error(samples, seed):
             cfg = EPConfig(rbmc_samples=samples, seed=seed)
-            _, est, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg, np.zeros(256))
+            _, est, _, _, _ = tilted_p1_moments(q0, op, w, np.zeros(256), cfg, np.zeros(256))
             est = per_block(part, est)
             errs = []
             for j, (idx, _) in enumerate(blocks_of(part)):
@@ -374,7 +377,7 @@ class TestTiltedP1:
         blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
         q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
         w = np.full(36, 4.0)
-        _, covs, _, _ = tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig(), np.zeros(36))
+        _, covs, _, _, _ = tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig(), np.zeros(36))
         kept = op.kept.astype(float)
         for j, ((idx, _), cov) in enumerate(zip(blocks_of(part), per_block(part, covs))):
             expected = np.linalg.inv(blocks[j] + np.diag(4.0 * kept[idx]))

@@ -177,7 +177,14 @@ class TestRectifiedPoissonTilted:
         # 750 positive counts over y in [1, 500], cavity means in [-20, 2y],
         # three cavity variances, clipped and unclipped lower ends; the
         # reference is a 16,385-node Simpson rule on the same span, whose
-        # error is far below the tolerances
+        # error is far below the tolerances.
+        # Chunk invariance, on the counts repeated to 1,250 pixels (two
+        # default chunks): chunks that split the pixels at multiples of 256
+        # give the default's bits, as BLAS computes every row of the
+        # (P, 48) @ (48, 3) product alike except those of a chunk's last,
+        # partial row block; chunks of 1 and 7 move that block and agree to
+        # rounding
+        default_chunk = ep_poisson._CHUNK
         for c1 in (0.1, 6.0, 1e4):
             y = np.rint(np.exp(rng.uniform(0.0, np.log(500.0), 247)))
             y = np.concatenate([[1.0, 2.0, 500.0], y])
@@ -185,13 +192,23 @@ class TestRectifiedPoissonTilted:
             mu1[:20] = rng.uniform(-20.0, 0.0, 20)
             ref_lz, ref_mean, ref_var, clipped = three_sum_tilted(y, mu1, c1, 16_385)
             assert 0 < np.sum(clipped) < y.size
-            for chunk in (1, 7, ep_poisson._CHUNK, 10_000):
+            many = (np.tile(y, 5), np.tile(mu1, 5), c1)
+            monkeypatch.setattr(ep_poisson, "_CHUNK", default_chunk)
+            default = rectified_poisson_tilted_batch(*many)
+            for chunk in (1, 7, 256, default_chunk, 10_000):
                 monkeypatch.setattr(ep_poisson, "_CHUNK", chunk)
                 log_z, mean, var, n_bad = rectified_poisson_tilted_batch(y, mu1, c1)
                 assert n_bad == 0
                 np.testing.assert_allclose(log_z, ref_lz, rtol=1e-12)
                 np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
                 np.testing.assert_allclose(var, ref_var, rtol=1e-10)
+                out = rectified_poisson_tilted_batch(*many)
+                assert out[3] == default[3] == 0
+                for got, expected in zip(out[:3], default[:3]):
+                    if chunk in (256, default_chunk, 10_000):
+                        np.testing.assert_array_equal(got, expected)
+                    else:
+                        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_positivity_invariants(self, rng):
         y = rng.integers(0, 100, size=200)
@@ -337,8 +354,8 @@ class TestUpdateQx1Poisson:
         )
         state.sync()
         from patchep.ep_gaussian import tilted_p1_moments
-        mean, _, _, _ = tilted_p1_moments(state.q0, op, w, op.apply_adjoint(w * m_u0),
-                                          EPConfig(), np.zeros(n))
+        mean, _, _, _, _ = tilted_p1_moments(state.q0, op, w, op.apply_adjoint(w * m_u0),
+                                             EPConfig(), np.zeros(n))
         omega0 = np.zeros((n, n))
         for j, (idx, _) in enumerate(blocks_of(part)):
             omega0[np.ix_(idx, idx)] = blocks[j]

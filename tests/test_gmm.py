@@ -237,6 +237,10 @@ class TestTiltedMoments:
         expected = np.linalg.inv(chol)
         np.testing.assert_allclose(inv, expected, rtol=1e-12, atol=1e-15)
         assert np.all(np.triu(inv, 1) == 0.0)
+        # the out= form overwrites whatever its buffer held, NaN included
+        out = np.full_like(chol, np.nan)
+        assert _lower_triangular_inverse(chol, out=out) is out
+        np.testing.assert_array_equal(out, inv)
 
     def test_jitter_retry_against_inline_oracle(self, rng):
         # coordinate 1 is absent from both the prior and the cavities: S + C_k
@@ -284,6 +288,71 @@ class TestTiltedMoments:
         np.testing.assert_allclose(weights[2], w_ref, rtol=1e-9)
         np.testing.assert_allclose(means[2], mean_ref, rtol=1e-9, atol=1e-15)
         np.testing.assert_allclose(covs_out[2], cov_ref, rtol=1e-9, atol=1e-15)
+
+
+class TestChunkedKernel:
+    """_tilted_moments_stack in chunks of blocks against one chunk, bit for
+    bit: blocks are independent, and every step is batched per block."""
+
+    @staticmethod
+    def singular_case(rng, n_blocks, failing):
+        # as in test_jitter_only_on_the_failing_block: the prior is singular
+        # on coordinate 1, and so is block ``failing``'s cavity
+        covs = np.stack([random_spd(rng, 3, 0.2) for _ in range(3)])
+        prior = adapt(PatchGMM(np.array([0.2, 0.3, 0.5]), rng.standard_normal((3, 3)) * 0.5,
+                               covs), Adaptation())
+        prior.covs[:, 1, :] = prior.covs[:, :, 1] = 0.0
+        prior.means[:, 1] = 0.0
+        cav_means = rng.standard_normal((n_blocks, 3))
+        cav_means[failing, 1] = 1e-5
+        cav_covs = np.stack([random_spd(rng, 3, 0.1) for _ in range(n_blocks)])
+        cav_covs[failing, 1, :] = cav_covs[failing, :, 1] = 0.0
+        return prior, cav_means, cav_covs
+
+    @pytest.mark.parametrize("cavity", ["full", "diagonal"])
+    @pytest.mark.parametrize("rows", [1, 3 * 3 * 3], ids=["one_block", "three_blocks"])
+    def test_chunks_match_one_chunk(self, rng, monkeypatch, cavity, rows):
+        # K = 3, b = 3, so 9 matrix rows per block: 1 row forces chunks of
+        # one block, 27 rows chunks of at most 3 blocks, which do not divide
+        # the 7 blocks (even chunks of 2, 2 and 3).  Block 5, in the last
+        # chunk, is jittered
+        prior, cav_means, cav_covs = self.singular_case(rng, 7, failing=5)
+        if cavity == "diagonal":
+            cav_covs = np.diagonal(cav_covs, axis1=1, axis2=2).copy()
+        full_covs = cav_covs if cavity == "full" else diag_stack(cav_covs)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(full_covs[:, None] + prior.covs[None])
+        monkeypatch.setattr(gmm_module, "_TILTED_CHUNK_ROWS", 10 ** 9)
+        whole = _tilted_moments_stack(prior, cav_means, cav_covs)
+        monkeypatch.setattr(gmm_module, "_TILTED_CHUNK_ROWS", rows)
+        chunked = _tilted_moments_stack(prior, cav_means, cav_covs)
+        assert [a.shape for a in chunked] == [a.shape for a in whole]
+        for got, expected in zip(chunked, whole):
+            np.testing.assert_array_equal(got, expected)
+        if cavity == "full":
+            w_ref, mean_ref, cov_ref = _tilted_gmm_block_jittered(prior, cav_means[5],
+                                                                  cav_covs[5])
+            np.testing.assert_allclose(chunked[0][5], w_ref, rtol=1e-9)
+            np.testing.assert_allclose(chunked[1][5], mean_ref, rtol=1e-9, atol=1e-15)
+            np.testing.assert_allclose(chunked[2][5], cov_ref, rtol=1e-9, atol=1e-15)
+
+    def test_e_step_row_chunks_leave_the_fit_unchanged(self, monkeypatch):
+        # the bench's K = 5 patch-4 fit: 3,721 samples in row chunks of the
+        # default size give the same bits as one chunk; chunks of 7 rows,
+        # which move BLAS's partial row blocks, agree to rounding
+        samples = extract_patches(make_phantom(64, 64, seed=0), 4)
+        fit = train_em(samples, 5, max_iters=50, seed=0)
+        means, covs = fit.means, fit.covs
+        table = gmm_module._component_log_densities(samples, means, covs)
+        monkeypatch.setattr(gmm_module, "_EM_CHUNK_ROWS", 10 ** 9)
+        whole = train_em(samples, 5, max_iters=50, seed=0)
+        for name in ("weights", "means", "covs"):
+            np.testing.assert_array_equal(getattr(fit, name), getattr(whole, name))
+        np.testing.assert_array_equal(
+            gmm_module._component_log_densities(samples, means, covs), table)
+        monkeypatch.setattr(gmm_module, "_EM_CHUNK_ROWS", 7)
+        np.testing.assert_allclose(gmm_module._component_log_densities(samples, means, covs),
+                                   table, rtol=1e-13)
 
 
 class TestDiagonalCavities:

@@ -432,18 +432,23 @@ class TestRunPipeline:
         assert all(e.outer_rounds == 1 for e in out.experts[1:])
 
     def test_report_structure_and_determinism(self, rng):
-        # Gaussian and Poisson denoising: two runs give the same report, and
-        # the report, EP iteration records included, round-trips through JSON;
-        # a Poisson record holds the weight q_u1 got, a Gaussian one has none
+        # Gaussian denoising and deblurring and Poisson denoising: two runs
+        # give the same report, and the report, EP iteration records
+        # included, round-trips through JSON; a Poisson record holds the
+        # weight q_u1 got, a Gaussian one has none; a deblurring (block-path)
+        # record holds the relative CG residual, a denoising one has none
         base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
         y = simulate(Identity(8, 8), np.full(64, 0.4), GaussianNoise(0.01), seed=8)
+        blur = Conv2D(8, 8, np.full((3, 3), 1.0 / 9.0))
+        blurred = simulate(blur, np.full(64, 0.4), GaussianNoise(0.01), seed=8)
         poisson_base = PatchGMM(np.array([1.0]), np.full((1, 4), 5.0), (4.0 * np.eye(4))[None])
         counts = simulate(Identity(8, 8), np.full(64, 5.0), PoissonNoise(), seed=8)
         cfg = PipelineConfig(ep=EPConfig(), patch_size=2, n_experts=2, seed=11)
-        for obs, noise, prior in ((y, GaussianNoise(0.01), base),
-                                  (counts, PoissonNoise(), poisson_base)):
-            a = run_pipeline(obs, Identity(8, 8), noise, prior, cfg)
-            b = run_pipeline(obs, Identity(8, 8), noise, prior, cfg)
+        for obs, op, noise, prior in ((y, Identity(8, 8), GaussianNoise(0.01), base),
+                                      (blurred, blur, GaussianNoise(0.01), base),
+                                      (counts, Identity(8, 8), PoissonNoise(), poisson_base)):
+            a = run_pipeline(obs, op, noise, prior, cfg)
+            b = run_pipeline(obs, op, noise, prior, cfg)
             assert a.report == b.report
             np.testing.assert_array_equal(a.fused.mean, b.fused.mean)
             assert {"n_experts", "experts", "failures", "patch_size", "warnings",
@@ -456,6 +461,11 @@ class TestRunPipeline:
                 assert records[0]["damping"] == 1.0
             else:
                 assert not any("damping" in i for i in records)
+            if op.is_diagonal:
+                assert not any("cg_residual" in i for i in records)
+            else:
+                assert all(type(i["cg_residual"]) is float
+                           and 0.0 <= i["cg_residual"] < cfg.ep.cg_tol for i in records)
             assert json.loads(json.dumps(a.report)) == a.report
             assert "total_s" in a.timings
 
