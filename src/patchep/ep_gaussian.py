@@ -4,14 +4,14 @@ outer loop shared with the Poisson model.
 The posterior  N(y; Hx, sigma^2 I) * prod_j GMM(x_j)  is approximated by the
 product of two Gaussian factors (prior side and likelihood side) with
 block-diagonal precisions aligned to the patch partition.  Each factor keeps
-its precision as one ``(J_g, b, b)`` stack per group of
-``partition.groups`` and its precision-mean as one N-vector; every block
-operation is batched over a group's stack.  The structure is diagonal (zero
-off-diagonal entries) exactly when H is diagonal and a full block otherwise.
-Diagonal stacks get their moments per pixel, without a batched inverse.  The
-KL step (see :mod:`patchep.kl_updates`) is closed-form either way: per pixel
-for the diagonal structure, and for full blocks one batched call of the
-exact constrained minimizer per group's stack.  Each iteration alternates
+its precision as one stack per group of ``partition.groups`` and its
+precision-mean as one N-vector; every block operation is batched over a
+group's stack.  A stack is (J_g, b) rows of per-pixel precisions exactly
+when H is diagonal, and (J_g, b, b) blocks otherwise; the joint moments and
+the tilted kernel's cavities and outputs keep that shape.  The KL step (see
+:mod:`patchep.kl_updates`) is closed-form either way: per pixel for rows,
+and for blocks one batched call of the exact constrained minimizer per
+group's stack.  Each iteration alternates
 
 * prior-side update: tilted GMM moments of each group against the
   likelihood factor as cavity, then the KL precision update and the
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussians import BlockDiagonalCov, diag_stack, diag_stacks, sym
+from .gaussians import BlockDiagonalCov, diag_stack, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
 from .kl_updates import PRECISION_FLOOR, diag_kl_update, update_block_precision
 from .operators import DegradationOperator
@@ -105,45 +105,48 @@ def _check_observation(y, n: int, poisson: bool = False) -> np.ndarray:
     return y
 
 
-def _stack_moments(prec: np.ndarray, eta: np.ndarray, structure: str):
-    """Means (J, b) and covariances (J, b, b) of a stack of blocks given in
-    natural parameters: precisions (J, b, b) and precision-means (J, b).
-    Diagonal stacks are inverted per pixel."""
-    if structure == "diagonal":
-        var = 1.0 / np.diagonal(prec, axis1=1, axis2=2)
-        return var * eta, diag_stack(var)
+def _stack_moments(prec: np.ndarray, eta: np.ndarray):
+    """Means (J, b) and covariances of a stack of blocks given in natural
+    parameters: precisions and precision-means (J, b).  Full precisions
+    (J, b, b) give covariances (J, b, b); diagonal ones, (J, b) rows, are
+    inverted per pixel and give (J, b) variances."""
+    if prec.ndim == 2:
+        var = 1.0 / prec
+        return var * eta, var
     cov = sym(np.linalg.inv(prec))
     return (cov @ eta[..., None])[..., 0], cov
 
 
 @dataclass
 class GaussianFactor:
-    """One EP factor in natural parameters: ``prec``, a list of (J_g, b, b)
-    precision stacks aligned with ``partition.groups``, and ``eta``, the
-    precision-mean in pixel order."""
+    """One EP factor in natural parameters: ``prec``, a list of precision
+    stacks aligned with ``partition.groups``, (J_g, b) rows of a diagonal
+    factor or (J_g, b, b) full blocks, and ``eta``, the precision-mean in
+    pixel order."""
 
-    structure: str
     partition: Partition
     prec: list
     eta: np.ndarray
 
     @classmethod
-    def from_moments(cls, structure: str, partition: Partition,
-                     mean: np.ndarray, variance: np.ndarray) -> "GaussianFactor":
-        """Diagonal-moment initialization (variance per pixel)."""
+    def from_moments(cls, partition: Partition, mean: np.ndarray, variance: np.ndarray,
+                     *, diagonal: bool) -> "GaussianFactor":
+        """Diagonal-moment initialization (variance per pixel), as rows when
+        ``diagonal`` and as full blocks otherwise."""
         prec = 1.0 / variance
-        return cls(structure, partition, diag_stacks(partition, prec), prec * mean)
+        rows = [prec[g.pixels] for g in partition.groups]
+        return cls(partition, rows if diagonal else [diag_stack(r) for r in rows], prec * mean)
 
     def copy(self) -> "GaussianFactor":
-        return GaussianFactor(self.structure, self.partition,
-                              [p.copy() for p in self.prec], self.eta.copy())
+        return GaussianFactor(self.partition, [p.copy() for p in self.prec], self.eta.copy())
 
 
 @dataclass
 class EPState:
     """Live factor pair plus the synchronized joint moments; ``joint_covs``
     holds the joint covariance blocks as stacks aligned with
-    ``partition.groups``."""
+    ``partition.groups``, of the factors' shape: (J_g, b) variances for
+    diagonal factors, (J_g, b, b) blocks otherwise."""
 
     q0: GaussianFactor
     q1: GaussianFactor
@@ -160,9 +163,10 @@ class EPState:
         self.mean, self.marginal_var = np.empty((2, part.n_pixels))
         self.joint_covs = []
         for group, p0, p1 in zip(part.groups, self.q0.prec, self.q1.prec):
-            mean, cov = _stack_moments(p0 + p1, eta[group.pixels], self.q0.structure)
+            mean, cov = _stack_moments(p0 + p1, eta[group.pixels])
             self.mean[group.pixels] = mean
-            self.marginal_var[group.pixels] = np.diagonal(cov, axis1=1, axis2=2)
+            self.marginal_var[group.pixels] = cov if cov.ndim == 2 else np.diagonal(
+                cov, axis1=1, axis2=2)
             self.joint_covs.append(cov)
 
 
@@ -170,7 +174,7 @@ class EPState:
 class EPResult:
     mean: np.ndarray
     marginal_var: np.ndarray
-    cov: BlockDiagonalCov
+    cov: BlockDiagonalCov              # joint blocks, (J_g, b, b) for diagonal factors too
     weights: list                      # tilted GMM weights per group, (J_g, K) or None
     converged: bool
     # one record per EP iteration: "iteration", "dm2" and "dvar2" (squared
@@ -199,19 +203,18 @@ def _kl_step(factor: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
              cav_prec: np.ndarray, cav_eta: np.ndarray, damping: float) -> int:
     """Move group g of ``factor``, in place, to the target whose product with
     the cavity (precisions cav_prec, precision-means cav_eta) matches the
-    tilted moments: means (J, b) and covariances (J, b, b), or variances
-    (J, b) for a diagonal factor.  A diagonal factor is set to the target; a
-    block becomes damping * target + (1 - damping) * old in natural
-    parameters.  Returns the warning count: blocks whose update failed or
-    was rejected; they keep their old parameters."""
+    tilted moments: means (J, b) and covariances, all stacks of the
+    factor's shape, (J, b) rows or (J, b, b) blocks.  Rows are set to the
+    target per pixel; a block becomes damping * target + (1 - damping) * old
+    in natural parameters.  Returns the warning count: blocks whose update
+    failed or was rejected; they keep their old parameters."""
     pixels = factor.partition.groups[g].pixels
     stack = factor.prec[g]
-    if factor.structure == "diagonal":
-        p_cav = np.diagonal(cav_prec, axis1=1, axis2=2)
+    if stack.ndim == 2:
         ok = np.all(t_covs > 0, axis=1)
-        p_new = diag_kl_update(t_covs[ok], p_cav[ok])
-        stack[ok] = diag_stack(p_new)
-        factor.eta[pixels[ok]] = (p_new + p_cav[ok]) * t_means[ok] - cav_eta[ok]
+        p_new = diag_kl_update(t_covs[ok], cav_prec[ok])
+        stack[ok] = p_new
+        factor.eta[pixels[ok]] = (p_new + cav_prec[ok]) * t_means[ok] - cav_eta[ok]
         return int(np.sum(~ok))
     p_new, ok = update_block_precision(t_covs, cav_prec, stack)
     eta_new = ((p_new[ok] + cav_prec[ok]) @ t_means[ok, :, None])[..., 0] - cav_eta[ok]
@@ -223,19 +226,16 @@ def _kl_step(factor: GaussianFactor, g: int, t_means: np.ndarray, t_covs: np.nda
 def update_q_x0(state: EPState, adapted: AdaptedGMM, config: EPConfig):
     """Prior-side EP update; returns (tilted weights per group, warning
     counts by cause).  A group whose tilted moments fail gets weights None
-    and keeps its old blocks.  A diagonal cavity goes to the tilted kernel
-    as (J, b) variances, and its tilted variances come back per pixel.  Each
+    and keeps its old blocks.  The cavity goes to the tilted kernel in the
+    factors' shape, (J, b) variances of diagonal factors or (J, b, b)
+    blocks, and the tilted covariances come back in the same shape.  Each
     group's KL step updates q_x0 in place (see :func:`_kl_step`)."""
     part = state.partition
     weights = []
     warnings = Counter()
     for g, (group, cav_prec) in enumerate(zip(part.groups, state.q1.prec)):
         cav_eta = state.q1.eta[group.pixels]
-        if state.q1.structure == "diagonal":
-            cav_covs = 1.0 / np.diagonal(cav_prec, axis1=1, axis2=2)
-            cav_means = cav_covs * cav_eta
-        else:
-            cav_means, cav_covs = _stack_moments(cav_prec, cav_eta, "block")
+        cav_means, cav_covs = _stack_moments(cav_prec, cav_eta)
         try:
             w, t_means, t_covs = _tilted_moments_stack(
                 adapted.marginal(group.local), cav_means, cav_covs)
@@ -365,7 +365,7 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
     part = state.partition
     if operator.is_diagonal:
         prec = np.maximum(obs_weights * operator.diag_gram(), PRECISION_FLOOR)
-        state.q1.prec = diag_stacks(part, prec)
+        state.q1.prec = [prec[g.pixels] for g in part.groups]
         state.q1.eta = obs_eta.copy()
         return {"cg_iterations": 0}, Counter()
 
@@ -395,15 +395,11 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     Python numbers, and its warnings by cause are the sums over the records.
     """
     n = partition.n_pixels
-    structure = "diagonal" if operator.is_diagonal else "block"
     if init_state is None:
-        state = EPState(
-            q0=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
-            q1=GaussianFactor.from_moments(structure, partition, init_mean, init_var),
-            partition=partition,
-        )
-    else:
-        state = EPState(q0=init_state.q0.copy(), q1=init_state.q1.copy(), partition=partition)
+        init = GaussianFactor.from_moments(partition, init_mean, init_var,
+                                           diagonal=operator.is_diagonal)
+        init_state = EPState(q0=init, q1=init, partition=partition)
+    state = EPState(q0=init_state.q0.copy(), q1=init_state.q1.copy(), partition=partition)
     state.sync()
 
     weights = None
@@ -424,7 +420,8 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     return EPResult(
         mean=state.mean.copy(),
         marginal_var=state.marginal_var.copy(),
-        cov=BlockDiagonalCov(partition, state.joint_covs),
+        cov=BlockDiagonalCov(partition, [diag_stack(c) if c.ndim == 2 else c
+                                         for c in state.joint_covs]),
         weights=weights,
         converged=converged,
         history=history,

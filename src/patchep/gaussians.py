@@ -7,9 +7,10 @@ covariance with one block per patch of a
 block-diagonal matrix is stored as a list of ``(J_g, b, b)`` arrays, one per
 group and in the order of ``partition.groups``; all block arithmetic is
 batched numpy over these stacks, and no N x N matrix is assembled here.  A
-diagonal matrix is the same stacks with zero off-diagonal entries.
-:class:`BlockDiagonalCov` checks that every block is symmetric positive
-definite, by one batched Cholesky factorization per group.
+diagonal matrix is ``(J_g, b)`` rows of its diagonal, told apart by shape;
+:func:`diag_stack` makes full blocks of them.  :class:`BlockDiagonalCov`
+checks that every block is symmetric positive definite, by one batched
+Cholesky factorization per group.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .partitions import Partition
 
-__all__ = ["BlockDiagonalCov", "diag_stack", "diag_stacks", "sym"]
+__all__ = ["BlockDiagonalCov", "diag_stack", "sym"]
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -34,12 +35,6 @@ def diag_stack(d: np.ndarray) -> np.ndarray:
     out = np.zeros(d.shape + (b,))
     out[..., np.arange(b), np.arange(b)] = d
     return out
-
-
-def diag_stacks(partition: Partition, values: np.ndarray) -> list[np.ndarray]:
-    """Stacks of the diagonal matrix diag(values), values in pixel order."""
-    values = np.asarray(values, dtype=float)
-    return [diag_stack(values[g.pixels]) for g in partition.groups]
 
 
 @dataclass(frozen=True)

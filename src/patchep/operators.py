@@ -205,11 +205,12 @@ def all_row_quadratic_forms(operator: DegradationOperator, partition: Partition,
     """h_n S h_n^T for every row n of H: the diagonal of H S H^T, with S the
     block-diagonal matrix of ``stacks`` (one per group of ``partition``).
     A diagonal H reads only S_nn, so there the forms are diag(H^T H) * S_nn
-    for any blocks."""
+    for any blocks, and the stacks may be (J_g, b) rows of S_nn, the shape
+    of diagonal EP factors, or (J_g, b, b) blocks."""
     if operator.is_diagonal:
         s_nn = np.empty(partition.n_pixels)
         for group, stack in zip(partition.groups, stacks):
-            s_nn[group.pixels] = np.diagonal(stack, axis1=1, axis2=2)
+            s_nn[group.pixels] = stack if stack.ndim == 2 else np.diagonal(stack, axis1=1, axis2=2)
         return operator.diag_gram() * s_nn
     h = operator.matrix
     s = _block_diag(partition, stacks)

@@ -216,7 +216,7 @@ def _at_bound(theta: Adaptation, estimate_scale: bool) -> list:
 
 
 def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
-                theta_prev: Adaptation, estimate_scale: bool = True) -> Adaptation:
+                theta_prev: Adaptation, *, estimate_scale: bool) -> Adaptation:
     """Coordinate maximization of the E-cost: closed-form offset, then
     golden-section searches for the patch-mean variance (log-scale, within
     MEAN_VAR_BOUNDS) and the scale (within SCALE_BOUNDS), repeated until

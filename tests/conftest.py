@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from patchep.gaussians import diag_stack
 from patchep.gmm import Adaptation, PatchGMM, adapt
 
 
@@ -31,11 +32,19 @@ def blocks_of(partition):
                                           for g in groups])))
 
 
+def diag_stacks(partition, values):
+    """(J_g, b, b) stacks of the diagonal matrix diag(values), values in
+    pixel order."""
+    values = np.asarray(values, dtype=float)
+    return [diag_stack(values[g.pixels]) for g in partition.groups]
+
+
 def pixel_diagonal(partition, stacks):
-    """Diagonal of a block-diagonal matrix given as stacks, in pixel order."""
+    """Diagonal of a block-diagonal matrix given as stacks, (J_g, b, b)
+    blocks or (J_g, b) rows of the diagonal, in pixel order."""
     out = np.empty(partition.n_pixels)
     for group, stack in zip(partition.groups, stacks):
-        out[group.pixels] = np.diagonal(stack, axis1=1, axis2=2)
+        out[group.pixels] = stack if stack.ndim == 2 else np.diagonal(stack, axis1=1, axis2=2)
     return out
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
+import patchep.ep_gaussian as ep_gaussian
 from patchep.ep_gaussian import (
     WARNING_CAUSES,
     EPConfig,
@@ -20,10 +21,12 @@ from patchep.ep_gaussian import (
     update_q_x0,
     update_q_x1,
 )
+from patchep.ep_poisson import run_ep_poisson
 from patchep.gaussians import diag_stack
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.kl_updates import PRECISION_FLOOR
-from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, simulate
+from patchep.operators import (Conv2D, GaussianNoise, Identity, Mask, all_row_quadratic_forms,
+                               simulate)
 from patchep.partitions import Partition, build_shifted_partitions
 
 from conftest import blocks_of, per_block, pixel_diagonal, random_spd, small_gmm, stack_by_group
@@ -67,29 +70,67 @@ class TestConfig:
             EPConfig(**{field: value})
 
     def test_structure_resolution(self, rng):
-        # the factors are diagonal exactly when H is, whatever its class
+        # the factors are diagonal exactly when H is, whatever its class: 2-D
+        # (J, b) rows of factor precisions and joint variances then, 3-D
+        # (J, b, b) blocks otherwise
         part = build_shifted_partitions(4, 4, 2)[0]
         adapted = k1_adapted(rng, 4)
         y = rng.standard_normal(16)
         cfg = EPConfig(max_iterations=1)
-        for op, structure in ((Identity(4, 4), "diagonal"), (Mask(4, 4, y > 0), "diagonal"),
-                              (Conv2D(4, 4, np.ones((1, 1))), "diagonal"),
-                              (Conv2D(4, 4, np.full((3, 3), 1.0 / 9.0)), "block")):
+        for op, ndim in ((Identity(4, 4), 2), (Mask(4, 4, y > 0), 2),
+                         (Conv2D(4, 4, np.ones((1, 1))), 2),
+                         (Conv2D(4, 4, np.full((3, 3), 1.0 / 9.0)), 3)):
             state = run_ep_gaussian(y, op, 0.1, adapted, part, cfg).state
-            assert state.q0.structure == state.q1.structure == structure
+            for stacks in (state.q0.prec, state.q1.prec, state.joint_covs):
+                assert [s.ndim for s in stacks] == [ndim] * len(part.groups)
 
 
 class TestStackMoments:
     def test_diagonal_branch_matches_inverse(self, rng):
-        # random diagonal stacks: the per-pixel branch against the batched
-        # inverse of the general branch
-        prec = diag_stack(rng.uniform(0.01, 100.0, (30, 9)))
+        # random (J, b) rows of diagonal precisions: the per-pixel branch
+        # against the batched inverse of their diag_stack blocks
+        prec = rng.uniform(0.01, 100.0, (30, 9))
         eta = rng.standard_normal((30, 9))
-        mean, cov = _stack_moments(prec, eta, "diagonal")
-        ref_mean, ref_cov = _stack_moments(prec, eta, "block")
+        mean, var = _stack_moments(prec, eta)
+        ref_mean, ref_cov = _stack_moments(diag_stack(prec), eta)
+        assert var.shape == (30, 9)
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-14)
-        np.testing.assert_allclose(cov, ref_cov, rtol=1e-14)
-        assert np.all(cov[:, ~np.eye(9, dtype=bool)] == 0.0)
+        np.testing.assert_allclose(diag_stack(var), ref_cov, rtol=1e-14)
+
+
+class TestDiagonalRows:
+    @pytest.mark.parametrize("model", ["gauss_identity", "gauss_mask", "poisson_identity"])
+    def test_result_blocks_and_row_forms_match_the_rows(self, rng, model, monkeypatch):
+        # diagonal factors keep (J_g, b) rows through the run, and full
+        # blocks are made once per group, for the result; those blocks, the
+        # M-step's input, are the diag_stack of its marginal variances, and
+        # the Poisson row forms read the same S_nn from rows as from blocks
+        calls = Counter()
+
+        def counted(d):
+            calls["diag_stack"] += 1
+            return diag_stack(d)
+
+        monkeypatch.setattr(ep_gaussian, "diag_stack", counted)
+        part = build_shifted_partitions(8, 8, 2)[3]          # shift (1, 1)
+        assert len(part.groups) == 9
+        prior = small_gmm(rng, 3, 4)
+        if model == "poisson_identity":
+            op = Identity(8, 8)
+            y = rng.poisson(5.0, 64).astype(float)
+            res = run_ep_poisson(y, op, adapt(prior, Adaptation(offset=5.0, mean_var=1.0,
+                                                                scale=2.0)), part)
+        else:
+            op = Identity(8, 8) if model == "gauss_identity" else Mask(8, 8, rng.random(64) < 0.7)
+            y = op.apply(0.5 + 0.3 * rng.standard_normal(64))
+            res = run_ep_gaussian(y, op, 0.05, adapt(prior, Adaptation(offset=0.5)), part)
+        assert res.iterations > 1 and calls["diag_stack"] == len(part.groups)
+        rows = res.state.joint_covs
+        assert [c.shape for c in rows] == [g.pixels.shape for g in part.groups]
+        for group, stack in zip(part.groups, res.cov.stacks):
+            assert np.array_equal(stack, diag_stack(res.marginal_var[group.pixels]))
+        assert np.array_equal(all_row_quadratic_forms(op, part, rows),
+                              all_row_quadratic_forms(op, part, [diag_stack(c) for c in rows]))
 
 
 class TestUpdateQx0:
@@ -102,8 +143,8 @@ class TestUpdateQx0:
         sigma2 = 0.5
         cfg = EPConfig(damping=1.0)
         state = EPState(
-            q0=GaussianFactor.from_moments("block", part, y, np.full(16, sigma2)),
-            q1=GaussianFactor.from_moments("block", part, y, np.full(16, sigma2)),
+            q0=GaussianFactor.from_moments(part, y, np.full(16, sigma2), diagonal=False),
+            q1=GaussianFactor.from_moments(part, y, np.full(16, sigma2), diagonal=False),
             partition=part,
         )
         state.sync()
@@ -126,8 +167,8 @@ class TestUpdateQx0:
         y = rng.standard_normal(16)
         cfg = EPConfig(damping=1.0)
         state = EPState(
-            q0=GaussianFactor.from_moments("diagonal", part, y, np.full(16, 0.3)),
-            q1=GaussianFactor.from_moments("diagonal", part, y, np.full(16, 0.3)),
+            q0=GaussianFactor.from_moments(part, y, np.full(16, 0.3), diagonal=True),
+            q1=GaussianFactor.from_moments(part, y, np.full(16, 0.3), diagonal=True),
             partition=part,
         )
         state.sync()
@@ -144,15 +185,15 @@ class TestUpdateQx0:
 
         def one_update(damping):
             state = EPState(
-                q0=GaussianFactor.from_moments("block", part, y, np.full(16, 0.4)),
-                q1=GaussianFactor.from_moments("block", part, y, np.full(16, 0.4)),
+                q0=GaussianFactor.from_moments(part, y, np.full(16, 0.4), diagonal=False),
+                q1=GaussianFactor.from_moments(part, y, np.full(16, 0.4), diagonal=False),
                 partition=part,
             )
             state.sync()
             update_q_x0(state, adapted, EPConfig(damping=damping))
             return state.q0
 
-        old = GaussianFactor.from_moments("block", part, y, np.full(16, 0.4))
+        old = GaussianFactor.from_moments(part, y, np.full(16, 0.4), diagonal=False)
         full = one_update(1.0)
         half = one_update(0.5)
         for p_half, p_full, p_old in zip(half.prec, full.prec, old.prec):
@@ -166,7 +207,7 @@ def kl_target(stack):
     precision-mean 0."""
     n_blocks = len(stack)
     part = build_shifted_partitions(2 * n_blocks, 2, 2)[0]
-    return GaussianFactor("block", part, [stack.copy()], np.zeros(4 * n_blocks))
+    return GaussianFactor(part, [stack.copy()], np.zeros(4 * n_blocks))
 
 
 class TestKlStep:
@@ -274,8 +315,9 @@ class TestTiltedP1:
         op = Identity(4, 4)
         sigma2 = 0.7
         y = rng.standard_normal(16)
-        q0 = GaussianFactor.from_moments("diagonal", part, rng.standard_normal(16),
-                                         rng.uniform(0.2, 2.0, 16))
+        # the block path's function, fed diagonal blocks
+        q0 = GaussianFactor.from_moments(part, rng.standard_normal(16),
+                                         rng.uniform(0.2, 2.0, 16), diagonal=False)
         w = np.full(16, 1.0 / sigma2)
         mean, stacks, _, _, _ = tilted_p1_moments(q0, op, w, op.apply_adjoint(y) / sigma2,
                                                   EPConfig(), np.zeros(16))
@@ -291,7 +333,7 @@ class TestTiltedP1:
         part = build_shifted_partitions(4, 4, 2)[0]
         op = Identity(4, 4)
         y = rng.standard_normal(16)
-        q0 = GaussianFactor.from_moments("diagonal", part, np.zeros(16), np.full(16, 1e12))
+        q0 = GaussianFactor.from_moments(part, np.zeros(16), np.full(16, 1e12), diagonal=False)
         mean, _, _, _, _ = tilted_p1_moments(q0, op, np.full(16, 10.0),
                                              op.apply_adjoint(y) * 10.0,
                                              EPConfig(), np.zeros(16))
@@ -306,7 +348,7 @@ class TestTiltedP1:
         y = rng.standard_normal(36)
         blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
         eta = rng.standard_normal(36)
-        q0 = GaussianFactor("block", part, stack_by_group(part, blocks), eta)
+        q0 = GaussianFactor(part, stack_by_group(part, blocks), eta)
         w = np.full(36, 1.0 / sigma2)
         obs_eta = op.apply_adjoint(y) / sigma2
         mean, _, _, residual, _ = tilted_p1_moments(q0, op, w, obs_eta, EPConfig(),
@@ -326,7 +368,7 @@ class TestTiltedP1:
         op = Conv2D(16, 16, np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]) / 16.0)
         sigma2 = 0.05
         blocks = [random_spd(rng, len(idx), 1.0 / len(idx)) for idx, _ in blocks_of(part)]
-        q0 = GaussianFactor("block", part, stack_by_group(part, blocks),
+        q0 = GaussianFactor(part, stack_by_group(part, blocks),
                             rng.standard_normal(256))
         w = np.full(256, 1.0 / sigma2)
         omega0 = np.zeros((256, 256))
@@ -358,7 +400,7 @@ class TestTiltedP1:
         part = build_shifted_partitions(6, 6, 3)[0]
         op = Conv2D(6, 6, np.full((3, 3), 1.0 / 9.0))
         blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
-        q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
+        q0 = GaussianFactor(part, stack_by_group(part, blocks), rng.standard_normal(36))
         w = np.full(36, 4.0)
 
         def covs(seed):
@@ -375,7 +417,7 @@ class TestTiltedP1:
         part = build_shifted_partitions(6, 6, 3)[4]
         op = Mask(6, 6, rng.random(36) < 0.6)
         blocks = [random_spd(rng, len(idx), 0.5) for idx, _ in blocks_of(part)]
-        q0 = GaussianFactor("block", part, stack_by_group(part, blocks), rng.standard_normal(36))
+        q0 = GaussianFactor(part, stack_by_group(part, blocks), rng.standard_normal(36))
         w = np.full(36, 4.0)
         _, covs, _, _, _ = tilted_p1_moments(q0, op, w, np.zeros(36), EPConfig(), np.zeros(36))
         kept = op.kept.astype(float)
@@ -473,8 +515,8 @@ class TestUpdateQx1:
 
         def warnings_with(cfg):
             state = EPState(
-                q0=GaussianFactor("block", part, stack_by_group(part, blocks), eta),
-                q1=GaussianFactor.from_moments("block", part, y, np.full(36, sigma2)),
+                q0=GaussianFactor(part, stack_by_group(part, blocks), eta),
+                q1=GaussianFactor.from_moments(part, y, np.full(36, sigma2), diagonal=False),
                 partition=part,
             )
             state.sync()
@@ -496,8 +538,8 @@ class TestUpdateQx1:
         sigma2 = 0.31
         y = rng.standard_normal(16)
         state = EPState(
-            q0=GaussianFactor.from_moments("diagonal", part, y, np.ones(16)),
-            q1=GaussianFactor.from_moments("diagonal", part, y, np.ones(16)),
+            q0=GaussianFactor.from_moments(part, y, np.ones(16), diagonal=True),
+            q1=GaussianFactor.from_moments(part, y, np.ones(16), diagonal=True),
             partition=part,
         )
         state.sync()
@@ -515,8 +557,8 @@ class TestUpdateQx1:
         sigma2 = 0.2
         y = rng.standard_normal(16) * kept
         state = EPState(
-            q0=GaussianFactor.from_moments("diagonal", part, y, np.ones(16)),
-            q1=GaussianFactor.from_moments("diagonal", part, y, np.ones(16)),
+            q0=GaussianFactor.from_moments(part, y, np.ones(16), diagonal=True),
+            q1=GaussianFactor.from_moments(part, y, np.ones(16), diagonal=True),
             partition=part,
         )
         state.sync()

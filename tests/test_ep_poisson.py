@@ -292,8 +292,8 @@ class TestDampingRule:
                                      prec_u1=0.25, eta_u1=y / 4.0)
             update_q_u0(factors, y)
             state = EPState(
-                q0=GaussianFactor.from_moments("diagonal", part, y + 1.0, np.full(16, 2.0)),
-                q1=GaussianFactor.from_moments("diagonal", part, y, np.full(16, 0.5)),
+                q0=GaussianFactor.from_moments(part, y + 1.0, np.full(16, 2.0), diagonal=True),
+                q1=GaussianFactor.from_moments(part, y, np.full(16, 0.5), diagonal=True),
                 partition=part,
             )
             update_q_x0(state, adapted, cfg)
@@ -320,8 +320,8 @@ class TestUpdateQx1Poisson:
 
         def fresh_state():
             s = EPState(
-                q0=GaussianFactor.from_moments("diagonal", part, y, np.ones(16)),
-                q1=GaussianFactor.from_moments("diagonal", part, y, np.ones(16)),
+                q0=GaussianFactor.from_moments(part, y, np.ones(16), diagonal=True),
+                q1=GaussianFactor.from_moments(part, y, np.ones(16), diagonal=True),
                 partition=part,
             )
             s.sync()
@@ -348,8 +348,8 @@ class TestUpdateQx1Poisson:
         blocks = [random_spd(rng, len(idx), 0.3) for idx, _ in blocks_of(part)]
         eta0 = rng.standard_normal(n)
         state = EPState(
-            q0=GaussianFactor("block", part, stack_by_group(part, blocks), eta0),
-            q1=GaussianFactor.from_moments("block", part, m_u0, np.ones(n)),
+            q0=GaussianFactor(part, stack_by_group(part, blocks), eta0),
+            q1=GaussianFactor.from_moments(part, m_u0, np.ones(n), diagonal=False),
             partition=part,
         )
         state.sync()
@@ -374,10 +374,10 @@ class TestUpdateQu1:
         p_x0 = 1.5
         mean_val = 0.8
         state = EPState(
-            q0=GaussianFactor.from_moments("diagonal", part,
-                                           np.full(n, mean_val), np.full(n, 1.0 / p_x0)),
-            q1=GaussianFactor.from_moments("diagonal", part,
-                                           np.full(n, mean_val), np.full(n, c0)),
+            q0=GaussianFactor.from_moments(part, np.full(n, mean_val), np.full(n, 1.0 / p_x0),
+                                           diagonal=True),
+            q1=GaussianFactor.from_moments(part, np.full(n, mean_val), np.full(n, c0),
+                                           diagonal=True),
             partition=part,
         )
         state.sync()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from patchep.gaussians import BlockDiagonalCov, diag_stacks
+from patchep.gaussians import BlockDiagonalCov
 from patchep.partitions import build_shifted_partitions
 
-from conftest import blocks_of, pixel_diagonal, stack_by_group
+from conftest import blocks_of, diag_stacks, pixel_diagonal, stack_by_group
 
 
 class TestConstruction:
@@ -20,6 +20,18 @@ class TestConstruction:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError):
             BlockDiagonalCov(part, [np.block([[bad, np.zeros((2, 2))], [np.zeros((2, 2)), bad]])[None]])
+
+    def test_rejects_malformed_stacks(self):
+        part = build_shifted_partitions(4, 4, 2)[0]          # one group of four 2x2 patches
+        (good,) = diag_stacks(part, np.ones(16))
+        with pytest.raises(ValueError, match="one covariance stack per partition group"):
+            BlockDiagonalCov(part, [good, good])
+        with pytest.raises(ValueError, match="shape does not match the partition"):
+            BlockDiagonalCov(part, [good[:, :3, :3]])
+        asymmetric = good.copy()
+        asymmetric[2, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="must be symmetric"):
+            BlockDiagonalCov(part, [asymmetric])
 
     def test_accepts_spd_block(self):
         part = build_shifted_partitions(2, 2, 2)[0]

@@ -53,6 +53,22 @@ class TestPatchGMM:
             PatchGMM(np.array([1.0]), np.zeros((1, 3)), np.diag([1.0, 0.0, 1.0])[None])
 
 
+class TestInputChecks:
+    def test_malformed_prior_adaptation_and_marginal_rejected(self, adapted_2d):
+        covs = np.stack([np.eye(2)] * 2)
+        with pytest.raises(ValueError, match="inconsistent GMM shapes"):
+            PatchGMM(np.array([1.0]), np.zeros((2, 2)), covs)
+        with pytest.raises(ValueError, match="inconsistent GMM shapes"):
+            PatchGMM(np.full(2, 0.5), np.zeros((2, 2)), covs[:, :1, :1])
+        with pytest.raises(ValueError, match="weights must be positive"):
+            PatchGMM(np.array([1.5, -0.5]), np.zeros((2, 2)), covs)
+        with pytest.raises(ValueError, match="mean_var must be nonnegative"):
+            Adaptation(mean_var=-1e-3)
+        for indices in ([0, 2], [-1]):
+            with pytest.raises(IndexError, match="out of range"):
+                marginalize(adapted_2d, np.array(indices))
+
+
 class TestAdapt:
     def test_identity_adaptation(self, gmm_2d):
         adapted = adapt(gmm_2d, Adaptation())

@@ -306,6 +306,11 @@ class TestIsoKlUpdate:
         # clamped branch: iso floors at 1e-8 like the diagonal form
         assert iso_kl_update([2.0], [1.0]) == 1e-8
 
+    def test_nonpositive_variance_rejected(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tilted variances must be positive"):
+                iso_kl_update(np.array([1.0, bad]), np.ones(2))
+
     def test_symmetric_case(self):
         d, q = 0.25, 1.5
         out = iso_kl_update(np.full(7, d), np.full(7, q))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from patchep.gaussians import diag_stacks
 from patchep.operators import (
     Conv2D,
     GaussianNoise,
@@ -16,7 +15,7 @@ from patchep.operators import (
 )
 from patchep.partitions import build_shifted_partitions
 
-from conftest import blocks_of, per_block, random_spd, stack_by_group
+from conftest import blocks_of, diag_stacks, per_block, random_spd, stack_by_group
 
 
 def conv_dense_from_formula(width, height, kernel):
@@ -152,6 +151,23 @@ class TestApplyAdjoint:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             Identity(4, 4).apply(np.zeros(15))
+
+
+class TestInputChecks:
+    def test_malformed_mask_kernel_and_noise_rejected(self):
+        with pytest.raises(ValueError, match="one entry per pixel"):
+            Mask(4, 4, np.ones(15, dtype=bool))
+        for kernel in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError, match="kernel must be square"):
+                Conv2D(4, 4, kernel)
+        nan_kernel = np.full((3, 3), 1.0 / 9.0)
+        nan_kernel[1, 2] = np.nan
+        with pytest.raises(ValueError, match="kernel entries must be finite"):
+            Conv2D(4, 4, nan_kernel)
+        with pytest.raises(ValueError, match="kernel larger than the image"):
+            Conv2D(6, 4, np.full((5, 5), 1.0 / 25.0))
+        with pytest.raises(TypeError, match="unknown noise model"):
+            simulate(Identity(4, 4), np.ones(16), object(), seed=0)
 
 
 class TestRowForms:

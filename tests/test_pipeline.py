@@ -16,12 +16,13 @@ from patchep.ep_gaussian import (
     run_ep_gaussian,
     update_q_x0,
 )
-from patchep.gaussians import BlockDiagonalCov, diag_stacks
+from patchep.gaussians import BlockDiagonalCov
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
 from patchep.operators import Conv2D, GaussianNoise, Identity, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
 from patchep.pipeline import (
     ExpertResult,
+    FusedPosterior,
     PipelineConfig,
     _closed_form_offset,
     epem_e_cost,
@@ -31,7 +32,7 @@ from patchep.pipeline import (
     run_pipeline,
 )
 
-from conftest import blocks_of, random_spd, small_gmm, stack_by_group
+from conftest import blocks_of, diag_stacks, random_spd, small_gmm, stack_by_group
 from reference import (
     epem_e_cost_differences_exact,
     epem_e_cost_reference,
@@ -312,8 +313,8 @@ def prior_update_with_failures(monkeypatch, failing):
     part = build_shifted_partitions(8, 8, 2)[3]
     base = small_gmm(rng, 3, 4)
     y = rng.standard_normal(64)
-    state = EPState(q0=GaussianFactor.from_moments("block", part, y, np.full(64, 0.5)),
-                    q1=GaussianFactor.from_moments("block", part, y, np.full(64, 0.5)),
+    state = EPState(q0=GaussianFactor.from_moments(part, y, np.full(64, 0.5), diagonal=False),
+                    q1=GaussianFactor.from_moments(part, y, np.full(64, 0.5), diagonal=False),
                     partition=part)
     state.sync()
     real_kernel, calls = ep_gaussian._tilted_moments_stack, iter(range(len(part.groups)))
@@ -352,7 +353,8 @@ class TestFailedTiltedMoments:
         assert weights == [None] * 9 and warnings["tilted_failed"] == 25   # every block
         theta = Adaptation(offset=0.2, mean_var=0.05, scale=1.0)
         cov = BlockDiagonalCov(part, state.joint_covs)
-        assert epem_m_step(weights, state.mean, cov, base, part, theta) == theta
+        assert epem_m_step(weights, state.mean, cov, base, part, theta,
+                           estimate_scale=False) == theta
 
     def test_pipeline_raises_when_every_expert_failed(self, monkeypatch):
         def failing_expert(*args, **kwargs):
@@ -539,6 +541,23 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=match):
             y, noise = make_problem()
             run_pipeline(y, Identity(8, 8), noise, base, cfg)
+
+
+class TestInputChecks:
+    def test_nonpositive_variances_nonfinite_cost_and_unknown_noise_rejected(self):
+        with pytest.raises(ValueError, match="expert marginal variances must be positive"):
+            make_expert(0, np.zeros(2), [1.0, 0.0])
+        with pytest.raises(ValueError, match="fused variances must be positive"):
+            FusedPosterior(mean=np.zeros(2), marginal_var=np.array([1.0, -1.0]))
+        part, base, weights, mean, cov = single_pixel_partition_cost_inputs()
+        stats = estep_statistics(weights, mean, cov, base, part)
+        with pytest.raises(ValueError, match="the E-cost is not finite"):
+            epem_e_cost(Adaptation(), stats._replace(trace=np.array([np.inf])))
+        # the expert loop names a noise model it does not know
+        base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
+        cfg = PipelineConfig(patch_size=2, n_experts=1, em_enabled=False)
+        with pytest.raises(TypeError, match="unknown noise model"):
+            run_pipeline(np.ones(64), Identity(8, 8), object(), base, cfg)
 
 
 class TestVerdictAndRounds:
