@@ -8,13 +8,15 @@ mean the matching precision-weighted average.
 
 Each expert may alternate EP with a variational M-step that re-estimates the
 prior adaptation (offset, patch-mean variance, scale) from sufficient
-statistics of the EP moments, so each E-cost evaluation is scalar
-arithmetic: closed-form offset, golden-section searches for the two
-variances (log-scale for the patch-mean variance), repeated until the triple
-stabilizes; picks that end on a search bound are reported.  An M-step moves
-the adaptation only a little, so every EM round after the first resumes EP
-from the factors of the round before (a warm-started E-step, Neal & Hinton
-1998) instead of restarting from the observation.
+statistics of the EP moments, so the E-cost and its slope are scalar
+arithmetic.  At a fixed scale the M-step is exact: the offset has a closed
+form at each patch-mean variance, and the variance is the root of the slope
+of that profile, or a bound where the slope points outward; picks on a bound
+are reported.  A requested scale is found by golden-section search,
+alternating with that profile.  An M-step moves the adaptation only a
+little, so every EM round after the first resumes EP from the factors of the
+round before (a warm-started E-step, Neal & Hinton 1998) instead of
+restarting from the observation.
 
 The report of a run nests run -> expert -> EM round -> EP iteration, the
 last level being each EP run's ``EPResult.history``.
@@ -22,6 +24,7 @@ last level being each EP run's ``EPResult.history``.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -141,6 +144,14 @@ def estep_statistics(weights, mean: np.ndarray, cov: BlockDiagonalCov,
     return EStepStatistics(*map(np.concatenate, zip(*cells)))
 
 
+def _projected_spread(offset: float, scale: float, st: EStepStatistics):
+    """g^T mu_theta = offset c + a 1^T B^{-1} mu (mu_theta = offset 1 + a mu),
+    and R = sum w g^T (S + (m - mu_theta)(m - mu_theta)^T) g, the statistic
+    through which the E-cost depends on mean_var."""
+    shift = offset * st.ones + scale * st.ones_mu
+    return shift, st.ones_s_ones + (st.ones_m_sq - 2.0 * shift * st.ones_m + st.weight * shift * shift)
+
+
 def epem_e_cost(theta: Adaptation, st: EStepStatistics) -> float:
     """Expected log prior under the EP moments as a function of the adaptation
     (the variational EM surrogate), from the statistics of
@@ -148,18 +159,16 @@ def epem_e_cost(theta: Adaptation, st: EStepStatistics) -> float:
     (v = mean_var, a = scale), Sherman-Morrison and the determinant lemma give
     C^{-1} = B^{-1}/a^2 - beta g g^T, beta = v / (a^2 (a^2 + v c)), and log det
     C = b log a^2 + log det B + log1p(v c / a^2).  The large sum w tr(B^{-1} S)
-    / a^2 is free of v and the offset, so the M-step's searches see a smooth
-    function.  Raises ValueError when the cost is not finite."""
+    / a^2 is free of v and the offset, so the M-step's slope in v holds
+    only the small terms.  Raises ValueError when the cost is not finite."""
     offset, a, v, a2 = theta.offset, theta.scale, theta.mean_var, theta.scale ** 2
     beta = v / (a2 * (a2 + v * st.ones))
-    # (m - mu_theta)^T B^{-1} (m - mu_theta) and g^T (m - mu_theta), mu_theta = offset 1 + a mu
-    shift = offset * st.ones + a * st.ones_mu
+    shift, spread = _projected_spread(offset, a, st)
+    # (m - mu_theta)^T B^{-1} (m - mu_theta)
     maha = (st.m_m - 2.0 * (offset * st.ones_m + a * st.mu_m)
             + st.weight * (offset * (shift + a * st.ones_mu) + a2 * st.mu_mu))
-    ones_d_sq = st.ones_m_sq - 2.0 * shift * st.ones_m + st.weight * shift * shift
     logdet = st.size * np.log(2 * np.pi * a2) + st.logdet + np.log1p(v * st.ones / a2)
-    total = -0.5 * float(np.sum(st.weight * logdet + (st.trace + maha) / a2
-                                - beta * (st.ones_s_ones + ones_d_sq)))
+    total = -0.5 * float(np.sum(st.weight * logdet + (st.trace + maha) / a2 - beta * spread))
     if not np.isfinite(total):
         raise ValueError("the E-cost is not finite")
     return total
@@ -176,28 +185,81 @@ def _closed_form_offset(theta: Adaptation, st: EStepStatistics) -> float:
 GOLDEN_TOL = 1e-5
 MEAN_VAR_BOUNDS = (1e-8, 10.0)
 SCALE_BOUNDS = (1e-3, 1e3)
+NEWTON_TOL = 1e-12
 
 
-def _golden_min(f, lo: float, hi: float, log_scale: bool = False) -> float:
-    to_search, back = (np.log, np.exp) if log_scale else (float, float)
-    g = lambda t: f(back(t))  # noqa: E731
+def _golden_min(f, a: float, b: float) -> float:
+    """Golden-section search for a minimizer of f on [a, b], to GOLDEN_TOL
+    relative."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = to_search(lo), to_search(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = g(c), g(d)
+    fc, fd = f(c), f(d)
     for _ in range(200):
         if abs(b - a) < GOLDEN_TOL * (1.0 + abs(a) + abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = g(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = g(d)
-    return float(back(0.5 * (a + b)))
+            fd = f(d)
+    return float(0.5 * (a + b))
+
+
+def _mean_var_slope(theta: Adaptation, st: EStepStatistics):
+    """The E-cost profiled over the offset, at v = theta.mean_var: the
+    maximizing offset o*(v), the slope s(v) and the derivative of s at fixed
+    offset.  With d = a^2 + v c and R of :func:`_projected_spread` at o*,
+    s(v) = 1/2 sum (R - w c d) / d^2 is the partial derivative of the E-cost
+    in v, which by the envelope theorem is the derivative of the profile.  It
+    holds neither the trace nor log det B, the large terms that do not
+    depend on v."""
+    offset = _closed_form_offset(theta, st)
+    a, v = theta.scale, theta.mean_var
+    d = a * a + v * st.ones
+    _, r = _projected_spread(offset, a, st)
+    slope = 0.5 * float(np.sum((r - st.weight * st.ones * d) / d ** 2))
+    curvature = 0.5 * float(np.sum(st.ones * (st.weight * st.ones * d - 2.0 * r) / d ** 3))
+    return offset, slope, curvature
+
+
+def _profile_pick(theta: Adaptation, st: EStepStatistics) -> Adaptation:
+    """The exact maximizer of the E-cost over (offset, mean_var) at
+    theta's scale, mean_var within MEAN_VAR_BOUNDS.  The pick is a bound
+    exactly when the slope there points outward.  Otherwise it is the root of
+    the slope, bracketed in t = log mean_var and found from theta.mean_var by
+    Newton steps on v^2 s(v) (nearly linear in v once v c >> a^2; fixed-offset
+    derivative), bisecting the bracket whenever a step leaves it, to
+    |dt| <= NEWTON_TOL (1 + |t|)."""
+    for v, outward in ((MEAN_VAR_BOUNDS[1], 1.0), (MEAN_VAR_BOUNDS[0], -1.0)):
+        offset, slope, _ = _mean_var_slope(replace(theta, mean_var=v), st)
+        if outward * slope >= 0:
+            return replace(theta, offset=offset, mean_var=v)
+    lo, hi = map(math.log, MEAN_VAR_BOUNDS)
+    t = min(max(math.log(max(theta.mean_var, MEAN_VAR_BOUNDS[0])), lo), hi)
+    for _ in range(200):
+        v = math.exp(t)
+        _, slope, curvature = _mean_var_slope(replace(theta, mean_var=v), st)
+        if slope > 0:
+            lo = t
+        elif slope < 0:
+            hi = t
+        else:
+            break
+        gain = 2.0 * slope + v * curvature      # d(v^2 s)/dv over v
+        target = v - v * slope / gain if gain < 0 else 0.0
+        new = math.log(target) if target > 0 else -math.inf
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - t) <= NEWTON_TOL * (1.0 + abs(t))
+        t = new
+        if done:
+            break
+    theta = replace(theta, mean_var=math.exp(t))
+    return replace(theta, offset=_closed_form_offset(theta, st))
 
 
 def _rel_change(new: Adaptation, old: Adaptation) -> float:
@@ -206,41 +268,34 @@ def _rel_change(new: Adaptation, old: Adaptation) -> float:
 
 
 def _at_bound(theta: Adaptation, estimate_scale: bool) -> list:
-    """The searched parameters that ended within the golden-section
-    tolerance of a search bound, as a bracket that keeps one end does: the
-    E-cost's maximum may lie beyond it."""
-    searches = [("mean_var", np.log(MEAN_VAR_BOUNDS), np.log(theta.mean_var)),
-                ("scale", np.asarray(SCALE_BOUNDS), theta.scale)][:1 + estimate_scale]
-    return [name for name, bounds, t in searches
-            if np.any(np.abs(t - bounds) <= GOLDEN_TOL * (1.0 + np.abs(bounds) + abs(t)))]
+    """The M-step's parameters that ended on a bound, beyond which the
+    E-cost's maximum may lie: mean_var exactly on one of MEAN_VAR_BOUNDS,
+    the scale within the golden-section tolerance of SCALE_BOUNDS."""
+    bounds = np.asarray(SCALE_BOUNDS)
+    near = np.abs(theta.scale - bounds) <= GOLDEN_TOL * (1.0 + bounds + theta.scale)
+    return ((["mean_var"] if theta.mean_var in MEAN_VAR_BOUNDS else [])
+            + (["scale"] if estimate_scale and np.any(near) else []))
 
 
 def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
                 theta_prev: Adaptation, *, estimate_scale: bool) -> Adaptation:
-    """Coordinate maximization of the E-cost: closed-form offset, then
-    golden-section searches for the patch-mean variance (log-scale, within
-    MEAN_VAR_BOUNDS) and the scale (within SCALE_BOUNDS), repeated until
-    all three change by less than 1e-4 relative, or for 20 rounds."""
+    """Maximization of the E-cost.  At a fixed scale it is the exact
+    (offset, mean_var) maximizer of :func:`_profile_pick`, one pass.  With
+    ``estimate_scale`` a golden-section search for the scale within
+    SCALE_BOUNDS alternates with that pick until all three parameters change
+    by less than 1e-4 relative, or for 20 rounds.  The E-cost is evaluated
+    at the pick, which raises ValueError when it is not finite."""
     if all(w is None for w in weights):
         return theta_prev
     stats = estep_statistics(weights, mean, cov, base, partition)
-    theta = theta_prev
-
-    def cost_with(**kw):
-        return epem_e_cost(replace(theta, **kw), stats)
-
-    for _ in range(20):
+    theta = _profile_pick(theta_prev, stats)
+    for _ in range(20 if estimate_scale else 0):
         prev = theta
-        offset = _closed_form_offset(theta, stats)
-        theta = replace(theta, offset=offset)
-        mean_var = _golden_min(lambda v: -cost_with(mean_var=v),
-                               *MEAN_VAR_BOUNDS, log_scale=True)
-        theta = replace(theta, mean_var=mean_var)
-        if estimate_scale:
-            scale = _golden_min(lambda a: -cost_with(scale=a), *SCALE_BOUNDS)
-            theta = replace(theta, scale=scale)
+        scale = _golden_min(lambda a: -epem_e_cost(replace(prev, scale=a), stats), *SCALE_BOUNDS)
+        theta = _profile_pick(replace(theta, scale=scale), stats)
         if _rel_change(theta, prev) < 1e-4:
             break
+    epem_e_cost(theta, stats)
     return theta
 
 
@@ -338,7 +393,7 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
     by cause (see ``ep_gaussian.WARNING_CAUSES``).  Each expert has its
     adaptation, a ``status`` from its last EP run and its warnings summed
     over its rounds.  Each EM round has its EP iterations, convergence and
-    adaptation, the M-step picks that ended on a search bound, and its
+    adaptation, the M-step picks that ended on a bound, and its
     ``history`` (see ``EPResult.history``).  The report holds only native
     Python values, so it round-trips through JSON."""
     config = config or PipelineConfig()
