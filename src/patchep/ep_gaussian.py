@@ -17,11 +17,13 @@ group's stack.  Each iteration alternates
   likelihood factor as cavity, then the KL precision update and the
   matching precision-mean update;
 * likelihood-side update: the tilted precision is Q = P0 + G with
-  G = H^T W H.  One block-Jacobi split per update, G = R + blockdiag(G_jj)
-  with R the off-block part (CSR) and G_jj the diagonal blocks on the
-  partition, gives the rest, since P0 is block-diagonal: Q's diagonal
-  blocks Q_jj = P0_j + G_jj, and Q v = R v + blockdiag(Q_jj) v, applied and
-  never assembled.  The tilted mean and the perturbation samples of
+  G = H^T W H.  A block-Jacobi split, G = R + blockdiag(G_jj) with R the
+  off-block part (CSR) and G_jj the diagonal blocks on the partition, gives
+  the rest, since P0 is block-diagonal: Q's diagonal blocks
+  Q_jj = P0_j + G_jj, and Q v = R v + blockdiag(Q_jj) v, applied and never
+  assembled.  The split's structure does not depend on W, so the operator
+  keeps it per partition, and an update computes only its values (see
+  :mod:`patchep.operators`).  The tilted mean and the perturbation samples of
   Rao-Blackwellized Monte Carlo (RBMC) are the columns of one lockstep
   conjugate-gradient solve, preconditioned by the inverses of the Q_jj
   (block Jacobi, batched per group); the RBMC estimate of the covariance
@@ -305,8 +307,9 @@ def tilted_p1_moments(q0: GaussianFactor, operator: DegradationOperator,
 
     The tilted precision is Q = P0 + G with G = H^T W H, W = diag(obs_weights),
     and the tilted mean solves Q z = eta0 + obs_eta (obs_eta = H^T W m_obs).
-    One ``operator.gram_block`` call splits G = R + blockdiag(G_jj), R its
-    off-block part; as P0 is block-diagonal, Q = R + blockdiag(Q_jj) with
+    One ``operator.gram_block`` call gives G's values split as
+    G = R + blockdiag(G_jj), R its off-block part, on a structure cached per
+    partition; as P0 is block-diagonal, Q = R + blockdiag(Q_jj) with
     Q_jj = P0_j + G_jj.  The marginal covariance blocks are RBMC estimates
     Q_jj^{-1} + Q_jj^{-1} SampleCov((R x)_j) Q_jj^{-1}
     from exact samples x ~ N(0, Q^{-1}); they are exact when R = 0, and

@@ -10,7 +10,8 @@ batched numpy over these stacks, and no N x N matrix is assembled here.  A
 diagonal matrix is ``(J_g, b)`` rows of its diagonal, told apart by shape;
 :func:`diag_stack` makes full blocks of them.  :class:`BlockDiagonalCov`
 checks that every block is symmetric positive definite, by one batched
-Cholesky factorization per group.
+Cholesky factorization per group.  :func:`cholesky_stack` factors a stack
+by one batched call and splits it only when that call fails.
 """
 
 from __future__ import annotations
@@ -21,12 +22,26 @@ import numpy as np
 
 from .partitions import Partition
 
-__all__ = ["BlockDiagonalCov", "diag_stack", "sym"]
+__all__ = ["BlockDiagonalCov", "cholesky_stack", "diag_stack", "sym"]
 
 
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix or of every matrix in a stack."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def cholesky_stack(matrix: np.ndarray, on_failure) -> np.ndarray:
+    """Cholesky factors of a stack (..., b, b) of symmetric matrices (only
+    the lower triangles are read), by one batched call.  Only when that call
+    raises is the stack factored entry by entry along its leading axis, down
+    to single matrices; a single matrix that has no factor gets
+    ``on_failure(matrix)`` in its place, an array of its shape (or raises)."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        if matrix.ndim > 2:
+            return np.stack([cholesky_stack(entry, on_failure) for entry in matrix])
+        return on_failure(matrix)
 
 
 def diag_stack(d: np.ndarray) -> np.ndarray:

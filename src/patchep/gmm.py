@@ -66,6 +66,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussians import cholesky_stack
+
 __all__ = [
     "PatchGMM",
     "Adaptation",
@@ -84,17 +86,11 @@ _EM_CHUNK_ROWS = 1024
 
 def _jittered_cholesky(matrix: np.ndarray) -> np.ndarray:
     """Cholesky factors of a stack (..., dim, dim) of symmetric matrices
-    (only the lower triangles are read).  A stack that fails is factored
-    entry by entry along its leading axis, down to single matrices, and only
-    a matrix whose plain factorization fails gets the one jitter retry,
-    1e-10 * trace/dim on its diagonal."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        if matrix.ndim > 2:
-            return np.stack([_jittered_cholesky(entry) for entry in matrix])
-        dim = matrix.shape[-1]
-        return np.linalg.cholesky(matrix + 1e-10 * np.trace(matrix) / dim * np.eye(dim))
+    (only the lower triangles are read), split by :func:`cholesky_stack` when
+    the stack fails, so that only a matrix whose plain factorization fails
+    gets the one jitter retry, 1e-10 * trace/dim on its diagonal."""
+    return cholesky_stack(matrix, lambda single: np.linalg.cholesky(
+        single + 1e-10 * np.trace(single) / single.shape[-1] * np.eye(single.shape[-1])))
 
 
 @dataclass
@@ -104,6 +100,8 @@ class PatchGMM:
     weights: np.ndarray  # (K,)
     means: np.ndarray    # (K, dim)
     covs: np.ndarray     # (K, dim, dim)
+    # local index pattern -> read-only (L, L^{-1}), see local_factors
+    _local_factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -128,6 +126,20 @@ class PatchGMM:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    def local_factors(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Cholesky factors L (K, b, b) of the component covariances
+        restricted to the coordinates ``local`` and their inverses L^{-1},
+        computed once per pattern and returned read-only (the prior's arrays
+        are not to change after it is built)."""
+        key = tuple(local.tolist())
+        if key not in self._local_factors:
+            chol = np.linalg.cholesky(self.covs[:, local[:, None], local])
+            factors = chol, _lower_triangular_inverse(chol)
+            for factor in factors:
+                factor.flags.writeable = False
+            self._local_factors[key] = factors
+        return self._local_factors[key]
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ and its unconstrained minimizer is P* = C^{-1} - P_cav.
 
 * Full blocks: :func:`update_block_precision`, the exact constrained
   minimizer for a whole (J, b, b) stack.  Where lambda_min(P*) exceeds the
-  floor (an *interior* block) it is P* and the factor matches C exactly;
-  only the remaining *boundary* blocks pay for a Cholesky factor and a
-  symmetric eigendecomposition.  A block whose C is not positive definite
-  is flagged and keeps its old precision.
+  floor (an *interior* block) it is P* and the factor matches C exactly.
+  One batched Cholesky factorization of P* - floor * I tells interior
+  blocks from the rest; only the remaining *boundary* blocks pay for a
+  Cholesky factor of P_cav + floor * I, a symmetric eigendecomposition and
+  the loss, and a stack with none skips them.  A block whose C is not
+  positive definite is flagged and keeps its old precision.
 * Diagonal factors: :func:`diag_kl_update`, the same closed form per pixel,
   clipped at the floor.
 * Isotropic factors: :func:`iso_kl_update`, Newton steps on one scalar.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussians import sym
+from .gaussians import cholesky_stack, sym
 
 __all__ = [
     "kl_block_loss",
@@ -55,8 +57,15 @@ def update_block_precision(tilted_covs: np.ndarray, cavity_precisions: np.ndarra
     symmetric parts of C and P_cav are used).
 
     An interior block, lambda_min(P*) > eps for P* = sym(C^{-1}) - P_cav,
-    takes P*.  One batched ``eigvalsh`` tells interior from boundary blocks:
-    eigenvectors cost more, and only the boundary blocks need them.
+    takes P*.  P* - eps I has a Cholesky factor exactly when lambda_min(P*)
+    > eps, up to rounding at eps, where either form gives the same P (the
+    boundary form below is P* when lambda_min(P*) = eps).  So one batched
+    ``cholesky`` of P* - eps I tells interior from boundary blocks, and only
+    when it raises is the stack split (:func:`cholesky_stack`) to find the
+    blocks that fail.  It costs less than the eigenvalues: 11 against 99 us
+    for ``eigvalsh`` at (9, 16, 16) and 1.0 against 7.4 ms at (49, 64, 64)
+    (best of three loops of 50 calls, 2-vCPU x86 VM).  The boundary form
+    below runs only when some block is on the boundary.
 
     On the boundary blocks, with X = P + P_cav the constraint reads
     X >= B = P_cav + eps I.  Factor B = L L^T and write X = L Y L^T: the
@@ -86,16 +95,21 @@ def update_block_precision(tilted_covs: np.ndarray, cavity_precisions: np.ndarra
     cov = sym(np.asarray(tilted_covs, dtype=float))
     cav = sym(np.asarray(cavity_precisions, dtype=float))
     precision = np.array(init_precisions, dtype=float)
+    eye = np.eye(cov.shape[-1])
     try:
         p_star = sym(np.linalg.inv(cov)) - cav
     except np.linalg.LinAlgError:       # a singular C, which the eigen form flags
         boundary = np.ones(len(cov), dtype=bool)
     else:
-        boundary = np.linalg.eigvalsh(p_star)[:, 0] <= PRECISION_FLOOR
+        factor = cholesky_stack(p_star - PRECISION_FLOOR * eye,
+                                lambda single: np.full_like(single, np.nan))
+        boundary = np.isnan(factor[:, 0, 0])
         precision[~boundary] = p_star[~boundary]
+    ok = ~boundary
+    if not boundary.any():
+        return precision, ok
 
     cov, cav = cov[boundary], cav[boundary]
-    eye = np.eye(cov.shape[-1])
     low = np.linalg.cholesky(cav + PRECISION_FLOOR * eye)
     mu, u = np.linalg.eigh(sym(np.swapaxes(low, 1, 2) @ cov @ low))
     pd = mu[:, 0] > 0
@@ -106,7 +120,6 @@ def update_block_precision(tilted_covs: np.ndarray, cavity_precisions: np.ndarra
     init_loss, loss = kl_block_loss(np.stack([precision[boundary], result]), cav, cov)
     accept = pd & (loss <= init_loss + 1e-12 * np.abs(init_loss))
     precision[np.flatnonzero(boundary)[accept]] = result[accept]
-    ok = ~boundary
     ok[boundary] = accept
     return precision, ok
 

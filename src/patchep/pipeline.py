@@ -35,7 +35,7 @@ import numpy as np
 from .ep_gaussian import WARNING_CAUSES, EPConfig, EPResult, _check_observation, run_ep_gaussian
 from .ep_poisson import run_ep_poisson
 from .gaussians import BlockDiagonalCov
-from .gmm import Adaptation, PatchGMM, _lower_triangular_inverse, adapt
+from .gmm import Adaptation, PatchGMM, adapt
 from .operators import DegradationOperator, GaussianNoise, PoissonNoise
 from .partitions import Partition, build_shifted_partitions
 
@@ -120,15 +120,15 @@ class EStepStatistics(NamedTuple):
 def estep_statistics(weights, mean: np.ndarray, cov: BlockDiagonalCov,
                      base: PatchGMM, partition: Partition) -> EStepStatistics:
     """The E-cost's sufficient statistics from the EP moments, through one
-    Cholesky factor L per (group, component) of the base covariance B.
-    Groups without weights (failed tilted moments) are left out; one must
-    have weights."""
+    Cholesky factor L per (group, component) of the base covariance B and
+    its inverse, which the base prior computes once per local pattern
+    (:meth:`PatchGMM.local_factors`).  Groups without weights (failed tilted
+    moments) are left out; one must have weights."""
     cells = []
     for group, w, s in zip(partition.groups, weights, cov.stacks):
         if w is None:
             continue
-        chol = np.linalg.cholesky(base.covs[:, group.local[:, None], group.local])  # (K, b, b)
-        chol_inv = _lower_triangular_inverse(chol)
+        chol, chol_inv = base.local_factors(group.local)              # (K, b, b) each
         z_one = chol_inv.sum(axis=2)                                  # L^{-1} 1
         z_mu = (chol_inv @ base.means[:, group.local, None])[..., 0]  # L^{-1} mu
         z_m = np.einsum("kab,jb->jka", chol_inv, mean[group.pixels])  # L^{-1} m_j

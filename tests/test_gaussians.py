@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from patchep.gaussians import BlockDiagonalCov
+from patchep.gaussians import BlockDiagonalCov, cholesky_stack
 from patchep.partitions import build_shifted_partitions
 
-from conftest import blocks_of, diag_stacks, pixel_diagonal, stack_by_group
+from conftest import blocks_of, diag_stacks, pixel_diagonal, random_spd, stack_by_group
 
 
 class TestConstruction:
@@ -73,3 +73,20 @@ class TestMarginalVariances:
         out = pixel_diagonal(part, BlockDiagonalCov(part, stack_by_group(part, blocks)).stacks)
         for j, (idx, _) in enumerate(blocks_of(part)):
             np.testing.assert_array_equal(out[idx], np.full(len(idx), float(j + 1)))
+
+
+class TestCholeskyStack:
+    def test_batched_unless_a_matrix_fails(self, rng):
+        good = np.stack([[random_spd(rng, 3) for _ in range(2)] for _ in range(3)])   # (3, 2, 3, 3)
+        failed = []
+        np.testing.assert_array_equal(cholesky_stack(good, failed.append), np.linalg.cholesky(good))
+        assert not failed
+        bad = good.copy()
+        bad[1, 0] = -np.eye(3)
+        out = cholesky_stack(bad, lambda m: (failed.append(m.copy()), np.full_like(m, np.nan))[1])
+        assert len(failed) == 1
+        np.testing.assert_array_equal(failed[0], -np.eye(3))
+        assert np.isnan(out[1, 0]).all()
+        keep = np.ones((3, 2), dtype=bool)
+        keep[1, 0] = False
+        np.testing.assert_allclose(out[keep], np.linalg.cholesky(good)[keep], rtol=1e-15)

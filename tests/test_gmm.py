@@ -52,6 +52,20 @@ class TestPatchGMM:
         with pytest.raises(ValueError, match="not positive definite"):
             PatchGMM(np.array([1.0]), np.zeros((1, 3)), np.diag([1.0, 0.0, 1.0])[None])
 
+    def test_local_factors_computed_once_and_exact(self, rng):
+        gmm = small_gmm(rng, 3, 9)
+        local = np.array([1, 2, 4, 5, 7, 8])
+        chol, chol_inv = gmm.local_factors(local)
+        fresh = np.linalg.cholesky(gmm.covs[:, local[:, None], local])
+        np.testing.assert_array_equal(chol, fresh)
+        np.testing.assert_array_equal(chol_inv, _lower_triangular_inverse(fresh))
+        again = gmm.local_factors(local.copy())
+        assert again[0] is chol and again[1] is chol_inv
+        assert not chol.flags.writeable and not chol_inv.flags.writeable
+        # the cache is no part of the prior's value
+        assert "_local_factors" not in repr(gmm)
+        assert gmm.local_factors(np.arange(9))[0].shape == (3, 9, 9)
+
 
 class TestInputChecks:
     def test_malformed_prior_adaptation_and_marginal_rejected(self, adapted_2d):

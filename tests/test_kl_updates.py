@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from patchep.gaussians import sym
 from patchep.kl_updates import (
     PRECISION_FLOOR,
     diag_kl_update,
@@ -246,6 +247,58 @@ class TestBlockKlUpdate:
         for j in (1, 3):
             oracle = chol_param_oracle(cov[j], cav[j], np.eye(3), PRECISION_FLOOR)
             assert np.linalg.norm(out[j] - oracle) < 1e-6
+
+    @staticmethod
+    def threshold_block(rng, lam_min):
+        """(C, P_cav) of a 3x3 block whose P* = C^{-1} - P_cav has the
+        smallest eigenvalue lam_min and the others in [0.5, 2]."""
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        p_star = (q * [lam_min, rng.uniform(0.5, 1.0), rng.uniform(1.0, 2.0)]) @ q.T
+        cav = random_spd(rng, 3, 0.1)
+        return np.linalg.inv(p_star + cav), cav
+
+    def test_interior_blocks_match_eigvalsh_reference(self, rng, monkeypatch):
+        # the boundary blocks are the ones whose tilted covariances reach the
+        # loss; the stacks mix blocks at eps (1 +- 1e-6) with interior and
+        # boundary blocks, so their batched Cholesky raises, and one stack is
+        # all interior, so the loss is never evaluated
+        import patchep.kl_updates as kl
+
+        seen = []
+        monkeypatch.setattr(kl, "kl_block_loss", lambda p, cav, cov: (
+            seen.append(cov), kl_block_loss(p, cav, cov))[1])
+        cov, cav, _ = interior_stack(rng, 6, 3)
+        for j, lam in ((1, 1 + 1e-6), (2, 1 - 1e-6), (4, 1 - 1e-6), (5, 1 + 1e-6)):
+            cov[j], cav[j] = self.threshold_block(rng, lam * PRECISION_FLOOR)
+        cov[3], cav[3] = boundary_problem(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)),
+                                          rng.uniform(0.1, 1, 3), 0.2, 0.5)
+        for stack in ([0, 1, 2, 3, 4, 5], [4, 0, 5], [3, 2], [0, 5, 1]):
+            c, q = cov[stack], cav[stack]
+            p_star = sym(np.linalg.inv(sym(c))) - sym(q)     # as the update forms it
+            interior = np.linalg.eigvalsh(p_star)[:, 0] > PRECISION_FLOOR
+            np.testing.assert_array_equal(interior, [j in (0, 1, 5) for j in stack])
+            seen.clear()
+            out, ok = update_block_precision(c, q, np.stack([np.eye(3)] * len(stack)))
+            assert ok.all()
+            np.testing.assert_array_equal(out[interior], p_star[interior])
+            if interior.all():
+                assert not seen
+            else:
+                np.testing.assert_array_equal(seen[0], sym(c[~interior]))
+
+    def test_threshold_block_same_from_either_branch(self, rng):
+        # a singular companion block sends the whole stack to the boundary
+        # form; at lambda_min(P*) = eps (1 +- 1e-6) it gives P* as well
+        for lam in (1 + 1e-6, 1 - 1e-6):
+            cov, cav = self.threshold_block(rng, lam * PRECISION_FLOOR)
+            p_star = np.linalg.inv(cov) - cav
+            alone, ok = update_block_precision(cov[None], cav[None], np.eye(3)[None])
+            assert ok[0]
+            forced, ok = update_block_precision(np.stack([cov, np.zeros((3, 3))]),
+                                                np.stack([cav, cav]), np.stack([np.eye(3)] * 2))
+            np.testing.assert_array_equal(ok, [True, False])
+            for p in (alone[0], forced[0]):
+                assert np.linalg.norm(p - p_star) <= 1e-12 * np.linalg.norm(p_star)
 
     def test_singular_covariance_flagged(self, rng):
         cov, cav, p_opt = interior_stack(rng, 2, 3)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from patchep.operators import (
     Conv2D,
@@ -198,6 +199,21 @@ class TestRowForms:
         np.testing.assert_allclose(batch, [h[n] @ sigma @ h[n] for n in range(36)],
                                    rtol=1e-12, atol=1e-12)
 
+    def test_conv_vs_dense_oracle_on_every_shift(self):
+        # a non-symmetric kernel on a non-square grid, whose shifted
+        # partitions have truncated blocks in up to 9 groups
+        rng = np.random.default_rng(9)
+        op = Conv2D(7, 5, rng.standard_normal((3, 3)))
+        h = dense_matrix(op)
+        for part in build_shifted_partitions(7, 5, 3):
+            blocks = [random_spd(rng, len(b)) for b, _ in blocks_of(part)]
+            sigma = np.zeros((35, 35))
+            for j, (idx, _) in enumerate(blocks_of(part)):
+                sigma[np.ix_(idx, idx)] = blocks[j]
+            np.testing.assert_allclose(all_row_quadratic_forms(op, part, stack_by_group(part, blocks)),
+                                       [h[n] @ sigma @ h[n] for n in range(35)],
+                                       rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("op", [Identity(6, 6),
                                     Mask(6, 6, np.random.default_rng(4).random(36) < 0.6)],
                              ids=["identity", "mask"])
@@ -253,6 +269,57 @@ class TestRowForms:
         np.testing.assert_allclose(op.diag_gram(), np.diag(h.T @ h), rtol=1e-12)
         kept = rng.random(25) < 0.5
         np.testing.assert_array_equal(Mask(5, 5, kept).diag_gram(), kept.astype(float))
+
+
+def pattern_operators():
+    """A Conv2D with a non-symmetric kernel, a Mask with unobserved pixels
+    and the Identity, all on a 6x6 grid."""
+    rng = np.random.default_rng(11)
+    return [Conv2D(6, 6, rng.standard_normal((3, 3))), Mask(6, 6, rng.random(36) < 0.6),
+            Identity(6, 6)]
+
+
+class TestGramPattern:
+    """gram_block's values from the cached map M on every shift of a grid."""
+
+    @pytest.mark.parametrize("op", pattern_operators(), ids=["conv", "mask", "identity"])
+    def test_every_shift_matches_dense_and_triple_product(self, op):
+        rng = np.random.default_rng(12)
+        h = dense_matrix(op)
+        for part in build_shifted_partitions(6, 6, 3):
+            w = rng.uniform(0.5, 2.0, 36)
+            off_block, stacks = op.gram_block(part, w)
+            for group, stack in zip(part.groups, stacks):
+                assert stack.shape == (len(group.ids),) + (group.pixels.shape[1],) * 2
+            assert_gram_split(part, off_block, stacks, h.T @ np.diag(w) @ h)
+            # the same G as scipy's sparse triple product, to rounding
+            triple = (op.matrix.T @ sparse.diags(w) @ op.matrix).toarray()
+            total = off_block.toarray()
+            for (idx, _), block in zip(blocks_of(part), per_block(part, stacks)):
+                total[np.ix_(idx, idx)] += block
+            np.testing.assert_allclose(total, triple, rtol=0, atol=1e-14 * np.abs(triple).max())
+
+    @pytest.mark.parametrize("op", pattern_operators(), ids=["conv", "mask", "identity"])
+    def test_later_call_leaves_earlier_results_unchanged(self, op):
+        rng = np.random.default_rng(13)
+        part = build_shifted_partitions(6, 6, 3)[5]
+        off_block, stacks = op.gram_block(part, rng.uniform(0.5, 2.0, 36))
+        kept = (off_block.data.copy(), off_block.indices.copy(), off_block.indptr.copy(),
+                [s.copy() for s in stacks])
+        off_2, stacks_2 = op.gram_block(part, rng.uniform(0.5, 2.0, 36))
+        off_2.data[:] = -1.0
+        off_2.indices[:] = 0
+        for s in stacks_2:
+            s[...] = -1.0
+        np.testing.assert_array_equal(off_block.data, kept[0])
+        np.testing.assert_array_equal(off_block.indices, kept[1])
+        np.testing.assert_array_equal(off_block.indptr, kept[2])
+        for s, s_kept in zip(stacks, kept[3]):
+            np.testing.assert_array_equal(s, s_kept)
+        # and neither call's writes reach the cache: a third call is exact
+        w = rng.uniform(0.5, 2.0, 36)
+        h = dense_matrix(op)
+        assert_gram_split(part, *op.gram_block(part, w), h.T @ np.diag(w) @ h)
 
 
 class TestSimulate:
