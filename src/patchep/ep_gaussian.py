@@ -43,12 +43,14 @@ Per-pixel (diagonal) factors are set to their KL target undamped; block
 factors are damped in natural parameters (precision and precision-mean), and
 so is the Poisson model's isotropic q_u1 once its run's mean change rises.
 Each group's KL step writes to the live factor.  The loop stops when the
-squared change of the joint mean and of the joint marginal variances both
-fall below tol * N.  The result keeps one record per iteration in
-``EPResult.history``: the two squared changes, the CG iterations and, on the
-block path, the CG residual, the iteration's warnings by cause and, for the
-Poisson model, the q_u1 variance c1 and weight; the run's warnings are their
-sums.
+joint mean and the joint marginal variances each lie within tol * N of the
+fixed point in squared 2-norm, as told by the smaller of the iteration's
+squared change and the a posteriori bound of a contraction whose rate is
+the ratio of the last two changes (see :func:`_near_fixed_point`).  The
+result keeps one record per iteration in ``EPResult.history``: the two
+squared changes, the CG iterations and, on the block path, the CG residual,
+the iteration's warnings by cause and, for the Poisson model, the q_u1
+variance c1 and weight; the run's warnings are their sums.
 
 Every CG solve of the tilted mean starts from the last synced joint mean.
 A run can resume from an earlier result on the same partition: both factors
@@ -78,7 +80,7 @@ WARNING_CAUSES = ("cg_not_converged", "tilted_failed", "kl_rejected", "poisson_e
 @dataclass
 class EPConfig:
     damping: float = 0.7            # weight on the target of block factors (and q_u1, once damped)
-    stop_tol: float = 1e-8          # per-pixel squared-change scale
+    stop_tol: float = 1e-8          # per-pixel squared distance to the fixed point, as estimated
     max_iterations: int = 50
     cg_tol: float = 1e-8            # relative residual
     cg_max_iters: int = 500
@@ -382,6 +384,31 @@ def update_q_x1(state: EPState, operator: DegradationOperator,
     return {"cg_iterations": cg_iters, "cg_residual": cg_residual}, warnings
 
 
+def _near_fixed_point(step: float, prev_step: float, limit: float) -> bool:
+    """Whether an iteration whose squared change is ``step``, after one of
+    ``prev_step``, ends within ``limit`` of the fixed point, as estimated.
+
+    A map that contracts by rho per iteration ends a step within
+    rho / (1 - rho) of that step's length from its fixed point (Ortega &
+    Rheinboldt 1970).  With rho read off the last two steps,
+    rho^2 = step / prev_step, the squared distance is estimated as
+    d = step rho^2 / (1 - rho)^2, and the test is min(step, d) < limit.
+    d exists only when 0 < prev_step < inf and rho < 1, so the first
+    iteration of a run and a step that rose fall back to the step; d < step
+    only when rho < 1/2, so no run stops later than on the step alone.  A
+    non-finite step never passes.  d is an estimate, not a bound: a slower
+    mode that the last two steps do not show is missing from it.
+    """
+    if not np.isfinite(step):
+        return False
+    if step < limit:
+        return True
+    if not 0 < prev_step < np.inf or step >= prev_step:
+        return False
+    ratio2 = step / prev_step
+    return step * ratio2 < limit * (1.0 - np.sqrt(ratio2)) ** 2
+
+
 def run_ep(step, operator: DegradationOperator, partition: Partition,
            init_mean: np.ndarray, init_var: np.ndarray, config: EPConfig,
            init_state: EPState | None = None) -> EPResult:
@@ -392,8 +419,10 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     ``step(state)``, which updates the factors, leaves the state synced
     and returns (per-group tilted weights, a Counter of warnings by names in
     ``WARNING_CAUSES``, further fields of the iteration's record).
-    Iterations stop when the squared changes of the joint mean and joint
-    marginal variances both drop below stop_tol * N, or at max_iterations.
+    Iterations stop when the joint mean and the joint marginal variances
+    both lie within stop_tol * N of the fixed point in squared 2-norm, as
+    told by the smaller of their squared change and its contraction
+    estimate (see :func:`_near_fixed_point`), or at max_iterations.
     The result's ``history`` holds one record per iteration, of native
     Python numbers, and its warnings by cause are the sums over the records.
     """
@@ -408,6 +437,7 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     weights = None
     history = []
     converged = False
+    limit, prev_dm2, prev_dv2 = config.stop_tol * n, np.inf, np.inf
     for iteration in range(1, config.max_iterations + 1):
         prev_mean, prev_var = state.mean, state.marginal_var   # sync makes new arrays
         weights, step_warnings, fields = step(state)
@@ -416,9 +446,10 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
         warnings = {cause: int(step_warnings[cause]) for cause in WARNING_CAUSES}
         history.append({"iteration": iteration, "dm2": dm2, "dvar2": dv2, **fields,
                         "warnings": warnings})
-        if dm2 < config.stop_tol * n and dv2 < config.stop_tol * n:
+        if _near_fixed_point(dm2, prev_dm2, limit) and _near_fixed_point(dv2, prev_dv2, limit):
             converged = True
             break
+        prev_dm2, prev_dv2 = dm2, dv2
 
     return EPResult(
         mean=state.mean.copy(),

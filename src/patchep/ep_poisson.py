@@ -27,7 +27,8 @@ posterior is approximated with four Gaussian factors:
 One iteration of the EP loop of :func:`patchep.ep_gaussian.run_ep` runs
 q_u0, q_x1, q_x0, a sync of the x-side joint, then q_u1.  So q_u1 reads the
 joint after q_x0: an iteration is a map of the current factors, with no
-one-iteration lag, and the stop rule (x-side joint moments) sees its step.
+one-iteration lag, and the stop rule, which reads the last two steps of the
+x-side joint moments, sees that map's contraction.
 q_u1 is set to its target until the joint-mean change dm2 first exceeds the
 previous iteration's, then damped by ``EPConfig.damping`` for the rest of
 the run (Minka 2001; Vehtari et al. 2020); every run, resumed or not, starts

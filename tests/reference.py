@@ -334,6 +334,9 @@ def naive_full_ep(y: np.ndarray, operator: DegradationOperator, sigma2: float,
     cavity.  Each refinement is the exact minimizer of the KL loss over
     N x N factor precisions P >= PRECISION_FLOOR * I, the step the scalable
     algorithm applies to its block stacks, here on one full-image block.
+    It stops on the last step alone, not on ``run_ep``'s contraction
+    estimate, on purpose: the oracle keeps the simplest stop rule, so a
+    fault in the estimate cannot reach the reference it is checked against.
     """
     from patchep.kl_updates import update_block_precision
 

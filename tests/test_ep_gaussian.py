@@ -1,4 +1,5 @@
 from collections import Counter
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from patchep.ep_gaussian import (
     EPState,
     GaussianFactor,
     _kl_step,
+    _near_fixed_point,
     _stack_moments,
     run_ep_gaussian,
     solve_cg,
@@ -581,6 +583,60 @@ def desk_scale_gmm(rng, patch_size=2, n_components=3):
     return train_em(patches, n_components, max_iters=40, seed=2)
 
 
+class TestStopRule:
+    """``_near_fixed_point``: the smaller of the step and the contraction
+    estimate d = step rho^2 / (1 - rho)^2, with rho^2 = step / prev_step."""
+
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    anything = st.floats(allow_nan=True, allow_infinity=True)
+
+    @staticmethod
+    def first_stop(steps, limit):
+        prev = np.inf
+        for k, step in enumerate(steps, 1):
+            if _near_fixed_point(step, prev, limit):
+                return k
+            prev = step
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(positive, min_size=1, max_size=30), positive)
+    def test_never_stops_later_than_the_step_rule(self, steps, limit):
+        by_step = next((k for k, s in enumerate(steps, 1) if s < limit), None)
+        by_rule = self.first_stop(steps, limit)
+        if by_step is not None:
+            assert by_rule is not None and by_rule <= by_step
+
+    @pytest.mark.parametrize("start", [3.0, 2e-3, 5e5])
+    def test_geometric_steps_stop_at_the_first_small_estimate(self, start):
+        # squared steps falling by 0.01 (rho = 0.1): from the second step on
+        # d is step * 0.01 / 0.81, so the run stops where that is first below
+        # the limit, one step before the step itself is
+        limit = 1e-8
+        steps = [start * 0.01 ** k for k in range(12)]
+        estimate = [np.inf] + [s * 0.01 / 0.81 for s in steps[1:]]
+        expected = next(k for k, (s, e) in enumerate(zip(steps, estimate), 1)
+                        if min(s, e) < limit)
+        by_step = next(k for k, s in enumerate(steps, 1) if s < limit)
+        assert self.first_stop(steps, limit) == expected < by_step
+
+    @settings(max_examples=300, deadline=None)
+    @given(positive, positive, st.floats(min_value=1.0, max_value=1e10))
+    def test_first_zero_and_rising_steps_fall_back_to_the_step(self, step, limit, rise):
+        for prev in (np.inf, 0.0, step, step / rise):
+            assert _near_fixed_point(step, prev, limit) == (step < limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(anything, anything, positive)
+    def test_non_finite_steps_never_stop_and_nothing_warns(self, step, prev, limit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = _near_fixed_point(step, prev, limit)
+            assert not near or np.isfinite(step)
+            assert not _near_fixed_point(np.nan, prev, limit)
+            assert not _near_fixed_point(np.inf, prev, limit)
+
+
 class TestRunEpGaussian:
     def test_noiseless_limit_returns_observation(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]
@@ -793,9 +849,11 @@ class TestResume:
         # inpainting at an adaptation moved as by one M-step: the run resumed
         # from the old result reaches the cold run's fixed point in fewer
         # iterations.  Each run stops once a step moves the mean and the
-        # variances by less than sqrt(stop_tol * N) in 2-norm; at a
-        # contraction rate of at most 0.9 it then lies within 9 such steps
-        # of the fixed point, so the two agree to 20 sqrt(stop_tol * N).
+        # variances by less than sqrt(stop_tol * N) in 2-norm, which at a
+        # contraction rate of at most 0.9 leaves them within 9 such steps of
+        # the fixed point, or earlier, once the contraction estimate of
+        # fast-contracting steps puts them within sqrt(stop_tol * N) of it;
+        # so the two agree to 20 sqrt(stop_tol * N) either way.
         # Under the 3x3 box blur the cold and the resumed run can settle on
         # different fixed points (0.005 apart in mean on this scene), so the
         # comparison is made with a diagonal H.  Denoising would show no

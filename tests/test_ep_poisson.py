@@ -12,7 +12,7 @@ from patchep.ep_poisson import (
     update_q_u1,
 )
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
-from patchep.operators import Conv2D, Identity, PoissonNoise, simulate
+from patchep.operators import Conv2D, Identity, Mask, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
 
 from conftest import blocks_of, random_spd, stack_by_group
@@ -515,9 +515,12 @@ class TestResumePoisson:
 
     def test_resume_at_new_theta_matches_cold_run(self):
         # the adaptation moved as by one M-step, intensities up to about 9:
-        # with the stop rule's bound of sqrt(stop_tol * N) per step in
-        # 2-norm and a contraction rate of at most 0.9, the resumed and the
-        # cold run agree to 20 sqrt(stop_tol * N)
+        # each run stops once a step is below sqrt(stop_tol * N) in 2-norm,
+        # within 9 such steps of the fixed point at a contraction rate of at
+        # most 0.9, or earlier, once the contraction estimate of
+        # fast-contracting steps puts it within sqrt(stop_tol * N) of the
+        # fixed point; so the resumed and the cold run agree to
+        # 20 sqrt(stop_tol * N)
         base, y, theta, part = self.problem()
         cfg = EPConfig(max_iterations=200, stop_tol=1e-12)
         moved = Adaptation(offset=1.05 * theta.offset, mean_var=0.8 * theta.mean_var,
@@ -531,6 +534,51 @@ class TestResumePoisson:
         assert np.linalg.norm(warm.mean - cold.mean) < bound
         assert np.linalg.norm(warm.marginal_var - cold.marginal_var) < bound
         assert np.linalg.norm(warm.u_mean - cold.u_mean) < bound
+
+
+class TestStopRule:
+    """Default-tolerance runs against the same runs at stop_tol 1e-14."""
+
+    def test_stops_near_the_tight_run_and_no_later_than_the_step_rule(self):
+        # 16x16 denoising at peaks 5 and 10 under Identity and under a Mask
+        # that keeps 70% of the pixels, shifts 0 and 5.  The contraction
+        # estimate is not a bound: the Identity runs at shift 0 stop after 5
+        # iterations 1.3 (peak 5) and 1.8 (peak 10) stop_tol * N from the
+        # fixed point in mean, as the squared step after the stop shrinks by
+        # 0.03 where the last one shrank by 0.008 (peak 10).  On 80 runs
+        # at 16x16 and 24x24, peaks 2-40, the estimate ended 8 runs 1.3-2.6
+        # stop_tol * N away and the step rule none farther than 0.12; hence
+        # the factor 3.  u_mean is compared on observed pixels: at a masked
+        # pixel u = Hx is 0, its u factors never reach the x side, and its
+        # u_mean still moves by about 0.14 per iteration when the x side stops
+        from patchep.phantoms import extract_patches, make_phantom
+        from patchep.pipeline import default_theta
+
+        base = train_em(extract_patches(make_phantom(64, 64, seed=0), 4), 3,
+                        max_iters=30, seed=0)
+        mask = Mask(16, 16, np.random.default_rng(11).random(256) < 0.7)
+        cfg, tight_cfg = EPConfig(), EPConfig(stop_tol=1e-14, max_iterations=500)
+        limit = cfg.stop_tol * 256
+        earlier = 0
+        for peak in (5.0, 10.0):
+            for op, kept in ((Identity(16, 16), slice(None)), (mask, mask.kept)):
+                y = simulate(op, peak * make_phantom(16, 16, seed=1).ravel(),
+                             PoissonNoise(), seed=1)
+                adapted = adapt(base, default_theta(y, op, PoissonNoise()))
+                for shift in (0, 5):
+                    part = build_shifted_partitions(16, 16, 4)[shift]
+                    run = run_ep_poisson(y, op, adapted, part, cfg)
+                    tight = run_ep_poisson(y, op, adapted, part, tight_cfg)
+                    assert run.converged and tight.converged
+                    assert run.history == tight.history[:run.iterations]
+                    assert np.sum((run.mean - tight.mean) ** 2) < 3 * limit
+                    assert np.sum((run.marginal_var - tight.marginal_var) ** 2) < 3 * limit
+                    assert np.sum((run.u_mean - tight.u_mean)[kept] ** 2) < 3 * limit
+                    by_step = next(k for k, r in enumerate(tight.history, 1)
+                                   if r["dm2"] < limit and r["dvar2"] < limit)
+                    assert run.iterations <= by_step
+                    earlier += run.iterations < by_step
+        assert earlier >= 1
 
 
 class TestUpdateOrder:

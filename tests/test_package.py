@@ -30,3 +30,15 @@ def test_modules_load_neither_scipy_optimize_nor_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_chunk_sizes_are_multiples_of_the_blas_row_block():
+    # OpenBLAS rounds the rows of a product's last, partial row block
+    # differently (4 rows on x86-64 Haswell kernels), so a quadrature or
+    # E-step chunk leaves the outputs' bits unchanged only at a multiple of
+    # the row block; 16 covers the row blocks of the common x86-64 and ARM
+    # kernels, and restores amplify prior-side rounding
+    from patchep import ep_poisson, gmm
+
+    assert ep_poisson._CHUNK % 16 == 0
+    assert gmm._EM_CHUNK_ROWS % 16 == 0
