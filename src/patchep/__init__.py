@@ -30,7 +30,6 @@ True
 """
 
 from .ep_gaussian import EPConfig
-from .gaussians import BlockDiagonalCov
 from .gmm import Adaptation, AdaptedGMM, PatchGMM, adapt, marginalize, train_em
 from .operators import Conv2D, GaussianNoise, Identity, Mask, PoissonNoise, simulate
 from .partitions import Partition, build_shifted_partitions
@@ -39,7 +38,6 @@ from .pipeline import PipelineConfig, run_pipeline
 __all__ = [
     "Adaptation",
     "AdaptedGMM",
-    "BlockDiagonalCov",
     "Conv2D",
     "EPConfig",
     "GaussianNoise",

@@ -7,8 +7,9 @@ block-diagonal precisions aligned to the patch partition.  Each factor keeps
 its precision as one stack per group of ``partition.groups`` and its
 precision-mean as one N-vector; every block operation is batched over a
 group's stack.  A stack is (J_g, b) rows of per-pixel precisions exactly
-when H is diagonal, and (J_g, b, b) blocks otherwise; the joint moments and
-the tilted kernel's cavities and outputs keep that shape.  The KL step (see
+when H is diagonal, and (J_g, b, b) blocks otherwise; the joint moments
+(``EPResult.cov`` among them) and the tilted kernel's cavities and outputs
+keep that shape.  The KL step (see
 :mod:`patchep.kl_updates`) is closed-form either way: per pixel for rows,
 and for blocks one batched call of the exact constrained minimizer per
 group's stack.  Each iteration alternates
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussians import BlockDiagonalCov, diag_stack, sym
+from .gaussians import diag_stack, sym
 from .gmm import AdaptedGMM, _tilted_moments_stack
 from .kl_updates import PRECISION_FLOOR, diag_kl_update, update_block_precision
 from .operators import DegradationOperator
@@ -178,7 +179,7 @@ class EPState:
 class EPResult:
     mean: np.ndarray
     marginal_var: np.ndarray
-    cov: BlockDiagonalCov              # joint blocks, (J_g, b, b) for diagonal factors too
+    cov: list                          # state.joint_covs: (J_g, b) rows or (J_g, b, b) blocks
     weights: list                      # tilted GMM weights per group, (J_g, K) or None
     converged: bool
     # one record per EP iteration: "iteration", "dm2" and "dvar2" (squared
@@ -425,6 +426,10 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
     estimate (see :func:`_near_fixed_point`), or at max_iterations.
     The result's ``history`` holds one record per iteration, of native
     Python numbers, and its warnings by cause are the sums over the records.
+    Its ``cov`` is ``state.joint_covs`` as EP keeps it, (J_g, b) variances
+    under a diagonal H and (J_g, b, b) blocks otherwise.  A joint variance
+    that is not positive and finite, or a joint block without a finite
+    Cholesky factor, raises ValueError.
     """
     n = partition.n_pixels
     if init_state is None:
@@ -451,11 +456,17 @@ def run_ep(step, operator: DegradationOperator, partition: Partition,
             break
         prev_dm2, prev_dv2 = dm2, dv2
 
+    try:
+        for cov in state.joint_covs:        # a row's variance as a 1 x 1 block
+            factor = np.linalg.cholesky(cov[..., None, None] if cov.ndim == 2 else cov)
+            if not np.all(np.isfinite(factor)):     # NaN passes LAPACK's check
+                raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("joint covariances must be finite and positive definite") from exc
     return EPResult(
         mean=state.mean.copy(),
         marginal_var=state.marginal_var.copy(),
-        cov=BlockDiagonalCov(partition, [diag_stack(c) if c.ndim == 2 else c
-                                         for c in state.joint_covs]),
+        cov=state.joint_covs,
         weights=weights,
         converged=converged,
         history=history,

@@ -307,14 +307,16 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     isotropic q_u1 uses their mean), unless the run resumes from ``init``, a
     Poisson result on the same partition: then all four factors start from
     its factors and the first CG solve from its mean.  The result carries
-    its u-side factors as ``u_factors`` and the mean of their product as
-    ``u_mean``.  The update order is q_u0, q_x1, q_x0, sync, q_u1, so q_u1
-    reads the joint after q_x0 (no lag, see the module docstring); it gets
-    weight 1 up to the first iteration whose dm2 exceeds the previous one's,
-    and ``config.damping`` from there on.  The escapes of the q_u0 update
-    count as EP warnings of cause ``poisson_escapes``; each iteration's
-    record also holds ``c1``, the q_u1 variance after the iteration, and
-    ``damping``, the weight q_u1 got.
+    its u-side factors as ``u_factors`` and, as ``u_mean``, the mean of their
+    product, except where row n of H is zero: there u_n = (Hx)_n = 0
+    exactly, and ``u_mean`` is 0.  Those pixels' u factors never reach the
+    x side, and they do not settle.  The update order is q_u0, q_x1, q_x0,
+    sync, q_u1, so q_u1 reads the joint after q_x0 (no lag, see the module
+    docstring); it gets weight 1 up to the first iteration whose dm2 exceeds
+    the previous one's, and ``config.damping`` from there on.  The escapes
+    of the q_u0 update count as EP warnings of cause ``poisson_escapes``;
+    each iteration's record also holds ``c1``, the q_u1 variance after the
+    iteration, and ``damping``, the weight q_u1 got.
     """
     config = config or EPConfig()
     y = _check_observation(y, partition.n_pixels, poisson=True)
@@ -353,5 +355,7 @@ def run_ep_poisson(y: np.ndarray, operator: DegradationOperator,
     result = run_ep(step, operator, partition, init_mean, init_var, config,
                     None if init is None else init.state)
     result.u_mean = (factors.eta_u0 + factors.eta_u1) / (factors.prec_u0 + factors.prec_u1)
+    zero_rows = operator.matrix @ np.ones(partition.n_pixels) == 0      # as H >= 0
+    result.u_mean[zero_rows] = 0.0
     result.u_factors = factors
     return result

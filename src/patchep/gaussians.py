@@ -8,21 +8,17 @@ block-diagonal matrix is stored as a list of ``(J_g, b, b)`` arrays, one per
 group and in the order of ``partition.groups``; all block arithmetic is
 batched numpy over these stacks, and no N x N matrix is assembled here.  A
 diagonal matrix is ``(J_g, b)`` rows of its diagonal, told apart by shape;
-:func:`diag_stack` makes full blocks of them.  :class:`BlockDiagonalCov`
-checks that every block is symmetric positive definite, by one batched
-Cholesky factorization per group.  :func:`cholesky_stack` factors a stack
-by one batched call and splits it only when that call fails.
+:func:`diag_stack` makes full blocks of them.  EP's joint covariance is
+handed on in that same shape, rows or blocks, and is never converted.
+:func:`cholesky_stack` factors a stack by one batched call and splits it
+only when that call fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .partitions import Partition
-
-__all__ = ["BlockDiagonalCov", "cholesky_stack", "diag_stack", "sym"]
+__all__ = ["cholesky_stack", "diag_stack", "sym"]
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -50,30 +46,3 @@ def diag_stack(d: np.ndarray) -> np.ndarray:
     out = np.zeros(d.shape + (b,))
     out[..., np.arange(b), np.arange(b)] = d
     return out
-
-
-@dataclass(frozen=True)
-class BlockDiagonalCov:
-    """Symmetric positive-definite covariance blocks, one (J_g, b, b) stack
-    per group of the partition."""
-
-    partition: Partition
-    stacks: list
-
-    def __post_init__(self):
-        groups = self.partition.groups
-        if len(self.stacks) != len(groups):
-            raise ValueError("one covariance stack per partition group required")
-        checked = []
-        for group, stack in zip(groups, self.stacks):
-            stack = np.asarray(stack, dtype=float)
-            if stack.shape != (len(group.ids),) + (group.pixels.shape[1],) * 2:
-                raise ValueError("covariance stack shape does not match the partition")
-            if not np.allclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-10, atol=1e-12):
-                raise ValueError("covariance blocks must be symmetric")
-            try:
-                np.linalg.cholesky(stack)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("covariance blocks must be positive definite") from exc
-            checked.append(stack)
-        object.__setattr__(self, "stacks", checked)

@@ -17,8 +17,8 @@ sum_n nnz(h_n)^2 entries, 81 per pixel for a 3x3 kernel: 4.4 MB at 64^2 and
 17.6 MB at 128^2 (values, column indices and row pointers), built in 0.04
 and 0.19 s on a 2-vCPU x86 VM.  The quadratic forms ``h_n S h_n^T`` of a
 block-diagonal covariance S come from the same map, as M^T applied to S's
-entries at G's in-block places, or as ``diag(H^T H) * S_nn`` when H is
-diagonal.
+entries at G's in-block places, or, when H is diagonal, as
+``diag(H^T H) * S_nn`` from S's (J_g, b) rows.
 
 Noise simulation uses a counter-based (Philox) generator so runs are
 reproducible regardless of scheduling.
@@ -259,13 +259,13 @@ def all_row_quadratic_forms(operator: DegradationOperator, partition: Partition,
     and S_ab is zero off the blocks, so the forms are M^T s with M the map of
     ``_gram_pattern`` and s S's entries at G's places: the stacks' flat
     buffer read through the split's slots, zero at the off-block ones.  A
-    diagonal H reads only S_nn, so there the forms are diag(H^T H) * S_nn
-    for any blocks, and the stacks may be (J_g, b) rows of S_nn, the shape
-    of diagonal EP factors, or (J_g, b, b) blocks."""
+    diagonal H reads only S_nn, so there the stacks are (J_g, b) rows of
+    S_nn, the shape of diagonal EP factors, and the forms are
+    diag(H^T H) * S_nn."""
     if operator.is_diagonal:
         s_nn = np.empty(partition.n_pixels)
-        for group, stack in zip(partition.groups, stacks):
-            s_nn[group.pixels] = stack if stack.ndim == 2 else np.diagonal(stack, axis1=1, axis2=2)
+        for group, rows in zip(partition.groups, stacks):
+            s_nn[group.pixels] = rows
         return operator.diag_gram() * s_nn
     slots, _, indices, _ = operator._gram_split(partition)
     buffer = np.concatenate([np.ravel(stack) for stack in stacks] + [np.zeros(indices.size)])

@@ -34,7 +34,6 @@ import numpy as np
 
 from .ep_gaussian import WARNING_CAUSES, EPConfig, EPResult, _check_observation, run_ep_gaussian
 from .ep_poisson import run_ep_poisson
-from .gaussians import BlockDiagonalCov
 from .gmm import Adaptation, PatchGMM, adapt
 from .operators import DegradationOperator, GaussianNoise, PoissonNoise
 from .partitions import Partition, build_shifted_partitions
@@ -117,22 +116,28 @@ class EStepStatistics(NamedTuple):
     mu_m: np.ndarray          # sum w_j mu^T B^{-1} m_j
 
 
-def estep_statistics(weights, mean: np.ndarray, cov: BlockDiagonalCov,
+def estep_statistics(weights, mean: np.ndarray, cov: list,
                      base: PatchGMM, partition: Partition) -> EStepStatistics:
     """The E-cost's sufficient statistics from the EP moments, through one
     Cholesky factor L per (group, component) of the base covariance B and
     its inverse, which the base prior computes once per local pattern
-    (:meth:`PatchGMM.local_factors`).  Groups without weights (failed tilted
-    moments) are left out; one must have weights."""
+    (:meth:`PatchGMM.local_factors`).  ``cov`` holds the joint covariance
+    stacks as EP keeps them (``EPResult.cov``): (J_g, b) variances of
+    diagonal factors, whose weighted sum D_k = sum_j w_jk S_j is diagonal,
+    so L^{-1} D_k L^{-T} is a scaled product, or (J_g, b, b) blocks.
+    Groups without weights (failed tilted moments) are left out; one must
+    have weights."""
     cells = []
-    for group, w, s in zip(partition.groups, weights, cov.stacks):
+    for group, w, s in zip(partition.groups, weights, cov):
         if w is None:
             continue
         chol, chol_inv = base.local_factors(group.local)              # (K, b, b) each
         z_one = chol_inv.sum(axis=2)                                  # L^{-1} 1
         z_mu = (chol_inv @ base.means[:, group.local, None])[..., 0]  # L^{-1} mu
         z_m = np.einsum("kab,jb->jka", chol_inv, mean[group.pixels])  # L^{-1} m_j
-        z_s = chol_inv @ np.einsum("jk,jab->kab", w, s) @ np.swapaxes(chol_inv, 1, 2)
+        d = np.einsum("jk,j...->k...", w, s)                         # D_k = sum_j w_jk S_j
+        l_d = chol_inv * d[:, None, :] if d.ndim == 2 else chol_inv @ d
+        z_s = l_d @ np.swapaxes(chol_inv, 1, 2)                       # L^{-1} D_k L^{-T}
         g_m = np.einsum("ka,jka->jk", z_one, z_m)
         cells.append([
             np.full(len(z_one), float(group.local.size)), w.sum(axis=0), np.sum(z_one * z_one, axis=1),
@@ -279,8 +284,9 @@ def _at_bound(theta: Adaptation, estimate_scale: bool) -> list:
 
 def epem_m_step(weights, mean, cov, base: PatchGMM, partition: Partition,
                 theta_prev: Adaptation, *, estimate_scale: bool) -> Adaptation:
-    """Maximization of the E-cost.  At a fixed scale it is the exact
-    (offset, mean_var) maximizer of :func:`_profile_pick`, one pass.  With
+    """Maximization of the E-cost of the EP moments (``cov`` as in
+    :func:`estep_statistics`, rows or blocks).  At a fixed scale it is the
+    exact (offset, mean_var) maximizer of :func:`_profile_pick`, one pass.  With
     ``estimate_scale`` a golden-section search for the scale within
     SCALE_BOUNDS alternates with that pick until all three parameters change
     by less than 1e-4 relative, or for 20 rounds.  The E-cost is evaluated
@@ -395,7 +401,9 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
     over its rounds.  Each EM round has its EP iterations, convergence and
     adaptation, the M-step picks that ended on a bound, and its
     ``history`` (see ``EPResult.history``).  The report holds only native
-    Python values, so it round-trips through JSON."""
+    Python values, so it round-trips through JSON.  ``timings`` holds every
+    expert's wall time, a failed expert's included, and their sum
+    ``total_s``."""
     config = config or PipelineConfig()
     y = _check_observation(y, operator.n_pixels, poisson=isinstance(noise, PoissonNoise))
     partitions = build_shifted_partitions(operator.width, operator.height,
@@ -414,7 +422,8 @@ def run_pipeline(y: np.ndarray, operator: DegradationOperator, noise,
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append({"expert": i, "error": str(exc)})
             continue
-        timings[f"expert_{i}_s"] = time.perf_counter() - start
+        finally:
+            timings[f"expert_{i}_s"] = time.perf_counter() - start
         experts.append(expert)
         if config.share_theta and i == 0:
             shared_theta = expert.theta

@@ -32,11 +32,17 @@ def blocks_of(partition):
                                           for g in groups])))
 
 
+def diag_rows(partition, values):
+    """(J_g, b) rows of the diagonal matrix diag(values), values in pixel
+    order: the shape of EP's diagonal factors and joint variances."""
+    values = np.asarray(values, dtype=float)
+    return [values[g.pixels] for g in partition.groups]
+
+
 def diag_stacks(partition, values):
     """(J_g, b, b) stacks of the diagonal matrix diag(values), values in
     pixel order."""
-    values = np.asarray(values, dtype=float)
-    return [diag_stack(values[g.pixels]) for g in partition.groups]
+    return [diag_stack(rows) for rows in diag_rows(partition, values)]
 
 
 def pixel_diagonal(partition, stacks):

@@ -215,9 +215,9 @@ def _tilted_gmm_block_jittered(prior: AdaptedGMM, cav_mean: np.ndarray,
 def _adapted_block_terms(theta, weights, mean, cov, base: PatchGMM,
                          partition: Partition):
     """Per group with weights: its local indices, tilted weights (J, K),
-    means (J, b) and covariances (J, b, b), and the adapted component
-    covariances (K, b, b) on its local indices."""
-    for group, w, s in zip(partition.groups, weights, cov.stacks):
+    means (J, b) and covariances (J, b, b), one stack of ``cov`` per group,
+    and the adapted component covariances (K, b, b) on its local indices."""
+    for group, w, s in zip(partition.groups, weights, cov):
         if w is None:
             continue
         idxs = group.local

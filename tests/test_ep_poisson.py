@@ -429,6 +429,24 @@ class TestRunEpPoisson:
         assert np.all(res.mean < 2.0)
         assert np.mean(res.u_mean) < 2.0
 
+    def test_u_mean_is_zero_at_unobserved_pixels(self):
+        # where row n of H is zero, u_n = (Hx)_n = 0 exactly; the u factors
+        # there never reach the x side and do not settle, so their product's
+        # mean would depend on when the run stopped
+        from patchep.phantoms import make_phantom
+
+        kept = np.random.default_rng(11).random(256) < 0.7
+        op = Mask(16, 16, kept)
+        part = build_shifted_partitions(16, 16, 4)[0]
+        base = PatchGMM(np.array([1.0]), np.full((1, 16), 5.0), (4.0 * np.eye(16))[None])
+        y = simulate(op, 10.0 * make_phantom(16, 16, seed=1).ravel(), PoissonNoise(), seed=1)
+        res = run_ep_poisson(y, op, adapt(base, Adaptation()), part)
+        f = res.u_factors
+        assert res.iterations > 1 and np.any(~kept)
+        assert np.all(res.u_mean[~kept] == 0.0)
+        np.testing.assert_array_equal(res.u_mean[kept], ((f.eta_u0 + f.eta_u1)
+                                                        / (f.prec_u0 + f.prec_u1))[kept])
+
     def test_rejects_negative_and_fractional_counts(self, rng):
         part = build_shifted_partitions(4, 4, 2)[0]
         adapted = adapt(PatchGMM(np.array([1.0]), np.zeros((1, 4)), np.eye(4)[None]),
@@ -548,9 +566,9 @@ class TestStopRule:
         # 0.03 where the last one shrank by 0.008 (peak 10).  On 80 runs
         # at 16x16 and 24x24, peaks 2-40, the estimate ended 8 runs 1.3-2.6
         # stop_tol * N away and the step rule none farther than 0.12; hence
-        # the factor 3.  u_mean is compared on observed pixels: at a masked
-        # pixel u = Hx is 0, its u factors never reach the x side, and its
-        # u_mean still moves by about 0.14 per iteration when the x side stops
+        # the factor 3.  u_mean is compared on every pixel: at a masked pixel
+        # u = Hx is 0 and u_mean reports 0, though its u factors, which never
+        # reach the x side, still move when the x side stops
         from patchep.phantoms import extract_patches, make_phantom
         from patchep.pipeline import default_theta
 
@@ -561,7 +579,7 @@ class TestStopRule:
         limit = cfg.stop_tol * 256
         earlier = 0
         for peak in (5.0, 10.0):
-            for op, kept in ((Identity(16, 16), slice(None)), (mask, mask.kept)):
+            for op in (Identity(16, 16), mask):
                 y = simulate(op, peak * make_phantom(16, 16, seed=1).ravel(),
                              PoissonNoise(), seed=1)
                 adapted = adapt(base, default_theta(y, op, PoissonNoise()))
@@ -573,7 +591,7 @@ class TestStopRule:
                     assert run.history == tight.history[:run.iterations]
                     assert np.sum((run.mean - tight.mean) ** 2) < 3 * limit
                     assert np.sum((run.marginal_var - tight.marginal_var) ** 2) < 3 * limit
-                    assert np.sum((run.u_mean - tight.u_mean)[kept] ** 2) < 3 * limit
+                    assert np.sum((run.u_mean - tight.u_mean) ** 2) < 3 * limit
                     by_step = next(k for k, r in enumerate(tight.history, 1)
                                    if r["dm2"] < limit and r["dvar2"] < limit)
                     assert run.iterations <= by_step

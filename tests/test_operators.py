@@ -16,7 +16,7 @@ from patchep.operators import (
 )
 from patchep.partitions import build_shifted_partitions
 
-from conftest import blocks_of, diag_stacks, per_block, random_spd, stack_by_group
+from conftest import blocks_of, diag_rows, diag_stacks, per_block, random_spd, stack_by_group
 
 
 def conv_dense_from_formula(width, height, kernel):
@@ -175,13 +175,13 @@ class TestRowForms:
     def test_identity_diagonal(self):
         op = Identity(3, 2)
         part = build_shifted_partitions(3, 2, 2)[1]
-        v = diag_stacks(part, np.arange(1.0, 7.0) ** 2)
+        v = diag_rows(part, np.arange(1.0, 7.0) ** 2)
         np.testing.assert_array_equal(all_row_quadratic_forms(op, part, v), np.arange(1.0, 7.0) ** 2)
 
     def test_masked_row_is_zero(self):
         op = Mask(3, 2, np.array([True, False, True, True, True, False]))
         part = build_shifted_partitions(3, 2, 2)[1]
-        v = diag_stacks(part, np.ones(6))
+        v = diag_rows(part, np.ones(6))
         np.testing.assert_array_equal(all_row_quadratic_forms(op, part, v), [1, 0, 1, 1, 1, 0])
 
     def test_conv_vs_dense_oracle(self):
@@ -218,7 +218,8 @@ class TestRowForms:
                                     Mask(6, 6, np.random.default_rng(4).random(36) < 0.6)],
                              ids=["identity", "mask"])
     def test_diagonal_operator_on_full_blocks_vs_dense_oracle(self, op):
-        # a diagonal H reads only the diagonal of S, whatever its blocks hold
+        # a diagonal H reads only the diagonal of S, whatever its blocks hold,
+        # so it takes S as the (J_g, b) rows of that diagonal
         h = dense_matrix(op)
         rng = np.random.default_rng(7)
         part = build_shifted_partitions(6, 6, 3)[4]
@@ -226,7 +227,8 @@ class TestRowForms:
         sigma = np.zeros((36, 36))
         for j, (idx, _) in enumerate(blocks_of(part)):
             sigma[np.ix_(idx, idx)] = blocks[j]
-        np.testing.assert_allclose(all_row_quadratic_forms(op, part, stack_by_group(part, blocks)),
+        rows = [np.diagonal(s, axis1=1, axis2=2) for s in stack_by_group(part, blocks)]
+        np.testing.assert_allclose(all_row_quadratic_forms(op, part, rows),
                                    [h[n] @ sigma @ h[n] for n in range(36)], rtol=1e-12)
 
     def test_all_row_forms_isotropic_and_diagonal(self):

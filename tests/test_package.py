@@ -1,5 +1,7 @@
 import doctest
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,17 @@ def test_package_docstring_example_runs():
     result = doctest.testmod(patchep)
     assert result.attempted >= 1
     assert result.failed == 0
+
+
+def test_every_exported_name_resolves():
+    # the package's __all__ and each module's: a deleted name cannot stay
+    # exported
+    modules = [patchep] + [importlib.import_module("patchep." + m.name)
+                           for m in pkgutil.iter_modules(patchep.__path__)]
+    assert len(modules) > 1
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
 
 
 def test_modules_load_neither_scipy_optimize_nor_scipy_linalg():

@@ -16,9 +16,9 @@ from patchep.ep_gaussian import (
     run_ep_gaussian,
     update_q_x0,
 )
-from patchep.gaussians import BlockDiagonalCov
+from patchep.gaussians import diag_stack
 from patchep.gmm import Adaptation, PatchGMM, adapt, train_em
-from patchep.operators import Conv2D, GaussianNoise, Identity, PoissonNoise, simulate
+from patchep.operators import Conv2D, GaussianNoise, Identity, Mask, PoissonNoise, simulate
 from patchep.partitions import build_shifted_partitions
 from patchep.pipeline import (
     MEAN_VAR_BOUNDS,
@@ -108,7 +108,7 @@ def single_pixel_partition_cost_inputs():
     base = PatchGMM(np.array([1.0]), np.array([[0.0]]), np.array([[[1.0]]]))
     weights = [np.array([[1.0]])]
     mean = np.array([1.3])
-    cov = BlockDiagonalCov(part, diag_stacks(part, np.array([0.4])))
+    cov = diag_stacks(part, np.array([0.4]))
     return part, base, weights, mean, cov
 
 
@@ -145,7 +145,7 @@ class TestEpemCost:
         x = sample_prior_image(adapted, part, rng)
         weights = []
         mean = x
-        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(part.n_pixels, 1e-4)))
+        cov = diag_stacks(part, np.full(part.n_pixels, 1e-4))
         for j, (idx, _) in enumerate(blocks_of(part)):
             logp = [np.log(adapted.weights[k])
                     - 0.5 * (x[idx] - adapted.means[k]) @ np.linalg.solve(
@@ -172,8 +172,8 @@ class TestEpemCost:
         k = base.n_components
         weights = [rng.dirichlet(np.ones(k), size=len(g.ids)) for g in partition.groups]
         mean = rng.uniform(0.0, spread, partition.n_pixels)
-        cov = BlockDiagonalCov(partition, [np.stack([random_spd(rng, g.local.size, 0.05)
-                                                     for _ in g.ids]) for g in partition.groups])
+        cov = [np.stack([random_spd(rng, g.local.size, 0.05) for _ in g.ids])
+               for g in partition.groups]
         return weights, mean, cov
 
     @staticmethod
@@ -283,7 +283,7 @@ class TestEpemMStep:
         base = PatchGMM(np.array([1.0]), np.zeros((1, 16)), np.eye(16)[None])
         mean = rng.standard_normal(64) + 2.0
         weights = stack_by_group(part, [np.array([1.0]) for _ in blocks_of(part)])
-        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(64, 0.1)))
+        cov = diag_stacks(part, np.full(64, 0.1))
         theta = epem_m_step(weights, mean, cov, base, part,
                             Adaptation(offset=0.0, mean_var=1e-8, scale=1.0),
                             estimate_scale=False)
@@ -294,7 +294,7 @@ class TestEpemMStep:
         base = PatchGMM(np.array([1.0]), np.zeros((1, 16)), np.eye(16)[None])
         mean = rng.standard_normal(64)
         weights = stack_by_group(part, [np.array([1.0]) for _ in blocks_of(part)])
-        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(64, 0.1)))
+        cov = diag_stacks(part, np.full(64, 0.1))
         theta = epem_m_step(weights, mean, cov, base, part,
                             Adaptation(scale=1.0), estimate_scale=False)
         assert theta.scale == 1.0
@@ -309,7 +309,7 @@ class TestEpemMStep:
         adapted = adapt(base, Adaptation(offset=1.0, mean_var=0.2, scale=1.0))
         x = sample_prior_image(adapted, part, rng)
         weights = stack_by_group(part, [np.full(2, 0.5) for _ in blocks_of(part)])
-        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(part.n_pixels, 0.05)))
+        cov = diag_stacks(part, np.full(part.n_pixels, 0.05))
         theta0 = Adaptation(offset=0.2, mean_var=0.05, scale=1.0)
         stats = estep_statistics(weights, x, cov, base, part)
         cost0 = epem_e_cost(theta0, stats)
@@ -334,6 +334,31 @@ class TestEpemMStep:
                             estimate_scale=True)
         assert abs(theta.offset - 3.0) / 3.0 < 0.1
         assert abs(theta.scale - 2.0) / 2.0 < 0.15
+
+    @pytest.mark.parametrize("op", [Identity(8, 8),
+                                    Mask(8, 8, np.random.default_rng(4).random(64) < 0.7)],
+                             ids=["identity", "mask"])
+    @pytest.mark.parametrize("shift_index", [0, 3])
+    def test_rows_and_their_blocks_give_the_same_m_step(self, rng, op, shift_index):
+        # under a diagonal H, EP hands the M-step its (J_g, b) joint rows;
+        # the diag_stack blocks of those rows give the same statistics, and
+        # the M-step the same pick
+        part = build_shifted_partitions(8, 8, 2)[shift_index]
+        assert part.shift == ((0, 0), (1, 1))[shift_index > 0]
+        base = small_gmm(rng, 3, 4)
+        y = op.apply(0.5 + 0.3 * rng.standard_normal(64))
+        res = run_ep_gaussian(y, op, 0.05, adapt(base, Adaptation(offset=0.5)), part)
+        rows, blocks = res.cov, [diag_stack(r) for r in res.cov]
+        assert [r.ndim for r in rows] == [2] * len(part.groups)
+        from_rows = estep_statistics(res.weights, res.mean, rows, base, part)
+        from_blocks = estep_statistics(res.weights, res.mean, blocks, base, part)
+        for name, got, want in zip(from_rows._fields, from_rows, from_blocks):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+        theta0 = Adaptation(offset=0.2, mean_var=0.05, scale=1.0)
+        picked = [epem_m_step(res.weights, res.mean, cov, base, part, theta0,
+                              estimate_scale=False) for cov in (rows, blocks)]
+        for got, want in zip(*map(astuple, picked)):
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 class TestProfilePick:
@@ -367,7 +392,7 @@ class TestProfilePick:
         base = PatchGMM(np.array([1.0]), np.zeros((1, 4)), (0.05 * np.eye(4))[None])
         mean = 2.0 + np.kron(rng.normal(0.0, spread, (4, 4)), np.ones((2, 2))).ravel()
         weights = stack_by_group(part, [np.array([1.0]) for _ in blocks_of(part)])
-        cov = BlockDiagonalCov(part, diag_stacks(part, np.full(64, 1e-3)))
+        cov = diag_stacks(part, np.full(64, 1e-3))
         theta = epem_m_step(weights, mean, cov, base, part,
                             Adaptation(offset=0.0, mean_var=0.5, scale=1.0), estimate_scale=False)
         assert theta.mean_var == MEAN_VAR_BOUNDS[bound]
@@ -393,7 +418,7 @@ class TestProfilePick:
             return x * (1.0 + 1e-14 * signs.choice([-1.0, 1.0], np.shape(x)))
 
         moved = epem_m_step([nudge(w) for w in weights], nudge(mean),
-                            BlockDiagonalCov(part, [s * (1.0 + 1e-14) for s in cov.stacks]),
+                            [s * (1.0 + 1e-14) for s in cov],
                             base, part, theta0, estimate_scale=False)
         for got, want in zip(astuple(moved), astuple(picked)):
             assert got == pytest.approx(want, rel=1e-10, abs=0)
@@ -416,7 +441,7 @@ class TestProfilePick:
         theta = epem_m_step(weights, mean, cov, base, part, Adaptation(10.0, 0.5, 1.0),
                             estimate_scale=False)
         assert calls == [theta]
-        bad = BlockDiagonalCov(part, [np.where(np.eye(s.shape[-1], dtype=bool), np.inf, s) for s in cov.stacks])
+        bad = [np.where(np.eye(s.shape[-1], dtype=bool), np.inf, s) for s in cov]
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             epem_m_step(weights, mean, bad, base, part, Adaptation(10.0, 0.5, 1.0),
                         estimate_scale=False)
@@ -459,9 +484,8 @@ class TestFailedTiltedMoments:
         for g, (w, w_all) in enumerate(zip(weights, all_weights)):
             if g != 4:
                 np.testing.assert_array_equal(w, w_all)
-        cov = BlockDiagonalCov(part, state.joint_covs)
-        stats = estep_statistics(weights, state.mean, cov, base, part)
-        full = estep_statistics(all_weights, state.mean, cov, base, part)
+        stats = estep_statistics(weights, state.mean, state.joint_covs, base, part)
+        full = estep_statistics(all_weights, state.mean, state.joint_covs, base, part)
         kept = np.repeat(np.arange(len(part.groups)) != 4, base.n_components)
         for name, value, full_value in zip(stats._fields, stats, full):
             np.testing.assert_array_equal(value, full_value[kept], err_msg=name)
@@ -471,8 +495,7 @@ class TestFailedTiltedMoments:
             monkeypatch, set(range(9)))
         assert weights == [None] * 9 and warnings["tilted_failed"] == 25   # every block
         theta = Adaptation(offset=0.2, mean_var=0.05, scale=1.0)
-        cov = BlockDiagonalCov(part, state.joint_covs)
-        assert epem_m_step(weights, state.mean, cov, base, part, theta,
+        assert epem_m_step(weights, state.mean, state.joint_covs, base, part, theta,
                            estimate_scale=False) == theta
 
     def test_pipeline_raises_when_every_expert_failed(self, monkeypatch):
@@ -710,6 +733,9 @@ class TestVerdictAndRounds:
         assert entry["rounds"][0]["theta"] == {"offset": 0.3, "mean_var": 0.02, "scale": 1.0}
         assert entry["rounds"][1]["theta"] != entry["rounds"][0]["theta"]
         assert entry["theta"] != entry["rounds"][1]["theta"]
+        # the failed expert's time counts too
+        assert set(out.timings) == {"expert_0_s", "expert_1_s", "total_s"}
+        assert out.timings["total_s"] == out.timings["expert_0_s"] + out.timings["expert_1_s"]
 
     def test_converged_experts_in_verdict(self):
         base = PatchGMM(np.array([1.0]), np.full((1, 4), 0.4), (0.05 * np.eye(4))[None])
